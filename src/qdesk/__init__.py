@@ -3,7 +3,8 @@
 Modules
 -------
 statevec
-    Dense state vector, strided gate application, seeded measurement.
+    Dense state vector, view-based gate kernel, XOR oracle, register
+    marginal, qubit budget, seeded measurement.
 gates
     Gate matrices, circuit IR, dense expansion oracle, linear routing.
 qft

@@ -330,6 +330,8 @@ def _run_simon(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 def _run_simon_classical(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     n = params["n"]
     trials = params["trials"]
+    if not 1 <= n <= simon.BASELINE_MAX_BITS:
+        raise ValueError(f"n must lie in [1, {simon.BASELINE_MAX_BITS}] for the baseline, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     shift_rng = statevec.make_rng(statevec.derive_seed(seed, 0))

@@ -201,7 +201,7 @@ def embed_in_full_matrix(matrix: np.ndarray, wires: Sequence[int], n: int) -> np
     """Tensor-extend a small gate matrix to the full 2^n x 2^n unitary.
 
     Built entry by entry from index arithmetic so it can serve as an
-    independent oracle for the strided state-vector kernel.
+    independent oracle for the state-vector kernel.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     k = m.shape[0].bit_length() - 1

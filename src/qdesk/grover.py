@@ -40,8 +40,7 @@ class SearchProblem:
     target_count: int
 
     def __post_init__(self):
-        if not 1 <= self.k <= statevec.MAX_QUBITS:
-            raise ValueError(f"k must lie in [1, {statevec.MAX_QUBITS}], got {self.k}")
+        statevec.require_qubits(self.k, f"search over 2^{self.k} items")
         signs = phase_flip_target(self.k, self.predicate)
         marked = tuple(int(i) for i in np.flatnonzero(signs < 0))
         if len(marked) != self.target_count:

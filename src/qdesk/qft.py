@@ -42,12 +42,7 @@ class QftSpec:
     include_bit_reversal_swaps: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.k > statevec.MAX_QUBITS:
-            raise statevec.CapacityError(
-                f"k={self.k} exceeds the simulator cap of {statevec.MAX_QUBITS}"
-            )
+        statevec.require_qubits(self.k, f"the Fourier transform on k={self.k}")
         if self.approx_cutoff is not None and not 1 <= self.approx_cutoff <= self.k:
             raise ValueError(
                 f"approx_cutoff must lie in [1, {self.k}], got {self.approx_cutoff}"

@@ -195,14 +195,6 @@ class FactorReport:
 # circuit simulation
 # ---------------------------------------------------------------------------
 
-def _check_qubit_budget(inst: FactoringInstance) -> None:
-    if inst.n_qubits > statevec.MAX_QUBITS:
-        raise statevec.CapacityError(
-            f"factoring N={inst.N} needs {inst.n_qubits} qubits "
-            f"(cap {statevec.MAX_QUBITS})"
-        )
-
-
 def _power_table(x: int, n: int, length: int) -> np.ndarray:
     """x^a mod n for a in [0, length), tiled from one orbit period."""
     orbit = [1]
@@ -220,19 +212,18 @@ def pre_qft_state(inst: FactoringInstance) -> statevec.StateVector:
     The exponent register holds every a with equal weight and the value
     register holds x^a mod N alongside it.
     """
-    _check_qubit_budget(inst)
-    L, two_l = inst.L, 2 * inst.L
+    statevec.require_qubits(inst.n_qubits, f"factoring N={inst.N}")
+    two_l = 2 * inst.L
     state = statevec.init_basis(inst.n_qubits, 0)
     for w in range(1, two_l + 1):
         state = statevec.apply_gate(state, h_op(w))
-    a = np.arange(1 << two_l, dtype=np.intp)
-    powers = _power_table(inst.x, inst.N, 1 << two_l).astype(np.intp)
-    w_bits = np.arange(1 << L, dtype=np.intp)
-    perm = ((a[:, np.newaxis] << L) | (w_bits[np.newaxis, :] ^ powers[:, np.newaxis])).ravel()
-    return statevec.apply_permutation(state, perm)
+    powers = _power_table(inst.x, inst.N, 1 << two_l)
+    return statevec.apply_xor_oracle(state, powers, inst.L)
 
 
-@lru_cache(maxsize=16)
+# One entry: at the cap a state is 256 MB, and the only reuse is the
+# distribution dump for the last attempt's x right after the run.
+@lru_cache(maxsize=1)
 def _order_finding_state_cached(n: int, x: int) -> statevec.StateVector:
     inst = FactoringInstance(n, x)
     state = pre_qft_state(inst)
@@ -254,8 +245,7 @@ def run_order_finding_circuit(inst: FactoringInstance, rng_seed: int) -> int:
 
 def first_register_distribution(inst: FactoringInstance) -> np.ndarray:
     """Exact measurement distribution of c (marginal over the value register)."""
-    probs = statevec.distribution(order_finding_state(inst))
-    return probs.reshape(1 << (2 * inst.L), 1 << inst.L).sum(axis=1)
+    return statevec.marginal(order_finding_state(inst), 2 * inst.L)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +391,7 @@ def factor(n: int, max_attempts: int, rng_seed: int) -> FactorReport:
             f"N={n} is {is_trivial_case(n)}; the order-finding method needs an "
             "odd composite with two or more distinct prime factors"
         )
-    if 3 * n.bit_length() > statevec.MAX_QUBITS:
-        raise statevec.CapacityError(
-            f"factoring N={n} needs {3 * n.bit_length()} qubits "
-            f"(cap {statevec.MAX_QUBITS})"
-        )
+    statevec.require_qubits(3 * n.bit_length(), f"factoring N={n}")
     rng = statevec.make_rng(rng_seed)
     attempts: list[Attempt] = []
     for i in range(max_attempts):

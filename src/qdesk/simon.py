@@ -22,8 +22,8 @@ import numpy as np
 from . import statevec
 from .gates import h_op
 
-#: Oracle tables are dense arrays of 2^n entries; 12 keeps 2n qubits in cap.
-MAX_ORACLE_BITS = 12
+#: The classical collision baseline is tabulated for n up to this bound.
+BASELINE_MAX_BITS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +50,7 @@ def make_oracle(n: int, c: int, rng_seed: int) -> SimonOracle:
     distinct random n-bit output.  c = 0 is rejected: it would make f
     injective and leave nothing to find.
     """
-    if not 1 <= n <= MAX_ORACLE_BITS:
-        raise ValueError(f"n must lie in [1, {MAX_ORACLE_BITS}], got {n}")
+    statevec.require_qubits(2 * n, f"Simon's problem with n={n}")
     c = int(c)
     if c == 0:
         raise ValueError("hidden shift c must be nonzero")
@@ -78,10 +77,7 @@ def sampling_state(oracle: SimonOracle) -> statevec.StateVector:
     state = statevec.init_basis(2 * n, 0)
     for w in range(1, n + 1):
         state = statevec.apply_gate(state, h_op(w))
-    x = np.arange(1 << n, dtype=np.intp)
-    w_bits = np.arange(1 << n, dtype=np.intp)
-    perm = ((x[:, np.newaxis] << n) | (w_bits[np.newaxis, :] ^ oracle.table[x][:, np.newaxis])).ravel()
-    state = statevec.apply_permutation(state, perm)
+    state = statevec.apply_xor_oracle(state, oracle.table, n)
     for w in range(1, n + 1):
         state = statevec.apply_gate(state, h_op(w))
     return state
@@ -89,8 +85,7 @@ def sampling_state(oracle: SimonOracle) -> statevec.StateVector:
 
 def first_register_distribution(oracle: SimonOracle) -> np.ndarray:
     """Exact measurement distribution of the input register (length 2^n)."""
-    probs = statevec.distribution(sampling_state(oracle))
-    return probs.reshape(1 << oracle.n, 1 << oracle.n).sum(axis=1)
+    return statevec.marginal(sampling_state(oracle), oracle.n)
 
 
 def simon_sample(oracle: SimonOracle, rng_seed: int) -> int:
@@ -212,8 +207,8 @@ def classical_query_baseline(oracle: SimonOracle, rng_seed: int) -> BaselineResu
     Returns the number of queries spent; the shift is the XOR of the
     colliding inputs.  Expected cost grows like 2^(n/2) (birthday bound).
     """
-    if oracle.n > 8:
-        raise ValueError(f"baseline is tabulated up to n=8, got n={oracle.n}")
+    if oracle.n > BASELINE_MAX_BITS:
+        raise ValueError(f"baseline is tabulated up to n={BASELINE_MAX_BITS}, got n={oracle.n}")
     rng = statevec.make_rng(rng_seed)
     seen: dict[int, int] = {}
     for queries, x in enumerate(rng.permutation(1 << oracle.n), start=1):

@@ -35,6 +35,18 @@ class CapacityError(ValueError):
     """Raised when a request would exceed the qubit budget."""
 
 
+def require_qubits(needed: int, what: str) -> None:
+    """Check a register size before anything is allocated for it.
+
+    Below one qubit is a ValueError; above MAX_QUBITS is a CapacityError
+    that reads "<what> needs N qubits (cap 24)".
+    """
+    if needed < 1:
+        raise ValueError(f"{what} must use at least one qubit, got {needed}")
+    if needed > MAX_QUBITS:
+        raise CapacityError(f"{what} needs {needed} qubits (cap {MAX_QUBITS})")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Return the package-standard PCG64 generator for a given seed.
 
@@ -63,12 +75,7 @@ class StateVector:
 
     def __init__(self, n_qubits: int, amps: np.ndarray, *, copy: bool = True):
         n_qubits = int(n_qubits)
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-        if n_qubits > MAX_QUBITS:
-            raise CapacityError(
-                f"n_qubits={n_qubits} exceeds the simulator cap of {MAX_QUBITS}"
-            )
+        require_qubits(n_qubits, "a state vector")
         arr = np.array(amps, dtype=np.complex128, copy=copy)
         if arr.shape != (1 << n_qubits,):
             raise ValueError(
@@ -99,12 +106,7 @@ def init_basis(n_qubits: int, index: int) -> StateVector:
     Wire 1 is the most significant bit of the index: ``init_basis(3, 4)``
     puts the excitation on wire 1 (binary 100).
     """
-    if n_qubits < 1 or n_qubits > MAX_QUBITS:
-        if n_qubits > MAX_QUBITS:
-            raise CapacityError(
-                f"n_qubits={n_qubits} exceeds the simulator cap of {MAX_QUBITS}"
-            )
-        raise ValueError(f"n_qubits must be positive, got {n_qubits}")
+    require_qubits(n_qubits, "a basis state")
     dim = 1 << n_qubits
     index = int(index)
     if not 0 <= index < dim:
@@ -114,35 +116,17 @@ def init_basis(n_qubits: int, index: int) -> StateVector:
     return StateVector(n_qubits, amps, copy=False)
 
 
-def _expand_group_indices(n: int, positions: Sequence[int]) -> np.ndarray:
-    """Indices of all basis states whose bits at ``positions`` are zero.
+def _apply_matrix_inplace(amps: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> None:
+    """Apply a small unitary to the wires at ``axes`` of ``amps`` (view kernel).
 
-    Enumerates the 2^(n-k) free-bit patterns and opens a zero gap at each
-    target bit position (ascending), which costs O(k) vector operations.
+    Views ``amps`` as a (2,)*n tensor (wire w is axis w-1) with the gate's
+    axes moved to the front, ``axes[0]`` the gate's high bit, and writes one
+    product with its 2^k x 2^(n-k) unfolding back through that view.
     """
-    g = np.arange(1 << (n - len(positions)), dtype=np.intp)
-    for p in sorted(positions):
-        low = g & ((1 << p) - 1)
-        g = ((g >> p) << (p + 1)) | low
-    return g
-
-
-def _apply_matrix_inplace(amps: np.ndarray, matrix: np.ndarray, positions: Sequence[int]) -> None:
-    """Apply a small unitary to the bit positions of ``amps`` (strided kernel).
-
-    ``positions[0]`` is the high bit of the gate's own index.  Gathers each
-    group of 2^k coupled amplitudes, multiplies by the gate matrix and
-    scatters back; O(2^n) per gate instead of a 2^n x 2^n matrix product.
-    """
-    k = len(positions)
-    base = _expand_group_indices(amps.size.bit_length() - 1, positions)
-    offsets = np.zeros(1 << k, dtype=np.intp)
-    for col, p in enumerate(positions):
-        offsets |= ((np.arange(1 << k, dtype=np.intp) >> (k - 1 - col)) & 1) << p
-    gathered = amps[base[np.newaxis, :] + offsets[:, np.newaxis]]
-    transformed = matrix @ gathered
-    for t in range(1 << k):
-        amps[base + offsets[t]] = transformed[t]
+    k = len(axes)
+    tensor = amps.reshape((2,) * (amps.size.bit_length() - 1))
+    view = np.moveaxis(tensor, axes, range(k))
+    view[...] = (matrix @ view.reshape(1 << k, -1)).reshape(view.shape)
 
 
 def _check_wires(n_qubits: int, wires: tuple[int, ...]) -> list[int]:
@@ -151,7 +135,7 @@ def _check_wires(n_qubits: int, wires: tuple[int, ...]) -> list[int]:
     for w in wires:
         if not 1 <= w <= n_qubits:
             raise ValueError(f"wire {w} out of range [1, {n_qubits}]")
-    return [n_qubits - w for w in wires]
+    return [w - 1 for w in wires]
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
@@ -160,9 +144,9 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     Implements the induced action of the tensor extension of the gate
     matrix without ever building the full 2^n x 2^n operator.
     """
-    positions = _check_wires(state.n_qubits, gate.wires)
+    axes = _check_wires(state.n_qubits, gate.wires)
     amps = state.amps.copy()
-    _apply_matrix_inplace(amps, gate.matrix, positions)
+    _apply_matrix_inplace(amps, gate.matrix, axes)
     return StateVector(state.n_qubits, amps, copy=False)
 
 
@@ -178,9 +162,9 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"circuit needs {circuit.n_wires} wires but state has {state.n_qubits}"
         )
     amps = state.amps.copy()
-    positions = [_check_wires(state.n_qubits, op.wires) for op in circuit.ops]
-    for op, pos in zip(circuit.ops, positions):
-        _apply_matrix_inplace(amps, op.matrix, pos)
+    axes = [_check_wires(state.n_qubits, op.wires) for op in circuit.ops]
+    for op, op_axes in zip(circuit.ops, axes):
+        _apply_matrix_inplace(amps, op.matrix, op_axes)
     return StateVector(state.n_qubits, amps, copy=False)
 
 
@@ -214,10 +198,36 @@ def apply_permutation(state: StateVector, perm: np.ndarray) -> StateVector:
     return StateVector(state.n_qubits, amps, copy=False)
 
 
+def apply_xor_oracle(state: StateVector, table: np.ndarray, out_bits: int) -> StateVector:
+    """Apply the reversible oracle (a, w) -> (a, w XOR table[a]).
+
+    The low ``out_bits`` wires hold w and the wires above them hold a, so
+    ``table`` has one entry per value of a, each an ``out_bits``-bit value.
+    """
+    table = np.asarray(table, dtype=np.intp)
+    if np.any(table >> out_bits):
+        raise ValueError(f"oracle table entries must be {out_bits}-bit values")
+    a = np.arange(table.size, dtype=np.intp)
+    w = np.arange(1 << out_bits, dtype=np.intp)
+    perm = ((a[:, np.newaxis] << out_bits) | (w[np.newaxis, :] ^ table[:, np.newaxis])).ravel()
+    return apply_permutation(state, perm)
+
+
 def distribution(state: StateVector) -> np.ndarray:
     """Measurement probabilities |amp|^2 for every basis index."""
     probs = np.abs(state.amps) ** 2
     return probs
+
+
+def marginal(state: StateVector, high_bits: int) -> np.ndarray:
+    """Measurement distribution of the top ``high_bits`` wires alone.
+
+    Sums the outcome probabilities over the remaining low wires; entry i
+    is the probability that wires 1..high_bits read the integer i.
+    """
+    if not 1 <= high_bits <= state.n_qubits:
+        raise ValueError(f"high_bits={high_bits} out of range [1, {state.n_qubits}]")
+    return distribution(state).reshape(1 << high_bits, -1).sum(axis=1)
 
 
 def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:

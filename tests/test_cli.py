@@ -1,11 +1,14 @@
+import hashlib
 import json
 import math
+import shutil
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from qdesk import statevec
+from qdesk import shor, statevec
 from qdesk.cli import (
     CircuitSyntaxError,
     DEFAULT_SEED,
@@ -257,6 +260,35 @@ class TestMainEntry:
         assert payload["error"]["type"] == "resource"
         assert "qubits" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("argv,qubits", [
+        (["grover", "--qubits", "25", "--target", "5"], 25),
+        (["simon", "--n", "13", "--c", "1000000000001"], 26),
+        (["qft", "--qubits", "25"], 25),
+    ], ids=["grover", "simon", "qft"])
+    def test_over_cap_requests_exit_3_naming_the_count(self, argv, qubits, capsys):
+        assert main(argv) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "resource"
+        assert f"needs {qubits} qubits (cap 24)" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("n", ["0", "9"])
+    def test_simon_classical_range_checked_first(self, n, capsys):
+        assert main(["simon-classical", "--n", n, "--trials", "3"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "domain"
+        assert payload["error"]["message"] == f"n must lie in [1, 8] for the baseline, got {n}"
+
+    def test_factor_dump_reuses_the_one_cached_state(self, tmp_path, capsys):
+        cached = shor._order_finding_state_cached
+        cached.cache_clear()
+        code = main(["factor", "--n", "15", "--seed", "3",
+                     "--dump-distribution", str(tmp_path / "dist.json")])
+        assert code == 0
+        assert cached.cache_info().hits >= 1
+        shor.order_finding_state(shor.FactoringInstance(21, 2))
+        shor.order_finding_state(shor.FactoringInstance(21, 5))
+        assert cached.cache_info().currsize == 1
+
     def test_factor_distribution_dump(self, tmp_path, capsys):
         dump = tmp_path / "dist.json"
         code = main(["factor", "--n", "15", "--seed", "3",
@@ -327,3 +359,35 @@ class TestDistributionJson:
         probs = np.zeros(8)
         probs[1] = 1.0
         assert list(distribution_to_json(probs, 3)) == ["001"]
+
+
+# SHA-256 of the report bytes, recorded from the gather/scatter kernel the
+# view kernel replaced; circuit files are passed by relative name because
+# the report echoes the path.
+GOLDEN_REPORTS = [
+    (["factor", "--n", "15", "--seed", "42"],
+     "487178a17531a799d2b8219ea8d2f0c79916761a102611bfd59638d39542efab"),
+    (["grover", "--qubits", "6", "--target", "17", "--seed", "3"],
+     "f184fdd195d90a65937ee6cab632d95c108ee58017bdad273a11c31e778e962d"),
+    (["simon", "--n", "4", "--c", "0110", "--seed", "7"],
+     "55d2208c7508d9e20dd600d2629f848216ebadddb3300f212bfc18f66f1218aa"),
+    (["simon-classical", "--n", "5", "--trials", "20", "--seed", "7"],
+     "a784f549d004d56cb090af528780894bffe85d7d0110e11027ab0f06e764bce0"),
+    (["qft", "--qubits", "6", "--seed", "1"],
+     "e85ba22c971d904273cfc8499e77cdcee3db9c8e27eeac98bbf3ca15d2543485"),
+    (["circuit-run", "--file", "bell.qc", "--seed", "1"],
+     "76374efb4e5d9cdc0283b7dc819e60e1aebb293ade40226fe2449df7f16f7a55"),
+    (["circuit-run", "--file", "golden_12wire.qc", "--seed", "1"],
+     "2da0b30b1a72ddea3c314a9fbf265f40922f343acfc936ebb81ce60a00440461"),
+]
+
+
+@pytest.mark.parametrize("argv,sha256", GOLDEN_REPORTS,
+                         ids=[f"{i}-{argv[0]}" for i, (argv, _) in enumerate(GOLDEN_REPORTS)])
+def test_golden_report_digest(argv, sha256, tmp_path, monkeypatch, capsys):
+    (tmp_path / "bell.qc").write_text("H 1\nCNOT 1,2\n")
+    shutil.copy(Path(__file__).parent / "data" / "golden_12wire.qc", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -10,11 +10,14 @@ from qdesk.statevec import (
     apply_diagonal,
     apply_gate,
     apply_permutation,
+    apply_xor_oracle,
     derive_seed,
     distribution,
     extract_register,
     init_basis,
+    marginal,
     measure_all,
+    require_qubits,
     run_circuit,
 )
 
@@ -46,6 +49,13 @@ class TestInitBasis:
     def test_qubit_cap(self):
         with pytest.raises(CapacityError):
             init_basis(statevec.MAX_QUBITS + 1, 0)
+
+    def test_require_qubits_names_the_count(self):
+        require_qubits(statevec.MAX_QUBITS, "a full register")
+        with pytest.raises(ValueError, match="at least one qubit, got 0"):
+            require_qubits(0, "an empty job")
+        with pytest.raises(CapacityError, match=r"^a wide job needs 25 qubits \(cap 24\)$"):
+            require_qubits(25, "a wide job")
 
 
 class TestStateVectorInvariants:
@@ -132,7 +142,7 @@ class TestApplyGate:
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_matches_dense_tensor_extension(self, rng):
-        # strided kernel against the independently built full matrix
+        # view kernel against the independently built full matrix
         for _ in range(40):
             n = int(rng.integers(1, 6))
             state = random_state(rng, n)
@@ -141,6 +151,29 @@ class TestApplyGate:
             gate = gates.GateOp(random_unitary(rng, 1 << arity), wires)
             dense = gates.embed_in_full_matrix(gate.matrix, gate.wires, n) @ state.amps
             assert np.max(np.abs(apply_gate(state, gate).amps - dense)) < 1e-10
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_every_gate_kind_matches_dense_oracle_up_to_ten_wires(self, n, rng):
+        # descending and non-adjacent wire orders, beyond criterion 1's n <= 5
+        ops = [
+            gates.h_op(n - 1),
+            gates.cnot_op(n - 1, 2),
+            gates.cnot_op(1, n),
+            gates.swap_op(n, 3),
+            gates.toffoli_op(n - 1, 1, 4),
+            gates.toffoli_op(n, n - 2, 2),
+            gates.cphase_op(1, 3, n, 2),
+            gates.cphase_op(0, 2, 4, 1),
+            gates.GateOp(random_unitary(rng, 8), (n, 1, 3)),
+            gates.GateOp(random_unitary(rng, 8), (2, n, 4)),
+        ]
+        if n >= 9:
+            ops += [gates.cnot_op(9, 2), gates.toffoli_op(7, 1, 4)]
+        state = random_state(rng, n)
+        for op in ops:
+            dense = gates.embed_in_full_matrix(op.matrix, op.wires, n) @ state.amps
+            err = np.max(np.abs(apply_gate(state, op).amps - dense))
+            assert err <= 1e-12, (op.name, op.wires, err)
 
 
 class TestDistribution:
@@ -238,6 +271,29 @@ class TestPermutationAndDiagonal:
     def test_permutation_must_be_bijection(self):
         with pytest.raises(ValueError, match="bijection"):
             apply_permutation(init_basis(2, 0), np.array([0, 0, 1, 2]))
+
+    def test_xor_oracle_writes_table_into_low_register(self):
+        # a on wires 1..2, w on wires 3..5: (a, w) -> (a, w XOR table[a])
+        table = np.array([5, 0, 7, 2])
+        for a in range(4):
+            for w in range(8):
+                out = apply_xor_oracle(init_basis(5, (a << 3) | w), table, 3)
+                assert out.amps[(a << 3) | (w ^ table[a])] == 1.0
+
+    def test_xor_oracle_refuses_wide_table_entries(self):
+        # 4 is not a 2-bit value; OR-ing it into the index would alias
+        for table in ([0, 4], [-1, 0]):
+            with pytest.raises(ValueError, match="2-bit values"):
+                apply_xor_oracle(init_basis(3, 0), np.array(table), 2)
+
+    def test_marginal_sums_low_wires(self, rng):
+        state = random_state(rng, 5)
+        probs = distribution(state)
+        expected = [probs[a << 3:(a + 1) << 3].sum() for a in range(4)]
+        assert np.allclose(marginal(state, 2), expected, atol=1e-15)
+        assert np.array_equal(marginal(state, 5), probs)
+        with pytest.raises(ValueError, match="high_bits"):
+            marginal(state, 6)
 
     def test_diagonal_unit_modulus_enforced(self):
         with pytest.raises(ValueError, match="unit modulus"):
