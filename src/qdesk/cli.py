@@ -287,6 +287,7 @@ def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     k = params["qubits"]
     targets = sorted(set(params["targets"]))
+    statevec.require_qubits(k, f"search over 2^{k} items")
     for t in targets:
         if not 0 <= t < (1 << k):
             raise ValueError(f"target {t} out of range [0, {1 << k})")

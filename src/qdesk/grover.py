@@ -17,6 +17,10 @@ amplitudes (alpha, beta), one step maps
 
 and this closed two-variable recurrence tracks the full simulation
 exactly; it is the independent check used by the tests.
+
+The iteration runs in place on one buffer - negate the marked amplitudes,
+then reflect about the mean - and the state is validated once per public
+call: ``run_grover`` checks only the final state, before measuring it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ from .gates import h_op, phase_flip_target
 
 @dataclass(frozen=True, eq=False)
 class SearchProblem:
-    """A k-qubit search space with a predicate marking the targets."""
+    """A k-qubit search space with a predicate marking the targets.
+
+    ``marked`` holds the marked indices, ascending, as a read-only intp array.
+    """
 
     k: int
     predicate: Callable[[int], bool]
@@ -41,23 +48,17 @@ class SearchProblem:
 
     def __post_init__(self):
         statevec.require_qubits(self.k, f"search over 2^{self.k} items")
-        signs = phase_flip_target(self.k, self.predicate)
-        marked = tuple(int(i) for i in np.flatnonzero(signs < 0))
-        if len(marked) != self.target_count:
+        marked = np.flatnonzero(phase_flip_target(self.k, self.predicate) < 0)
+        if marked.size != self.target_count:
             raise ValueError(
-                f"predicate marks {len(marked)} indices, declared {self.target_count}"
+                f"predicate marks {marked.size} indices, declared {self.target_count}"
             )
-        signs.setflags(write=False)
+        marked.setflags(write=False)
         object.__setattr__(self, "marked", marked)
-        object.__setattr__(self, "_signs", signs)
 
     @property
     def N(self) -> int:
         return 1 << self.k
-
-    @property
-    def oracle_signs(self) -> np.ndarray:
-        return self._signs
 
 
 def single_target(k: int, t: int) -> SearchProblem:
@@ -75,11 +76,31 @@ def uniform_state(k: int) -> statevec.StateVector:
     return state
 
 
+def _reflect_inplace(amps: np.ndarray) -> None:
+    """Replace each amplitude a_i by 2m - a_i (m the mean amplitude)."""
+    m = amps.mean()
+    np.subtract(2.0 * m, amps, out=amps)
+
+
+def _iterate_inplace(amps: np.ndarray, marked: np.ndarray) -> None:
+    """One search iteration in place: oracle sign flip, then reflection.
+
+    The same floating-point operations as the +-1 diagonal product then 2m - a.
+    """
+    amps[marked] *= -1
+    _reflect_inplace(amps)
+
+
+def _marked_mass(amps: np.ndarray, marked: np.ndarray) -> float:
+    """Sum of |amp|^2 over the marked indices, added in ascending order."""
+    return float(sum(np.abs(amps[marked]) ** 2))
+
+
 def inversion_about_mean(state: statevec.StateVector) -> statevec.StateVector:
     """Replace each amplitude a_i by 2m - a_i (m the mean amplitude)."""
-    amps = state.amps
-    m = amps.mean()
-    return statevec.StateVector(state.n_qubits, 2.0 * m - amps, copy=False)
+    amps = state.amps.copy()
+    _reflect_inplace(amps)
+    return statevec.StateVector(state.n_qubits, amps, copy=False)
 
 
 def inversion_about_mean_composed(state: statevec.StateVector) -> statevec.StateVector:
@@ -97,8 +118,9 @@ def inversion_about_mean_composed(state: statevec.StateVector) -> statevec.State
 
 def grover_iterate(state: statevec.StateVector, problem: SearchProblem) -> statevec.StateVector:
     """One full search iteration: oracle sign flip, then inversion about mean."""
-    flipped = statevec.apply_diagonal(state, problem.oracle_signs)
-    return inversion_about_mean(flipped)
+    amps = state.amps.copy()
+    _iterate_inplace(amps, problem.marked)
+    return statevec.StateVector(state.n_qubits, amps, copy=False)
 
 
 def iteration_schedule(n_items: int, target_count: int) -> int:
@@ -116,8 +138,7 @@ def iteration_schedule(n_items: int, target_count: int) -> int:
 
 def marked_probability(state: statevec.StateVector, problem: SearchProblem) -> float:
     """Total probability mass on the marked indices."""
-    probs = statevec.distribution(state)
-    return float(sum(probs[i] for i in problem.marked))
+    return _marked_mass(state.amps, problem.marked)
 
 
 @dataclass(frozen=True)
@@ -138,21 +159,21 @@ def run_grover(problem: SearchProblem, rng_seed: int) -> GroverResult:
     ``oracle_calls`` counts applications of the marking transform - one per
     iteration - which is the quantity that scales like sqrt(N).
     """
-    state = uniform_state(problem.k)
+    marked = problem.marked
+    amps = uniform_state(problem.k).amps.copy()
     iterations = iteration_schedule(problem.N, problem.target_count)
-    trace = [marked_probability(state, problem)]
-    oracle_calls = 0
+    trace = [_marked_mass(amps, marked)]
     for _ in range(iterations):
-        state = grover_iterate(state, problem)
-        oracle_calls += 1
-        trace.append(marked_probability(state, problem))
+        _iterate_inplace(amps, marked)
+        trace.append(_marked_mass(amps, marked))
+    state = statevec.StateVector(problem.k, amps, copy=False)
     outcome = statevec.measure_all(state, rng_seed, 1)[0]
     return GroverResult(
         found=outcome,
         success=bool(problem.predicate(outcome)),
         success_probability=trace[-1],
         iterations=iterations,
-        oracle_calls=oracle_calls,
+        oracle_calls=iterations,
         trace=tuple(trace),
     )
 

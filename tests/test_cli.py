@@ -1,12 +1,15 @@
 import hashlib
+import io
 import json
 import math
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qdesk import shor, statevec
 from qdesk.cli import (
@@ -264,12 +267,21 @@ class TestMainEntry:
         (["grover", "--qubits", "25", "--target", "5"], 25),
         (["simon", "--n", "13", "--c", "1000000000001"], 26),
         (["qft", "--qubits", "25"], 25),
-    ], ids=["grover", "simon", "qft"])
+        (["grover", "--qubits", "25", "--target", "99999999999"], 25),
+    ], ids=["grover", "simon", "qft", "grover-target-out-of-range"])
     def test_over_cap_requests_exit_3_naming_the_count(self, argv, qubits, capsys):
         assert main(argv) == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "resource"
         assert f"needs {qubits} qubits (cap 24)" in payload["error"]["message"]
+
+    def test_grover_negative_qubits_is_a_domain_error(self, capsys):
+        assert main(["grover", "--qubits", "-1", "--target", "0"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {
+            "type": "domain",
+            "message": "search over 2^-1 items must use at least one qubit, got -1",
+        }
 
     @pytest.mark.parametrize("n", ["0", "9"])
     def test_simon_classical_range_checked_first(self, n, capsys):
@@ -361,6 +373,12 @@ class TestDistributionJson:
         assert list(distribution_to_json(probs, 3)) == ["001"]
 
 
+# A multi-target search from a targets file; its report and --trace sidecar
+# digests were recorded from the +-1 diagonal-product search loop that the
+# in-place loop replaced.
+GROVER_GOLDEN_ARGV = ["grover", "--qubits", "12", "--targets-file", "targets3.txt", "--seed", "5"]
+GROVER_TRACE_SHA256 = "04d99739ac9650834bf4c1af009752407d7b3ba65a35183f0015fcc1d87030ed"
+
 # SHA-256 of the report bytes, recorded from the gather/scatter kernel the
 # view kernel replaced; circuit files are passed by relative name because
 # the report echoes the path.
@@ -379,6 +397,8 @@ GOLDEN_REPORTS = [
      "76374efb4e5d9cdc0283b7dc819e60e1aebb293ade40226fe2449df7f16f7a55"),
     (["circuit-run", "--file", "golden_12wire.qc", "--seed", "1"],
      "2da0b30b1a72ddea3c314a9fbf265f40922f343acfc936ebb81ce60a00440461"),
+    (GROVER_GOLDEN_ARGV,
+     "c372c5be69967ad24e3098fe578c5e65fc89787c69d3ad9f894615d960b16245"),
 ]
 
 
@@ -386,8 +406,49 @@ GOLDEN_REPORTS = [
                          ids=[f"{i}-{argv[0]}" for i, (argv, _) in enumerate(GOLDEN_REPORTS)])
 def test_golden_report_digest(argv, sha256, tmp_path, monkeypatch, capsys):
     (tmp_path / "bell.qc").write_text("H 1\nCNOT 1,2\n")
+    (tmp_path / "targets3.txt").write_text("1234\n7\n3000\n")
     shutil.copy(Path(__file__).parent / "data" / "golden_12wire.qc", tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_golden_grover_trace_sidecar_digest(tmp_path, monkeypatch, capsys):
+    (tmp_path / "targets3.txt").write_text("1234\n7\n3000\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(GROVER_GOLDEN_ARGV + ["--trace", "trace.json"]) == 0
+    out = capsys.readouterr().out
+    assert (GROVER_GOLDEN_ARGV, hashlib.sha256(out.encode()).hexdigest()) in GOLDEN_REPORTS
+    sidecar = (tmp_path / "trace.json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == GROVER_TRACE_SHA256
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.one_of(st.integers(-3, 12), st.integers(25, 40)),
+       targets=st.lists(st.integers(), min_size=1, max_size=4))
+@example(k=-1, targets=[0])
+@example(k=25, targets=[99999999999])
+@example(k=1, targets=[0, 1])
+@example(k=12, targets=[4095, 0, 7])
+def test_grover_arguments_keep_the_error_contract(k, targets):
+    argv = ["grover", f"--qubits={k}", "--seed=1"] + [f"--target={t}" for t in targets]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue() + err.getvalue()
+    assert "Traceback" not in text and "shift count" not in text
+    payload = json.loads(out.getvalue())
+    distinct = set(targets)
+    if k > statevec.MAX_QUBITS:
+        expected = 3
+    elif k < 1 or not all(0 <= t < 1 << k for t in distinct) or len(distinct) == 1 << k:
+        expected = 1
+    else:
+        expected = 0
+    assert code == expected
+    if code == 0:
+        jsonschema.validate(payload, get_report_schema())
+        assert payload["result"]["targets"] == sorted(distinct)
+    else:
+        assert payload["error"]["type"] == ("resource" if code == 3 else "domain")

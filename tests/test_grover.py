@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qdesk import statevec
+from qdesk import grover, statevec
+from qdesk.gates import phase_flip_target
 from qdesk.grover import (
     AmplitudePair,
     SearchProblem,
@@ -165,6 +166,64 @@ class TestRunGrover:
         assert result.found in marked
 
 
+class TestInPlaceLoop:
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_loop_trace_equals_stepping_the_public_iteration(self, k):
+        rng = np.random.default_rng(k)
+        for t in range(1, min(4, (1 << k) - 1) + 1):
+            marked = {int(i) for i in rng.choice(1 << k, t, replace=False)}
+            problem = SearchProblem(k, marked.__contains__, t)
+            result = run_grover(problem, rng_seed=k)
+            state = uniform_state(k)
+            stepped = [marked_probability(state, problem)]
+            for _ in range(result.iterations):
+                state = grover_iterate(state, problem)
+                stepped.append(marked_probability(state, problem))
+            assert result.trace == tuple(stepped), (k, t)
+
+    def test_step_equals_the_diagonal_product_it_replaced(self, rng):
+        # the old step: multiply by the +-1 oracle diagonal, then 2m - a
+        for k, marked in ((1, {1}), (3, {0, 5}), (6, {17, 40, 63}), (9, {1, 2, 3, 500})):
+            problem = SearchProblem(k, marked.__contains__, len(marked))
+            state = random_state(rng, k)
+            flipped = state.amps * phase_flip_target(k, marked.__contains__)
+            expected = 2.0 * flipped.mean() - flipped
+            assert np.array_equal(grover_iterate(state, problem).amps, expected), k
+
+    def test_long_run_tracks_the_recurrence_without_drift(self, monkeypatch):
+        k, target = 20, 0x5A5A5
+        measured = []
+        measure_all = statevec.measure_all
+
+        def record(state, rng_seed, shots):
+            measured.append(state)
+            return measure_all(state, rng_seed, shots)
+
+        monkeypatch.setattr(statevec, "measure_all", record)
+        result = run_grover(single_target(k, target), rng_seed=7)
+        assert result.iterations == 804
+        track = analytic_recurrence(1 << k, result.iterations)
+        assert len(result.trace) == len(track)
+        for i, (p, pair) in enumerate(zip(result.trace, track)):
+            assert abs(p - pair.beta**2) <= 1e-12, i
+        (state,) = measured
+        assert abs(np.vdot(state.amps, state.amps).real - 1.0) <= statevec.NORM_TOL
+        unmarked = np.delete(state.amps.real, target)
+        assert np.max(np.abs(unmarked - track[-1].alpha)) <= 1e-12
+        assert abs(state.amps[target] - track[-1].beta) <= 1e-12
+
+    def test_final_state_is_still_validated(self, monkeypatch):
+        step = grover._iterate_inplace
+
+        def leaky_step(amps, marked):
+            step(amps, marked)
+            amps *= 1 + 1e-6
+
+        monkeypatch.setattr(grover, "_iterate_inplace", leaky_step)
+        with pytest.raises(ValueError, match="not normalized"):
+            run_grover(single_target(6, 17), rng_seed=0)
+
+
 class TestAnalyticRecurrence:
     def test_first_step_four_items(self):
         track = analytic_recurrence(4, 1)
@@ -206,6 +265,12 @@ class TestSearchProblem:
     def test_single_target_out_of_range(self):
         with pytest.raises(ValueError):
             single_target(2, 4)
+
+    def test_marked_indices_are_one_read_only_index_array(self):
+        problem = SearchProblem(4, lambda i: i in (9, 3), 2)
+        assert problem.marked.dtype == np.intp
+        assert problem.marked.tolist() == [3, 9]
+        assert not problem.marked.flags.writeable
 
     def test_marked_probability(self):
         problem = single_target(2, 1)
