@@ -58,13 +58,12 @@ class RunReport:
     wall_time_s: float
 
     def to_json(self) -> str:
-        payload = {
+        return _dumps({
             "command": self.command,
-            "config": _round_floats(self.config),
-            "result": _round_floats(self.result),
+            "config": self.config,
+            "result": self.result,
             "version": self.version,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        })
 
 
 def _round_floats(obj: Any) -> Any:
@@ -80,6 +79,11 @@ def _round_floats(obj: Any) -> Any:
     if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.12g}")
     return obj
+
+
+def _dumps(obj: Any) -> str:
+    """Serialize a report or sidecar payload: rounded floats, sorted keys."""
+    return json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +249,15 @@ def distribution_to_json(probs: np.ndarray, n_qubits: int) -> dict[str, float]:
 def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     n = params["n"]
     report = shor.factor(n, params["max_attempts"], seed)
+    final = report.final
     result = {
         "N": n,
         "succeeded": report.succeeded,
         "factors": list(report.factors) if report.factors else None,
-        "x": report.x,
-        "measured_c": report.measured_c,
-        "recovered_r": report.recovered_r,
-        "failure": report.failure,
+        "x": final.x,
+        "measured_c": final.measured_c,
+        "recovered_r": final.recovered_r,
+        "failure": final.failure,
         "attempts": [
             {
                 "x": a.x,
@@ -280,7 +285,7 @@ def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             }
         else:
             payload = {"N": n, "x": None, "distribution": {}}
-        _write_text(dump_path, json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n")
+        _write_text(dump_path, _dumps(payload))
     return result
 
 
@@ -296,10 +301,7 @@ def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     result_obj = grover.run_grover(problem, seed)
     if params.get("trace_path"):
         trace = {"marked_probability": list(result_obj.trace)}
-        _write_text(
-            params["trace_path"],
-            json.dumps(_round_floats(trace), indent=2, sort_keys=True) + "\n",
-        )
+        _write_text(params["trace_path"], _dumps(trace))
     return {
         "qubits": k,
         "n_items": problem.N,
@@ -315,9 +317,10 @@ def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 def _run_simon(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     n = params["n"]
     c = int(params["c"], 2)
-    max_rounds = params.get("max_rounds") or 4 * n
+    max_rounds = params.get("max_rounds")
     oracle = simon.make_oracle(n, c, statevec.derive_seed(seed, 0))
-    result = simon.run_simon(oracle, max_rounds, statevec.derive_seed(seed, 1))
+    result = simon.run_simon(oracle, 4 * n if max_rounds is None else max_rounds,
+                             statevec.derive_seed(seed, 1))
     return {
         "n": n,
         "c": format(c, f"0{n}b"),
@@ -527,7 +530,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         targets = list(args.target or [])
         if args.targets_file:
             with open(args.targets_file, "r", encoding="utf-8") as fh:
-                targets.extend(int(line) for line in fh if line.strip())
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        targets.append(int(line))
+                    except ValueError:
+                        raise ValueError(f"{args.targets_file}, line {lineno}: target must "
+                                         f"be an integer, got {line.strip()!r}") from None
         if not targets:
             raise ValueError("grover needs --target or --targets-file")
         params = {"qubits": args.qubits, "targets": targets,
@@ -559,13 +569,11 @@ def main(argv: list[str] | None = None) -> int:
         report = run(config)
     except statevec.CapacityError as exc:
         _emit(getattr(args, "output", None),
-              json.dumps({"error": {"type": "resource", "message": str(exc)}},
-                         indent=2, sort_keys=True) + "\n")
+              _dumps({"error": {"type": "resource", "message": str(exc)}}))
         return 3
     except (ValueError, OSError) as exc:
         _emit(getattr(args, "output", None),
-              json.dumps({"error": {"type": "domain", "message": str(exc)}},
-                         indent=2, sort_keys=True) + "\n")
+              _dumps({"error": {"type": "domain", "message": str(exc)}}))
         return 1
     _emit(config.output_path, report.to_json())
     print(f"qdesk: {config.command} finished in {report.wall_time_s:.3f}s",

@@ -165,6 +165,11 @@ def cphase_op(j: int, k: int, wire_a: int, wire_b: int) -> GateOp:
     return GateOp(controlled_phase(j, k), (wire_a, wire_b), "CPHASE", params=(j, k))
 
 
+def hadamard_layer(n_wires: int) -> Circuit:
+    """H on each of wires 1..n_wires, in order (the superposition load)."""
+    return Circuit(n_wires, tuple(h_op(w) for w in range(1, n_wires + 1)))
+
+
 # ---------------------------------------------------------------------------
 # diagonal phase oracles
 # ---------------------------------------------------------------------------

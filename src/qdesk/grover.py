@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import statevec
-from .gates import h_op, phase_flip_target
+from .gates import hadamard_layer, phase_flip_target, phase_flip_zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +70,7 @@ def single_target(k: int, t: int) -> SearchProblem:
 
 def uniform_state(k: int) -> statevec.StateVector:
     """Equal superposition of all 2^k indices, built from Hadamards."""
-    state = statevec.init_basis(k, 0)
-    for w in range(1, k + 1):
-        state = statevec.apply_gate(state, h_op(w))
-    return state
+    return statevec.run_circuit(statevec.init_basis(k, 0), hadamard_layer(k))
 
 
 def _reflect_inplace(amps: np.ndarray) -> None:
@@ -104,15 +101,12 @@ def inversion_about_mean(state: statevec.StateVector) -> statevec.StateVector:
 
 
 def inversion_about_mean_composed(state: statevec.StateVector) -> statevec.StateVector:
-    """The same reflection as -(H^k) Z0 (H^k), gate by gate."""
+    """The same reflection as -(H^k) Z0 (H^k), built from the gates."""
     n = state.n_qubits
-    for w in range(1, n + 1):
-        state = statevec.apply_gate(state, h_op(w))
-    signs = np.ones(1 << n)
-    signs[0] = -1.0
-    state = statevec.apply_diagonal(state, signs)
-    for w in range(1, n + 1):
-        state = statevec.apply_gate(state, h_op(w))
+    layer = hadamard_layer(n)
+    state = statevec.run_circuit(state, layer)
+    state = statevec.apply_diagonal(state, phase_flip_zero(n))
+    state = statevec.run_circuit(state, layer)
     return statevec.apply_diagonal(state, np.full(1 << n, -1.0))
 
 

@@ -167,26 +167,6 @@ class FactorReport:
         return a.factors if a else None
 
     @property
-    def x(self) -> int | None:
-        a = self.final
-        return a.x if a else None
-
-    @property
-    def measured_c(self) -> int | None:
-        a = self.final
-        return a.measured_c if a else None
-
-    @property
-    def recovered_r(self) -> int | None:
-        a = self.final
-        return a.recovered_r if a else None
-
-    @property
-    def failure(self) -> str | None:
-        a = self.final
-        return a.failure if a else None
-
-    @property
     def succeeded(self) -> bool:
         return self.factors is not None
 

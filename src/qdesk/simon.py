@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec
-from .gates import h_op
+from .gates import hadamard_layer
 
 #: The classical collision baseline is tabulated for n up to this bound.
 BASELINE_MAX_BITS = 8
@@ -74,13 +74,10 @@ def sampling_state(oracle: SimonOracle) -> statevec.StateVector:
     The oracle enters as the reversible basis map (x, w) -> (x, w XOR f(x)).
     """
     n = oracle.n
-    state = statevec.init_basis(2 * n, 0)
-    for w in range(1, n + 1):
-        state = statevec.apply_gate(state, h_op(w))
+    layer = hadamard_layer(n)
+    state = statevec.run_circuit(statevec.init_basis(2 * n, 0), layer)
     state = statevec.apply_xor_oracle(state, oracle.table, n)
-    for w in range(1, n + 1):
-        state = statevec.apply_gate(state, h_op(w))
-    return state
+    return statevec.run_circuit(state, layer)
 
 
 def first_register_distribution(oracle: SimonOracle) -> np.ndarray:
@@ -93,9 +90,13 @@ def simon_sample(oracle: SimonOracle, rng_seed: int) -> int:
 
     Every returned y satisfies y . c = 0 (mod 2) with certainty.
     """
-    state = sampling_state(oracle)
+    return _measure_input_register(sampling_state(oracle), oracle.n, rng_seed)
+
+
+def _measure_input_register(state: statevec.StateVector, n: int, rng_seed: int) -> int:
+    """Measure the whole 2n-qubit sampling state and read wires 1..n."""
     outcome = statevec.measure_all(state, rng_seed, 1)[0]
-    return statevec.extract_register(outcome, 2 * oracle.n, 1, oracle.n)
+    return statevec.extract_register(outcome, 2 * n, 1, n)
 
 
 def dot_mod2(a: int, b: int) -> int:
@@ -172,17 +173,22 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
     Duplicate samples are kept in the round count but deduplicated before
     elimination.  For n = 1 the orthogonal space is trivial and the unique
     candidate c = 1 is returned after zero rounds.
+
+    Every round prepares the same state, so it is built once and measured
+    each round with that round's sub-seed: the samples equal those of
+    ``simon_sample(oracle, derive_seed(rng_seed, round))``.
     """
     n = oracle.n
     if max_rounds < n:
         raise ValueError(f"max_rounds must be at least n={n}, got {max_rounds}")
+    state = sampling_state(oracle)
     samples: list[int] = []
     rows: list[int] = []
     rounds = 0
     while gf2_rank(rows) < n - 1:
         if rounds >= max_rounds:
             return SimonResult(n, None, rounds, tuple(samples))
-        y = simon_sample(oracle, statevec.derive_seed(rng_seed, rounds))
+        y = _measure_input_register(state, n, statevec.derive_seed(rng_seed, rounds))
         rounds += 1
         samples.append(y)
         if y and y not in rows:

@@ -345,6 +345,26 @@ class TestMainEntry:
         assert payload["result"]["targets"] == [3, 9, 12]
         assert payload["result"]["found"] in (3, 9, 12)
 
+    @pytest.mark.parametrize("bad", ["abc", "2.5"])
+    def test_grover_targets_file_names_a_bad_line(self, bad, tmp_path, monkeypatch, capsys):
+        (tmp_path / "targets.txt").write_text(f"3\n\n{bad}\n9\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["grover", "--qubits", "4", "--targets-file", "targets.txt"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {
+            "type": "domain",
+            "message": f"targets.txt, line 3: target must be an integer, got {bad!r}",
+        }
+
+    @pytest.mark.parametrize("rounds", ["0", "2"])
+    def test_simon_max_rounds_below_n_is_a_domain_error(self, rounds, capsys):
+        assert main(["simon", "--n", "3", "--c", "101", "--max-rounds", rounds]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {
+            "type": "domain",
+            "message": f"max_rounds must be at least n=3, got {rounds}",
+        }
+
     def test_circuit_run_full_vocabulary(self, tmp_path, capsys):
         # distribution must equal |U e_0|^2 with U from the dense oracle
         text = "H 1\nCPHASE 1,2 j=0 k=1\nSWAP 2,3\nTOFFOLI 1,2,3\nCNOT 3,1\n"
@@ -450,5 +470,44 @@ def test_grover_arguments_keep_the_error_contract(k, targets):
     if code == 0:
         jsonschema.validate(payload, get_report_schema())
         assert payload["result"]["targets"] == sorted(distinct)
+    else:
+        assert payload["error"]["type"] == ("resource" if code == 3 else "domain")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(-2, 8), st.integers(13, 40)),
+       c=st.text(alphabet="01", max_size=42),
+       max_rounds=st.one_of(st.none(), st.integers(-2, 40)))
+@example(n=3, c="101", max_rounds=0)
+@example(n=1, c="1", max_rounds=None)
+@example(n=4, c="0000", max_rounds=None)
+@example(n=13, c="0" * 13, max_rounds=0)
+@example(n=0, c="", max_rounds=None)
+def test_simon_arguments_keep_the_error_contract(n, c, max_rounds):
+    argv = ["simon", f"--n={n}", f"--c={c}", "--seed=1"]
+    if max_rounds is not None:
+        argv.append(f"--max-rounds={max_rounds}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue() + err.getvalue()
+    assert "Traceback" not in text and "invalid literal" not in text
+    payload = json.loads(out.getvalue())
+    # checked in order: bit string, its length, register size, nonzero shift, rounds
+    if not c or len(c) != n:
+        expected = 1
+    elif 2 * n > statevec.MAX_QUBITS:
+        expected = 3
+    elif int(c, 2) == 0 or (max_rounds is not None and max_rounds < n):
+        expected = 1
+    else:
+        expected = 0
+    assert code == expected
+    if code == 0:
+        jsonschema.validate(payload, get_report_schema())
+        result = payload["result"]
+        assert result["c"] == c
+        assert result["rounds"] <= (4 * n if max_rounds is None else max_rounds)
+        assert result["recovered_c"] == (c if result["succeeded"] else None)
     else:
         assert payload["error"]["type"] == ("resource" if code == 3 else "domain")

@@ -12,6 +12,7 @@ from qdesk.gates import (
     expand_to_matrix,
     h_op,
     hadamard,
+    hadamard_layer,
     phase_flip_target,
     phase_flip_zero,
     route_linear,
@@ -20,7 +21,9 @@ from qdesk.gates import (
     toffoli_op,
 )
 
-from conftest import random_unitary
+from qdesk import grover, simon, statevec
+
+from conftest import random_state, random_unitary
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -217,3 +220,46 @@ class TestRouteLinear:
                     assert abs(op.wires[0] - op.wires[1]) == 1
             dev = np.max(np.abs(expand_to_matrix(routed) - expand_to_matrix(circ)))
             assert dev < 1e-9
+
+
+class TestHadamardLayer:
+    def test_layer_is_h_on_each_wire_in_order(self):
+        layer = hadamard_layer(4)
+        assert layer.n_wires == 4
+        assert [op.name for op in layer.ops] == ["H"] * 4
+        assert [op.wires for op in layer.ops] == [(1,), (2,), (3,), (4,)]
+
+    @staticmethod
+    def _h_gate_by_gate(state, wires):
+        for w in range(1, wires + 1):
+            state = statevec.apply_gate(state, h_op(w))
+        return state
+
+    def _uniform(self, k):
+        expected = self._h_gate_by_gate(statevec.init_basis(k, 0), k)
+        return grover.uniform_state(k), expected
+
+    def _sampling(self, n):
+        oracle = simon.make_oracle(n, (1 << n) - 1 - (n > 1), rng_seed=n)
+        state = self._h_gate_by_gate(statevec.init_basis(2 * n, 0), n)
+        state = statevec.apply_xor_oracle(state, oracle.table, n)
+        return simon.sampling_state(oracle), self._h_gate_by_gate(state, n)
+
+    def _composed(self, k):
+        state = random_state(np.random.default_rng(k), k)
+        expected = self._h_gate_by_gate(state, k)
+        expected = statevec.apply_diagonal(expected, phase_flip_zero(k))
+        expected = self._h_gate_by_gate(expected, k)
+        expected = statevec.apply_diagonal(expected, np.full(1 << k, -1.0))
+        return grover.inversion_about_mean_composed(state), expected
+
+    @pytest.mark.parametrize(
+        "builder,size",
+        [("_uniform", k) for k in range(1, 13)]
+        + [("_sampling", n) for n in range(1, 7)]
+        + [("_composed", k) for k in range(1, 7)],
+    )
+    def test_layer_states_equal_the_gate_by_gate_states(self, builder, size):
+        # the same kernel calls in the same order, so equal to the last bit
+        got, expected = getattr(self, builder)(size)
+        assert np.array_equal(got.amps, expected.amps)

@@ -202,12 +202,14 @@ class TestCostAccounting:
         oracle = make_oracle(n, 0b1100, rng_seed=1)
         gate_calls = []
         perm_calls = []
-        real_gate = statevec.apply_gate
+        real_run = statevec.run_circuit
         real_perm = statevec.apply_permutation
-        monkeypatch.setattr(
-            simon_mod.statevec, "apply_gate",
-            lambda state, op: (gate_calls.append(op.name), real_gate(state, op))[1],
-        )
+
+        def counting_run(state, circuit):
+            gate_calls.extend(op.name for op in circuit.ops)
+            return real_run(state, circuit)
+
+        monkeypatch.setattr(simon_mod.statevec, "run_circuit", counting_run)
         monkeypatch.setattr(
             simon_mod.statevec, "apply_permutation",
             lambda state, perm: (perm_calls.append(1), real_perm(state, perm))[1],
@@ -215,3 +217,29 @@ class TestCostAccounting:
         simon_sample(oracle, rng_seed=0)
         assert gate_calls == ["H"] * (2 * n)
         assert len(perm_calls) == 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_run_builds_one_sampling_state_and_matches_per_round_samples(
+        self, n, monkeypatch
+    ):
+        import qdesk.simon as simon_mod
+
+        builds = []
+        real_build = simon_mod.sampling_state
+
+        def counting_build(oracle):
+            builds.append(oracle)
+            return real_build(oracle)
+
+        for c in sorted({1, (1 << n) - 1, 1 << (n - 1), 0b101 % (1 << n) or 1}):
+            for seed in (0, 7, 12345):
+                oracle = make_oracle(n, c, rng_seed=seed + c)
+                builds.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(simon_mod, "sampling_state", counting_build)
+                    result = run_simon(oracle, max_rounds=4 * n, rng_seed=seed)
+                assert builds == [oracle]
+                assert list(result.samples) == [
+                    simon_sample(oracle, statevec.derive_seed(seed, i))
+                    for i in range(result.rounds)
+                ]
