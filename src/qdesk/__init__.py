@@ -21,4 +21,14 @@ cli
 
 __version__ = "0.1.0"
 
+import os
+
+# Every gate is one BLAS product of a 2^k x 2^k matrix (k <= 3) with a
+# 2^k x 2^(n-k) unfolding: memory-bound, so a second OpenBLAS thread buys
+# little, and from about 2^12 amplitudes on it makes each product's time
+# hang on whether another core is free.  Ask for one thread unless the
+# caller chose a count; this only takes effect if numpy is not loaded yet.
+if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from . import gates, grover, qft, shor, simon, statevec  # noqa: E402,F401

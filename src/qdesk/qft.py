@@ -28,8 +28,8 @@ from .gates import Circuit, cphase_op, h_op, swap_op
 #: dft_matrix builds a dense 2^k x 2^k array; keep it a test-scale oracle.
 DFT_MATRIX_MAX_QUBITS = 10
 
-#: qft_fidelity runs the circuit on every basis input; 2^12 runs is the
-#: largest that stays interactive.
+#: qft_fidelity runs the circuit on every basis input, 16 inputs per run;
+#: 2^12 inputs is the largest that stays interactive.
 FIDELITY_MAX_QUBITS = 12
 
 
@@ -98,7 +98,9 @@ def qft_fidelity(k: int, circuit: Circuit) -> float:
 
     Returns min over basis inputs a of |<exact output | circuit output>|^2.
     Exact outputs are generated directly from the phase formula, so this
-    does not require the dense matrix and runs up to k = 12.
+    does not require the dense matrix and runs up to k = 12.  The inputs
+    run 16 at a time (1 or 4 for k < 4) as one state on k + 4 qubits whose
+    low wires index the batch, with the circuit on the top k wires.
     """
     if circuit.n_wires != k:
         raise ValueError(
@@ -114,9 +116,22 @@ def qft_fidelity(k: int, circuit: Circuit) -> float:
     scale = 1.0 / np.sqrt(dim)
     worst = 1.0
     idx = np.arange(dim)
-    for a in range(dim):
-        out = statevec.run_circuit(statevec.init_basis(k, a), circuit)
-        exact = roots[(a * idx) % dim] * scale
-        overlap = abs(np.vdot(exact, out.amps)) ** 2
-        worst = min(worst, overlap)
+    # 16 inputs per run was the fastest of 4, 16, 64 and 256 at k = 11; an
+    # even number of batch wires loads each input at amplitude 2^-(low/2),
+    # a power of two, so scaling back by 2^(low/2) is exact.
+    low = min(4, k - k % 2)
+    width = 1 << low
+    lift = 1 << (low // 2)
+    slots = np.arange(width)
+    for first in range(0, dim, width):
+        amps = np.zeros(dim * width, dtype=np.complex128)
+        amps[((first + slots) << low) | slots] = 1.0 / lift
+        batch = statevec.StateVector(k + low, amps, copy=False)
+        out = statevec.run_circuit(batch, circuit).amps
+        # contiguous rows, so np.vdot sums each one as it summed a single state
+        columns = np.ascontiguousarray(out.reshape(dim, width).T) * lift
+        for a, column in zip(range(first, first + width), columns):
+            exact = roots[(a * idx) % dim] * scale
+            overlap = abs(np.vdot(exact, column)) ** 2
+            worst = min(worst, overlap)
     return float(worst)

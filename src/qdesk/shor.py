@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import statevec
-from .gates import h_op
+from .gates import hadamard_layer
 from .qft import QftSpec, build_qft_circuit
 
 FAILURE_ODD_R = "odd r"
@@ -51,16 +51,26 @@ def modexp(x: int, a: int, n: int) -> int:
     return result
 
 
-def multiplicative_order(x: int, n: int) -> int:
-    """Least positive r with x^r = 1 mod n, by exhaustive stepping."""
+def _orbit(x: int, n: int) -> list[int]:
+    """x^a mod n for a = 0 .. r-1, where r is the order of x mod n.
+
+    A non-invertible x never returns to 1, so it is refused before the walk.
+    """
+    if n < 2:
+        raise ValueError(f"modulus must be at least 2, got {n}")
     if math.gcd(x, n) != 1:
         raise ValueError(f"x={x} is not invertible mod {n}")
+    orbit = [1]
     value = x % n
-    r = 1
     while value != 1:
+        orbit.append(value)
         value = value * x % n
-        r += 1
-    return r
+    return orbit
+
+
+def multiplicative_order(x: int, n: int) -> int:
+    """Least positive r with x^r = 1 mod n, by exhaustive stepping."""
+    return len(_orbit(x, n))
 
 
 def is_trivial_case(n: int) -> str:
@@ -177,11 +187,7 @@ class FactorReport:
 
 def _power_table(x: int, n: int, length: int) -> np.ndarray:
     """x^a mod n for a in [0, length), tiled from one orbit period."""
-    orbit = [1]
-    value = x % n
-    while value != 1:
-        orbit.append(value)
-        value = value * x % n
+    orbit = _orbit(x, n)
     reps = -(-length // len(orbit))
     return np.tile(np.asarray(orbit, dtype=np.int64), reps)[:length]
 
@@ -195,8 +201,7 @@ def pre_qft_state(inst: FactoringInstance) -> statevec.StateVector:
     statevec.require_qubits(inst.n_qubits, f"factoring N={inst.N}")
     two_l = 2 * inst.L
     state = statevec.init_basis(inst.n_qubits, 0)
-    for w in range(1, two_l + 1):
-        state = statevec.apply_gate(state, h_op(w))
+    state = statevec.run_circuit(state, hadamard_layer(two_l))
     powers = _power_table(inst.x, inst.N, 1 << two_l)
     return statevec.apply_xor_oracle(state, powers, inst.L)
 

@@ -116,17 +116,25 @@ def init_basis(n_qubits: int, index: int) -> StateVector:
     return StateVector(n_qubits, amps, copy=False)
 
 
-def _apply_matrix_inplace(amps: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> None:
-    """Apply a small unitary to the wires at ``axes`` of ``amps`` (view kernel).
+def _run_inplace(amps: np.ndarray, ops: Sequence[tuple[np.ndarray, list[int]]]) -> None:
+    """Apply (matrix, axes) gates in order to ``amps`` in place (view kernel).
 
-    Views ``amps`` as a (2,)*n tensor (wire w is axis w-1) with the gate's
-    axes moved to the front, ``axes[0]`` the gate's high bit, and writes one
-    product with its 2^k x 2^(n-k) unfolding back through that view.
+    Views ``amps`` as a (2,)*n tensor (wire w is axis w-1) and, per gate,
+    moves its axes to the front (``axes[0]`` the gate's high bit), gathers
+    that view into one scratch array, multiplies its 2^k x 2^(n-k)
+    unfolding by the matrix into the other, and writes the product back
+    through the view.  The two scratch arrays are allocated once per call,
+    so the peak stays at three state-sized arrays and no gate allocates.
     """
-    k = len(axes)
     tensor = amps.reshape((2,) * (amps.size.bit_length() - 1))
-    view = np.moveaxis(tensor, axes, range(k))
-    view[...] = (matrix @ view.reshape(1 << k, -1)).reshape(view.shape)
+    gathered = np.empty_like(amps)
+    product = np.empty_like(amps)
+    for matrix, axes in ops:
+        k = len(axes)
+        view = np.moveaxis(tensor, axes, range(k))
+        np.copyto(gathered.reshape(view.shape), view)
+        np.matmul(matrix, gathered.reshape(1 << k, -1), out=product.reshape(1 << k, -1))
+        view[...] = product.reshape(view.shape)
 
 
 def _check_wires(n_qubits: int, wires: tuple[int, ...]) -> list[int]:
@@ -146,7 +154,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """
     axes = _check_wires(state.n_qubits, gate.wires)
     amps = state.amps.copy()
-    _apply_matrix_inplace(amps, gate.matrix, axes)
+    _run_inplace(amps, [(gate.matrix, axes)])
     return StateVector(state.n_qubits, amps, copy=False)
 
 
@@ -161,10 +169,9 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         raise ValueError(
             f"circuit needs {circuit.n_wires} wires but state has {state.n_qubits}"
         )
+    ops = [(op.matrix, _check_wires(state.n_qubits, op.wires)) for op in circuit.ops]
     amps = state.amps.copy()
-    axes = [_check_wires(state.n_qubits, op.wires) for op in circuit.ops]
-    for op, op_axes in zip(circuit.ops, axes):
-        _apply_matrix_inplace(amps, op.matrix, op_axes)
+    _run_inplace(amps, ops)
     return StateVector(state.n_qubits, amps, copy=False)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdesk import shor, statevec
+from qdesk import qft, shor, statevec
 from qdesk.cli import (
     CircuitSyntaxError,
     DEFAULT_SEED,
@@ -509,5 +509,45 @@ def test_simon_arguments_keep_the_error_contract(n, c, max_rounds):
         assert result["c"] == c
         assert result["rounds"] <= (4 * n if max_rounds is None else max_rounds)
         assert result["recovered_c"] == (c if result["succeeded"] else None)
+    else:
+        assert payload["error"]["type"] == ("resource" if code == 3 else "domain")
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.one_of(st.integers(-3, 8), st.integers(13, 40)),
+       cutoff=st.one_of(st.none(), st.integers(-2, 14)),
+       no_swaps=st.booleans())
+@example(k=0, cutoff=None, no_swaps=False)
+@example(k=4, cutoff=0, no_swaps=True)
+@example(k=4, cutoff=5, no_swaps=False)
+@example(k=13, cutoff=14, no_swaps=False)
+@example(k=24, cutoff=None, no_swaps=True)
+@example(k=25, cutoff=-2, no_swaps=False)
+def test_qft_arguments_keep_the_error_contract(k, cutoff, no_swaps):
+    argv = ["qft", f"--qubits={k}", "--seed=1"]
+    if cutoff is not None:
+        argv.append(f"--cutoff={cutoff}")
+    if no_swaps:
+        argv.append("--no-swaps")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue() + err.getvalue()
+    assert "Traceback" not in text
+    payload = json.loads(out.getvalue())
+    # checked in order: register size, then the cutoff against it
+    if k > statevec.MAX_QUBITS:
+        expected = 3
+    elif k < 1 or (cutoff is not None and not 1 <= cutoff <= k):
+        expected = 1
+    else:
+        expected = 0
+    assert code == expected
+    if code == 0:
+        jsonschema.validate(payload, get_report_schema())
+        result = payload["result"]
+        assert (result["qubits"], result["cutoff"], result["swaps"]) == (k, cutoff, not no_swaps)
+        assert result["total_ops"] == sum(result["gate_counts"].values())
+        assert (result["fidelity"] is None) == (k > qft.FIDELITY_MAX_QUBITS)
     else:
         assert payload["error"]["type"] == ("resource" if code == 3 else "domain")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdesk import statevec
-from qdesk.gates import Circuit, expand_to_matrix, h_op
+from qdesk.gates import Circuit, cnot_op, expand_to_matrix, h_op, toffoli_op
 from qdesk.qft import (
     QftSpec,
     build_qft_circuit,
@@ -125,6 +125,41 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             qft_fidelity(3, build_qft_circuit(QftSpec(2)))
+
+
+def per_input_fidelity(k, circuit):
+    """qft_fidelity as it ran before batching: one circuit run per basis input."""
+    dim = 1 << k
+    roots = np.exp(2j * np.pi * np.arange(dim) / dim)
+    scale = 1.0 / np.sqrt(dim)
+    worst = 1.0
+    idx = np.arange(dim)
+    for a in range(dim):
+        out = statevec.run_circuit(statevec.init_basis(k, a), circuit)
+        exact = roots[(a * idx) % dim] * scale
+        worst = min(worst, abs(np.vdot(exact, out.amps)) ** 2)
+    return float(worst)
+
+
+class TestBatchedFidelity:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_exact_transform_equals_the_per_input_loop(self, k):
+        circ = build_qft_circuit(QftSpec(k))
+        assert qft_fidelity(k, circ) == per_input_fidelity(k, circ)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_every_cutoff_and_swap_setting_equals_the_per_input_loop(self, k):
+        for cutoff in range(1, k + 1):
+            for swaps in (True, False):
+                circ = build_qft_circuit(QftSpec(k, cutoff, swaps))
+                assert qft_fidelity(k, circ) == per_input_fidelity(k, circ), (cutoff, swaps)
+
+    def test_identity_is_exactly_one_quarter(self):
+        assert qft_fidelity(2, Circuit(2)) == 0.25 == per_input_fidelity(2, Circuit(2))
+
+    def test_circuit_that_is_not_a_transform(self):
+        circ = Circuit(5, (h_op(2), cnot_op(2, 5), toffoli_op(5, 1, 3), h_op(4)))
+        assert qft_fidelity(5, circ) == per_input_fidelity(5, circ) < 0.5
 
 
 class TestTransformProperties:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qdesk import statevec
+from qdesk import shor, statevec
+from qdesk.gates import h_op
 from qdesk.shor import (
     FAILURE_MINUS_ONE,
     FAILURE_ODD_R,
@@ -50,6 +51,19 @@ class TestNumberTheoryHelpers:
         assert multiplicative_order(2, 21) == 6
         assert multiplicative_order(4, 21) == 3
 
+    def test_orbit_walk_refuses_a_non_invertible_residue(self):
+        # 6 shares 3 with 15, so its powers never return to 1
+        with pytest.raises(ValueError, match="not invertible"):
+            shor._power_table(6, 15, 16)
+        with pytest.raises(ValueError, match="not invertible"):
+            multiplicative_order(6, 15)
+        with pytest.raises(ValueError, match="at least 2"):
+            multiplicative_order(3, 1)
+
+    def test_power_table_tiles_the_orbit(self):
+        assert shor._power_table(7, 15, 10).tolist() == [1, 7, 4, 13, 1, 7, 4, 13, 1, 7]
+        assert shor._power_table(14, 15, 3).tolist() == [1, 14, 1]
+
     def test_classification(self):
         assert is_trivial_case(15) == "composite-ok"
         assert is_trivial_case(27) == "prime power"
@@ -82,6 +96,16 @@ class TestCircuit:
         support = np.flatnonzero(dist > 1e-12)
         assert support.tolist() == [0, 128]
         assert np.allclose(dist[support], 0.5, atol=1e-9)
+
+    @pytest.mark.parametrize("n,x", [(15, 7), (21, 2), (35, 3)])
+    def test_hadamard_layer_load_equals_the_gate_by_gate_load(self, n, x):
+        inst = FactoringInstance(n, x)
+        state = statevec.init_basis(inst.n_qubits, 0)
+        for w in range(1, 2 * inst.L + 1):
+            state = statevec.apply_gate(state, h_op(w))
+        powers = shor._power_table(x, n, 1 << (2 * inst.L))
+        expected = statevec.apply_xor_oracle(state, powers, inst.L)
+        assert np.array_equal(pre_qft_state(inst).amps, expected.amps)
 
     def test_second_register_holds_orbit(self):
         # before the transform the value register carries exactly the powers

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdesk
 from qdesk import gates, statevec
 from qdesk.statevec import (
     CapacityError,
@@ -175,6 +180,56 @@ class TestApplyGate:
             err = np.max(np.abs(apply_gate(state, op).amps - dense))
             assert err <= 1e-12, (op.name, op.wires, err)
 
+
+def allocating_kernel(amps, matrix, axes):
+    """The kernel before scratch buffers: a fresh gather and product per gate."""
+    k = len(axes)
+    view = np.moveaxis(amps.reshape((2,) * (amps.size.bit_length() - 1)), axes, range(k))
+    view[...] = (matrix @ view.reshape(1 << k, -1)).reshape(view.shape)
+
+
+class TestScratchBuffers:
+    @pytest.mark.parametrize("n", [12, 15, 17])
+    def test_bit_identical_to_the_allocating_kernel(self, n, rng):
+        # from 2^15 amplitudes on, a state-sized temporary passes malloc's
+        # mmap threshold; reversed and non-adjacent wires throughout
+        ops = (
+            gates.h_op(n),
+            gates.cnot_op(n, 2),
+            gates.swap_op(n - 1, 3),
+            gates.toffoli_op(n, 1, n // 2),
+            gates.cphase_op(1, 3, n - 2, 2),
+            gates.GateOp(random_unitary(rng, 8), (n, 2, n // 2)),
+            gates.h_op(1),
+        )
+        state = random_state(rng, n)
+        before = state.amps.copy()
+        expected = state.amps.copy()
+        for op in ops:
+            one = StateVector(n, expected)
+            one_before = one.amps.copy()
+            allocating_kernel(expected, op.matrix, [w - 1 for w in op.wires])
+            assert np.array_equal(apply_gate(one, op).amps, expected), op.name
+            assert np.array_equal(one.amps, one_before)
+        assert np.array_equal(run_circuit(state, gates.Circuit(n, ops)).amps, expected)
+        assert np.array_equal(state.amps, before)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize(
+        "preset, seen",
+        [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3"), ({"OMP_NUM_THREADS": "2"}, "None")],
+    )
+    def test_one_blas_thread_unless_the_caller_chose(self, preset, seen):
+        # the count must be in the environment before numpy loads OpenBLAS,
+        # so only a fresh interpreter shows what importing qdesk does
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(preset, PYTHONPATH=str(Path(qdesk.__file__).parents[1]))
+        code = "import os, qdesk; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, check=True)
+        assert child.stdout.strip() == seen
 
 class TestDistribution:
     def test_bell_pair(self):
