@@ -124,6 +124,14 @@ def majority_amplify(
 _GATE_ARITY = {"H": 1, "CNOT": 2, "SWAP": 2, "TOFFOLI": 3, "CPHASE": 2}
 
 
+def _is_integer(text: str) -> bool:
+    """One optional minus sign, then ASCII digits: what ``int`` should read here.
+
+    ``int`` alone would also take "+3", "1_0" and non-ASCII digits.
+    """
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
 class CircuitSyntaxError(ValueError):
     """Parse failure carrying a line/column diagnostic."""
 
@@ -144,7 +152,10 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
         TOFFOLI 1,2,3
         CPHASE 2,5 j=1 k=3
 
-    When ``n_wires`` is omitted it defaults to the largest wire mentioned.
+    Only CPHASE takes parameters, and it takes each of j and k exactly
+    once; a parameter on another gate or a repeated key is an error at
+    that token.  When ``n_wires`` is omitted it defaults to the largest
+    wire mentioned.
     """
     ops: list[GateOp] = []
     max_wire = 0
@@ -164,24 +175,30 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
             raise CircuitSyntaxError(lineno, len(raw) + 1, f"{name} needs wire indices")
         wire_token = tokens[1]
         wire_col = raw.index(wire_token, column) + 1
-        try:
-            wires = tuple(int(w) for w in wire_token.split(","))
-        except ValueError:
-            raise CircuitSyntaxError(
-                lineno, wire_col, f"bad wire list {wire_token!r}"
-            ) from None
+        wire_texts = wire_token.split(",")
+        if not all(_is_integer(w) for w in wire_texts):
+            raise CircuitSyntaxError(lineno, wire_col, f"bad wire list {wire_token!r}")
+        wires = tuple(int(w) for w in wire_texts)
         if len(wires) != _GATE_ARITY[name]:
             raise CircuitSyntaxError(
                 lineno, wire_col,
                 f"{name} takes {_GATE_ARITY[name]} wires, got {len(wires)}",
             )
         params = {}
+        cursor = wire_col - 1 + len(wire_token)
         for tok in tokens[2:]:
-            key, eq, value = tok.partition("=")
-            if not eq or key not in ("j", "k") or not value.lstrip("-").isdigit():
+            cursor = raw.index(tok, cursor)
+            tok_col = cursor + 1
+            cursor += len(tok)
+            if name != "CPHASE":
                 raise CircuitSyntaxError(
-                    lineno, raw.index(tok, wire_col) + 1, f"bad parameter {tok!r}"
+                    lineno, tok_col, f"{name} takes no parameters, got {tok!r}"
                 )
+            key, eq, value = tok.partition("=")
+            if not eq or key not in ("j", "k") or not _is_integer(value):
+                raise CircuitSyntaxError(lineno, tok_col, f"bad parameter {tok!r}")
+            if key in params:
+                raise CircuitSyntaxError(lineno, tok_col, f"repeated parameter {key!r}")
             params[key] = int(value)
         try:
             if name == "H":

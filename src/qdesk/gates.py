@@ -9,7 +9,7 @@ numbered from 1 and wire 1 is the most significant bit of a basis index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,14 +35,54 @@ def _as_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return m
 
 
+def _slice_index(row: int, k: int) -> tuple:
+    """Index of matrix row ``row``'s slice in a view whose first k axes are the gate's."""
+    return tuple((row >> (k - 1 - i)) & 1 for i in range(k)) + (...,)
+
+
+def _kernel_structure(m: np.ndarray) -> tuple[tuple | None, tuple | None]:
+    """The slices a diagonal or single-swap matrix touches, for the kernel.
+
+    Returns ``(phase_rows, swap_rows)``.  For a diagonal matrix,
+    ``phase_rows`` pairs the slice index of every row whose entry is not 1
+    with that entry as a read-only 1x1 matrix.  For the identity with two
+    rows exchanged (SWAP, CNOT, TOFFOLI), ``swap_rows`` holds the two slice
+    indices.  Every other matrix gives ``(None, None)``.
+    """
+    dim = m.shape[0]
+    k = dim.bit_length() - 1
+    diagonal = np.diagonal(m)
+    moved = [int(r) for r in np.flatnonzero(diagonal != 1)]
+    if np.array_equal(m, np.diag(diagonal)):
+        entries = []
+        for r in moved:
+            entry = m[r:r + 1, r:r + 1].copy()
+            entry.setflags(write=False)
+            entries.append((_slice_index(r, k), entry))
+        return tuple(entries), None
+    if len(moved) == 2:
+        exchanged = np.eye(dim)
+        exchanged[moved] = exchanged[moved[::-1]]
+        if np.array_equal(m, exchanged):
+            return None, tuple(_slice_index(r, k) for r in moved)
+    return None, None
+
+
 @dataclass(frozen=True, eq=False)
 class GateOp:
-    """A small unitary bound to an ordered tuple of distinct wires."""
+    """A small unitary bound to an ordered tuple of distinct wires.
+
+    ``phase_rows`` and ``swap_rows`` are read from the matrix once, when
+    the op is built (see :func:`_kernel_structure`); the state-vector
+    kernel routes diagonal and single-swap gates on them.
+    """
 
     matrix: np.ndarray
     wires: tuple[int, ...]
     name: str = "U"
     params: tuple = ()
+    phase_rows: tuple | None = field(init=False, repr=False)
+    swap_rows: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _as_unitary(self.matrix)
@@ -59,6 +99,9 @@ class GateOp:
         if any(w < 1 for w in wires):
             raise ValueError(f"wires are numbered from 1, got {wires}")
         object.__setattr__(self, "wires", wires)
+        phase_rows, swap_rows = _kernel_structure(m)
+        object.__setattr__(self, "phase_rows", phase_rows)
+        object.__setattr__(self, "swap_rows", swap_rows)
 
     @property
     def arity(self) -> int:
@@ -137,7 +180,9 @@ def controlled_phase(j: int, k: int) -> np.ndarray:
         raise ValueError(f"j must be non-negative, got {j}")
     if j >= k:
         raise ValueError(f"need j < k, got j={j}, k={k}")
-    phase = np.exp(2j * np.pi / 2 ** (k + 1 - j))
+    # ldexp scales 2*pi by 2^(j-k-1) exactly and underflows to 0 for any
+    # k; dividing by the int 2^(k+1-j) overflows once it passes 2^1023
+    phase = np.exp(1j * math.ldexp(2 * math.pi, j - k - 1))
     return np.diag([1, 1, 1, phase]).astype(np.complex128)
 
 

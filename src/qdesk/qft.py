@@ -123,13 +123,20 @@ def qft_fidelity(k: int, circuit: Circuit) -> float:
     width = 1 << low
     lift = 1 << (low // 2)
     slots = np.arange(width)
+    # one input buffer and one column buffer serve every batch; the batch
+    # state holds a read-only view of the input and is dropped before the
+    # loaded entries are cleared
+    inputs = np.zeros(dim * width, dtype=np.complex128)
+    columns = np.empty((width, dim), dtype=np.complex128)
     for first in range(0, dim, width):
-        amps = np.zeros(dim * width, dtype=np.complex128)
-        amps[((first + slots) << low) | slots] = 1.0 / lift
-        batch = statevec.StateVector(k + low, amps, copy=False)
+        loaded = ((first + slots) << low) | slots
+        inputs[loaded] = 1.0 / lift
+        batch = statevec.StateVector(k + low, inputs.view(), copy=False)
         out = statevec.run_circuit(batch, circuit).amps
+        del batch
+        inputs[loaded] = 0.0
         # contiguous rows, so np.vdot sums each one as it summed a single state
-        columns = np.ascontiguousarray(out.reshape(dim, width).T) * lift
+        np.multiply(out.reshape(dim, width).T, lift, out=columns)
         for a, column in zip(range(first, first + width), columns):
             exact = roots[(a * idx) % dim] * scale
             overlap = abs(np.vdot(exact, column)) ** 2

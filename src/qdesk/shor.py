@@ -260,16 +260,32 @@ def analytic_outcome_probability(inst: FactoringInstance, c: int, a0: int) -> fl
 
 
 def analytic_distribution(inst: FactoringInstance) -> np.ndarray:
-    """Analytic joint outcome distribution over the full 3L-qubit register."""
+    """Analytic joint outcome distribution over the full 3L-qubit register.
+
+    The closed form of :func:`analytic_outcome_probability` for every c at
+    once.  With t = r c mod Q, a sum of ``count`` phases exp(2 pi i b t / Q)
+    is a Dirichlet kernel: its squared magnitude is
+    sin^2(pi count t / Q) / sin^2(pi t / Q), and count^2 where t = 0.  Only
+    two counts occur, floor(Q/r) and floor(Q/r) + 1, so the law over c is
+    evaluated twice and written into the column of each value x^a0.
+    """
     L = inst.L
     q_total = 1 << (2 * L)
-    r = multiplicative_order(inst.x, inst.N)
+    orbit = _orbit(inst.x, inst.N)
+    r = len(orbit)
+    t = np.arange(q_total, dtype=np.int64) * r % q_total
+    spread = t != 0
+    denominator = np.sin(np.pi * t[spread] / q_total) ** 2
+    laws = {}
+    for count in (q_total // r, q_total // r + 1):
+        law = np.full(q_total, float(count * count))
+        # count * t is reduced mod Q first: sin^2(pi x) has period 1 in x
+        law[spread] = np.sin(np.pi * (count * t[spread] % q_total) / q_total) ** 2 / denominator
+        laws[count] = law / q_total**2
     probs = np.zeros(1 << inst.n_qubits)
-    value = 1
-    for a0 in range(r):
-        for c in range(q_total):
-            probs[(c << L) | value] = analytic_outcome_probability(inst, c, a0)
-        value = value * inst.x % inst.N
+    by_value = probs.reshape(q_total, 1 << L)
+    for a0, value in enumerate(orbit):
+        by_value[:, value] = laws[q_total // r + (1 if a0 < q_total % r else 0)]
     return probs
 
 

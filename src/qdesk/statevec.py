@@ -116,25 +116,53 @@ def init_basis(n_qubits: int, index: int) -> StateVector:
     return StateVector(n_qubits, amps, copy=False)
 
 
-def _run_inplace(amps: np.ndarray, ops: Sequence[tuple[np.ndarray, list[int]]]) -> None:
-    """Apply (matrix, axes) gates in order to ``amps`` in place (view kernel).
+def _run_inplace(amps: np.ndarray, ops: Sequence[tuple[GateOp, list[int]]]) -> None:
+    """Apply (gate, axes) ops in order to ``amps`` in place (view kernel).
 
     Views ``amps`` as a (2,)*n tensor (wire w is axis w-1) and, per gate,
-    moves its axes to the front (``axes[0]`` the gate's high bit), gathers
-    that view into one scratch array, multiplies its 2^k x 2^(n-k)
-    unfolding by the matrix into the other, and writes the product back
-    through the view.  The two scratch arrays are allocated once per call,
-    so the peak stays at three state-sized arrays and no gate allocates.
+    moves its axes to the front (``axes[0]`` the gate's high bit), so row
+    r of the 2^k x 2^(n-k) unfolding is the slice ``view[r's bits]``.
+    Three paths, all bit-identical to the first:
+
+    * dense (H, any other gate): gather the view into one scratch array,
+      multiply the unfolding by the matrix into the other, write back;
+    * diagonal (CPHASE, ``GateOp.phase_rows``): gather each slice whose
+      entry is not 1, multiply it as a (1,1) @ (1,m) ``np.matmul`` (the
+      BLAS product; numpy's ``*`` differs by an ulp), write it back;
+    * single swap (SWAP, CNOT, TOFFOLI, ``GateOp.swap_rows``): gather both
+      slices and write each back in the other's place.  Both go through
+      scratch, because assigning one view of ``amps`` to another makes
+      numpy copy the source into a hidden temporary.
+
+    The fast paths use prefixes of the scratch arrays and need at least 4
+    columns: with 1 or 2, the (1,1) product differs from the dense one in
+    most cases.  The two scratch arrays are allocated once per call, so
+    the peak stays at three state-sized arrays and no gate allocates.
     """
     tensor = amps.reshape((2,) * (amps.size.bit_length() - 1))
     gathered = np.empty_like(amps)
     product = np.empty_like(amps)
-    for matrix, axes in ops:
+    for gate, axes in ops:
         k = len(axes)
         view = np.moveaxis(tensor, axes, range(k))
-        np.copyto(gathered.reshape(view.shape), view)
-        np.matmul(matrix, gathered.reshape(1 << k, -1), out=product.reshape(1 << k, -1))
-        view[...] = product.reshape(view.shape)
+        width = amps.size >> k
+        part_in = gathered[:width].reshape(view.shape[k:])
+        part_out = product[:width].reshape(view.shape[k:])
+        if width >= 4 and gate.phase_rows is not None:
+            for row, entry in gate.phase_rows:
+                np.copyto(part_in, view[row])
+                np.matmul(entry, part_in.reshape(1, width), out=part_out.reshape(1, width))
+                view[row] = part_out
+        elif width >= 4 and gate.swap_rows is not None:
+            row_a, row_b = gate.swap_rows
+            np.copyto(part_in, view[row_a])
+            np.copyto(part_out, view[row_b])
+            view[row_a] = part_out
+            view[row_b] = part_in
+        else:
+            np.copyto(gathered.reshape(view.shape), view)
+            np.matmul(gate.matrix, gathered.reshape(1 << k, -1), out=product.reshape(1 << k, -1))
+            view[...] = product.reshape(view.shape)
 
 
 def _check_wires(n_qubits: int, wires: tuple[int, ...]) -> list[int]:
@@ -154,7 +182,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """
     axes = _check_wires(state.n_qubits, gate.wires)
     amps = state.amps.copy()
-    _run_inplace(amps, [(gate.matrix, axes)])
+    _run_inplace(amps, [(gate, axes)])
     return StateVector(state.n_qubits, amps, copy=False)
 
 
@@ -169,7 +197,7 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         raise ValueError(
             f"circuit needs {circuit.n_wires} wires but state has {state.n_qubits}"
         )
-    ops = [(op.matrix, _check_wires(state.n_qubits, op.wires)) for op in circuit.ops]
+    ops = [(op, _check_wires(state.n_qubits, op.wires)) for op in circuit.ops]
     amps = state.amps.copy()
     _run_inplace(amps, ops)
     return StateVector(state.n_qubits, amps, copy=False)

@@ -166,7 +166,7 @@ def test_criterion_5_separation_factor_at_n8():
 def test_criterion_6_measured_distribution_matches_analytic_law():
     start = time.perf_counter()
     worst = 0.0
-    cases = [(15, x) for x in (1, 2, 4, 7, 8, 11, 13, 14)] + [(21, 2), (21, 5)]
+    cases = [(15, x) for x in (1, 2, 4, 7, 8, 11, 13, 14)] + [(21, 2), (21, 5), (119, 3)]
     for n, x in cases:
         inst = shor.FactoringInstance(n, x)
         simulated = statevec.distribution(shor.order_finding_state(inst))

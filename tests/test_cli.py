@@ -2,7 +2,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -121,6 +123,29 @@ class TestCircuitText:
     def test_cphase_needs_params(self):
         with pytest.raises(CircuitSyntaxError, match="j=<int> k=<int>"):
             parse_circuit_text("CPHASE 1,2\n")
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("H 1 j=0 k=3\n", 5, "H takes no parameters, got 'j=0'"),
+        ("TOFFOLI 1,2,3 k=7\n", 15, "TOFFOLI takes no parameters, got 'k=7'"),
+        ("CNOT 1,2 # j=0\nSWAP 1,2  x\n", 11, "SWAP takes no parameters, got 'x'"),
+        ("CPHASE 1,2 j=0 k=1 j=3\n", 20, "repeated parameter 'j'"),
+        ("CPHASE 1,2 j=0 j=0 k=1\n", 16, "repeated parameter 'j'"),
+        ("CPHASE 1,2 j=0 k=--3\n", 16, "bad parameter 'k=--3'"),
+        ("H 1_0\n", 3, "bad wire list '1_0'"),
+        ("CNOT 1,\u0663\n", 6, "bad wire list '1,\u0663'"),
+        ("SWAP +1,2\n", 6, "bad wire list '+1,2'"),
+    ])
+    def test_stray_parameters_and_bad_integers_are_named_at_their_token(self, text, column, message):
+        line = text.count("\n")
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit_text(text)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_vanishing_phase_is_the_identity(self):
+        # 2^5001 does not convert to a float; the phase rounds to exactly 1
+        op, = parse_circuit_text("CPHASE 1,2 j=0 k=5000\n").ops
+        assert np.array_equal(op.matrix, np.eye(4))
 
     def test_empty_text_needs_wire_count(self):
         with pytest.raises(ValueError, match="--wires"):
@@ -365,6 +390,15 @@ class TestMainEntry:
             "message": f"max_rounds must be at least n=3, got {rounds}",
         }
 
+    def test_circuit_run_stray_parameter_exits_1(self, tmp_path, capsys):
+        (tmp_path / "stray.qc").write_text("H 1\nTOFFOLI 1,2,3 k=7\n")
+        assert main(["circuit-run", "--file", str(tmp_path / "stray.qc")]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {
+            "type": "domain",
+            "message": "line 2, column 15: TOFFOLI takes no parameters, got 'k=7'",
+        }
+
     def test_circuit_run_full_vocabulary(self, tmp_path, capsys):
         # distribution must equal |U e_0|^2 with U from the dense oracle
         text = "H 1\nCPHASE 1,2 j=0 k=1\nSWAP 2,3\nTOFFOLI 1,2,3\nCNOT 3,1\n"
@@ -551,3 +585,132 @@ def test_qft_arguments_keep_the_error_contract(k, cutoff, no_swaps):
         assert (result["fidelity"] is None) == (k > qft.FIDELITY_MAX_QUBITS)
     else:
         assert payload["error"]["type"] == ("resource" if code == 3 else "domain")
+
+
+def run_main(argv):
+    """Run the CLI in-process; return the exit code and the parsed stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, json.loads(out.getvalue())
+
+
+def expect_error_or_report(code, expected, payload):
+    assert code == expected
+    if code == 0:
+        jsonschema.validate(payload, get_report_schema())
+    else:
+        assert payload["error"]["type"] == ("resource" if code == 3 else "domain")
+
+
+ARITY = {"H": 1, "CNOT": 2, "SWAP": 2, "TOFFOLI": 3, "CPHASE": 2}
+
+gate_lines = st.tuples(
+    st.sampled_from(sorted(ARITY) + ["XX"]),
+    st.lists(st.one_of(st.integers(-1, 9), st.integers(25, 30)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.sampled_from("jk"), st.integers(-2, 12)), max_size=3),
+)
+
+
+def circuit_exit_code(lines, wires):
+    """The exit code the contract promises, worked out line by line."""
+    top = 0
+    for name, ws, params in lines:
+        keys = [key for key, _ in params]
+        if name not in ARITY or len(ws) != ARITY[name] or len(set(ws)) != len(ws):
+            return 1
+        if min(ws) < 1 or (params and name != "CPHASE") or len(set(keys)) != len(keys):
+            return 1
+        if name == "CPHASE" and (sorted(keys) != ["j", "k"]
+                                 or not 0 <= dict(params)["j"] < dict(params)["k"]):
+            return 1
+        top = max(top, *ws)
+    n_wires = top if wires is None else wires
+    if n_wires < max(top, 1):
+        return 1
+    return 3 if n_wires > statevec.MAX_QUBITS else 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=st.lists(gate_lines, max_size=6),
+       wires=st.one_of(st.none(), st.integers(-1, 10), st.integers(25, 26)))
+@example(lines=[("H", [1], [("j", 0), ("k", 3)])], wires=None)
+@example(lines=[("CPHASE", [1, 2], [("j", 0), ("k", 1), ("j", 3)])], wires=None)
+@example(lines=[("CNOT", [1, 25], [])], wires=None)
+@example(lines=[("H", [3], [])], wires=2)
+@example(lines=[], wires=None)
+@example(lines=[], wires=25)
+@example(lines=[("CPHASE", [2, 1], [("k", 4), ("j", 1)]), ("TOFFOLI", [3, 1, 2], [])], wires=4)
+def test_circuit_run_keeps_the_error_contract(lines, wires):
+    text = "".join(
+        f"{name} {','.join(map(str, ws))}" + "".join(f" {key}={v}" for key, v in params) + "\n"
+        for name, ws, params in lines
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "random.qc")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ["circuit-run", f"--file={path}", "--seed=1"]
+        if wires is not None:
+            argv.append(f"--wires={wires}")
+        code, payload = run_main(argv)
+    expect_error_or_report(code, circuit_exit_code(lines, wires), payload)
+    if code == 0:
+        result = payload["result"]
+        assert (result["n_wires"], result["ops"]) == (wires or max(max(ws) for _, ws, _ in lines),
+                                                     len(lines))
+        assert math.isclose(sum(result["distribution"].values()), 1.0, abs_tol=1e-9)
+
+
+def distinct_prime_factors(n):
+    count, p = 0, 2
+    while p * p <= n:
+        if n % p == 0:
+            count += 1
+            while n % p == 0:
+                n //= p
+        p += 1
+    return count + (n > 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.integers(-3, 40), st.integers(256, 5000)),
+       max_attempts=st.integers(-1, 3))
+@example(n=15, max_attempts=0)
+@example(n=9, max_attempts=2)
+@example(n=37, max_attempts=1)
+@example(n=3855, max_attempts=1)
+@example(n=4096, max_attempts=1)
+@example(n=35, max_attempts=3)
+def test_factor_arguments_keep_the_error_contract(n, max_attempts):
+    code, payload = run_main(["factor", f"--n={n}", f"--max-attempts={max_attempts}", "--seed=1"])
+    # checked in order: attempts, an odd N with two distinct primes, register size
+    if max_attempts < 1 or n % 2 == 0 or n < 15 or distinct_prime_factors(n) < 2:
+        expected = 1
+    elif 3 * n.bit_length() > statevec.MAX_QUBITS:
+        expected = 3
+    else:
+        expected = 0
+    expect_error_or_report(code, expected, payload)
+    if code == 0:
+        result = payload["result"]
+        assert result["N"] == n and 1 <= len(result["attempts"]) <= max_attempts
+        if result["succeeded"]:
+            assert all(1 < f < n and n % f == 0 for f in result["factors"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(-3, 12), trials=st.integers(-3, 30))
+@example(n=0, trials=5)
+@example(n=9, trials=5)
+@example(n=1, trials=1)
+@example(n=8, trials=0)
+def test_simon_classical_arguments_keep_the_error_contract(n, trials):
+    code, payload = run_main(["simon-classical", f"--n={n}", f"--trials={trials}", "--seed=1"])
+    expected = 0 if 1 <= n <= 8 and trials >= 1 else 1
+    expect_error_or_report(code, expected, payload)
+    if code == 0:
+        queries = payload["result"]["queries"]
+        # a collision needs two queries and is forced after 2^(n-1) + 1
+        assert 2 <= queries["min"] <= queries["median"] <= queries["max"] <= (1 << (n - 1)) + 1

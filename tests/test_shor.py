@@ -151,6 +151,22 @@ class TestAnalyticLaw:
             inst = FactoringInstance(n, x)
             assert analytic_distribution(inst).sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [15, 21])
+    def test_closed_form_equals_the_direct_sum(self, n):
+        # every coprime x, every (c, a0); rows of values off the orbit stay 0
+        for x in range(2, n):
+            if math.gcd(x, n) != 1:
+                continue
+            inst = FactoringInstance(n, x)
+            q_total = 1 << (2 * inst.L)
+            by_value = analytic_distribution(inst).reshape(q_total, 1 << inst.L)
+            orbit = [modexp(x, a0, n) for a0 in range(multiplicative_order(x, n))]
+            direct = np.array([[analytic_outcome_probability(inst, c, a0)
+                                for a0 in range(len(orbit))] for c in range(q_total)])
+            assert np.max(np.abs(by_value[:, orbit] - direct)) <= 1e-12, x
+            by_value[:, orbit] = 0.0
+            assert not by_value.any(), x
+
     def test_joint_matches_simulation(self):
         inst = FactoringInstance(15, 7)
         simulated = statevec.distribution(order_finding_state(inst))

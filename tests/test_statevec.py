@@ -1,7 +1,9 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +215,102 @@ class TestScratchBuffers:
             assert np.array_equal(one.amps, one_before)
         assert np.array_equal(run_circuit(state, gates.Circuit(n, ops)).amps, expected)
         assert np.array_equal(state.amps, before)
+
+
+def dense_view_kernel(amps, ops):
+    """The view kernel before the diagonal and swap paths: every gate dense."""
+    tensor = amps.reshape((2,) * (amps.size.bit_length() - 1))
+    gathered = np.empty_like(amps)
+    product = np.empty_like(amps)
+    for matrix, axes in ops:
+        k = len(axes)
+        view = np.moveaxis(tensor, axes, range(k))
+        np.copyto(gathered.reshape(view.shape), view)
+        np.matmul(matrix, gathered.reshape(1 << k, -1), out=product.reshape(1 << k, -1))
+        view[...] = product.reshape(view.shape)
+
+
+def structured_gates(rng, arity):
+    """Diagonal and single-swap gates on ``arity`` wires, as (matrix, name)."""
+    dim = 1 << arity
+    found = []
+    for row in range(dim):  # one non-1 entry, in each row in turn
+        phases = np.ones(dim, dtype=np.complex128)
+        phases[row] = np.exp(2j * np.pi * rng.random())
+        found.append((np.diag(phases), f"diag@{row}"))
+    found.append((np.diag(np.exp(2j * np.pi * rng.random(dim))), "diag"))
+    if arity == 1:
+        found.append((np.diag([1.0, -1.0]).astype(np.complex128), "Z"))
+    elif arity == 2:
+        found += [(gates.controlled_phase(j, k), f"CPHASE{j},{k}")
+                  for j, k in ((0, 1), (0, 2), (1, 3), (0, 5))]
+        found += [(gates.cnot(), "CNOT"), (gates.swap_gate(), "SWAP")]
+    else:
+        found.append((gates.toffoli(), "TOFFOLI"))
+    return found
+
+
+class TestStructuredPaths:
+    def test_structure_is_read_once_from_the_matrix(self):
+        assert gates.h_op(1).phase_rows is None and gates.h_op(1).swap_rows is None
+        (row, entry), = gates.cphase_op(0, 2, 1, 2).phase_rows
+        assert row == (1, 1, ...) and entry.shape == (1, 1) and not entry.flags.writeable
+        assert gates.cnot_op(1, 2).swap_rows == ((1, 0, ...), (1, 1, ...))
+        assert gates.swap_op(1, 2).swap_rows == ((0, 1, ...), (1, 0, ...))
+        assert gates.toffoli_op(1, 2, 3).swap_rows == ((1, 1, 0, ...), (1, 1, 1, ...))
+        identity = gates.GateOp(np.eye(4), (1, 2))
+        assert identity.phase_rows == () and identity.swap_rows is None
+        cycle = np.eye(8)[[1, 2, 0, 3, 4, 5, 6, 7]]
+        assert gates.GateOp(cycle, (1, 2, 3)).swap_rows is None
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_bit_identical_to_the_dense_kernel_on_every_wire_tuple(self, arity, rng):
+        # n = arity and arity + 1 stay on the dense path (fewer than 4 columns)
+        for n in range(arity, 9):
+            found = structured_gates(rng, arity)
+            for wires in itertools.permutations(range(1, n + 1), arity):
+                axes = [w - 1 for w in wires]
+                state = random_state(rng, n)
+                expected = state.amps.copy()
+                for matrix, name in found:
+                    one = expected.copy()
+                    dense_view_kernel(expected, [(matrix, axes)])
+                    got = apply_gate(StateVector(n, one), gates.GateOp(matrix, wires, name))
+                    assert np.array_equal(got.amps, expected), (name, n, wires)
+                circuit = gates.Circuit(n, tuple(gates.GateOp(m, wires, name) for m, name in found))
+                assert np.array_equal(run_circuit(state, circuit).amps, expected), (n, wires)
+
+    def test_swaps_allocate_no_hidden_temporary(self, rng):
+        # the copy and the two scratch arrays; assigning one slice of the
+        # state to another would add a quarter (SWAP) or an eighth
+        # (TOFFOLI), since numpy cannot rule out overlap unless wire 1 is
+        # one of the gate's wires
+        n = 16
+        state = random_state(rng, n)
+        circuit = gates.Circuit(n, (gates.swap_op(2, n), gates.toffoli_op(n, 3, 5)))
+        tracemalloc.start()
+        try:
+            run_circuit(state, circuit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * state.amps.nbytes + state.amps.nbytes // 16
+
+    @pytest.mark.parametrize("n", [9, 12, 16, 20])
+    def test_bit_identical_to_the_dense_kernel_on_mixed_circuits(self, n, rng):
+        ops = []
+        for _ in range(40):
+            arity = int(rng.integers(1, 4))
+            wires = tuple(int(w) + 1 for w in rng.choice(n, arity, replace=False))
+            pool = structured_gates(rng, arity) + [(random_unitary(rng, 1 << arity), "U")]
+            if arity == 1:
+                pool.append((gates.hadamard(), "H"))
+            matrix, name = pool[int(rng.integers(len(pool)))]
+            ops.append(gates.GateOp(matrix, wires, name))
+        state = random_state(rng, n)
+        expected = state.amps.copy()
+        dense_view_kernel(expected, [(op.matrix, [w - 1 for w in op.wires]) for op in ops])
+        assert np.array_equal(run_circuit(state, gates.Circuit(n, tuple(ops))).amps, expected)
 
 
 class TestBlasThreads:
