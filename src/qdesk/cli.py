@@ -308,13 +308,7 @@ def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     k = params["qubits"]
-    targets = sorted(set(params["targets"]))
-    statevec.require_qubits(k, f"search over 2^{k} items")
-    for t in targets:
-        if not 0 <= t < (1 << k):
-            raise ValueError(f"target {t} out of range [0, {1 << k})")
-    target_set = frozenset(targets)
-    problem = grover.SearchProblem(k, lambda i: i in target_set, len(target_set))
+    problem = grover.SearchProblem(k, params["targets"])
     result_obj = grover.run_grover(problem, seed)
     if params.get("trace_path"):
         trace = {"marked_probability": list(result_obj.trace)}
@@ -322,7 +316,7 @@ def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     return {
         "qubits": k,
         "n_items": problem.N,
-        "targets": targets,
+        "targets": problem.marked.tolist(),
         "found": result_obj.found,
         "success": result_obj.success,
         "success_probability": result_obj.success_probability,
@@ -548,13 +542,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if args.targets_file:
             with open(args.targets_file, "r", encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
+                    text = line.strip()
+                    if not text:
                         continue
-                    try:
-                        targets.append(int(line))
-                    except ValueError:
+                    if not _is_integer(text):
                         raise ValueError(f"{args.targets_file}, line {lineno}: target must "
-                                         f"be an integer, got {line.strip()!r}") from None
+                                         f"be an integer, got {text!r}")
+                    targets.append(int(text))
         if not targets:
             raise ValueError("grover needs --target or --targets-file")
         params = {"qubits": args.qubits, "targets": targets,

@@ -26,33 +26,33 @@ call: ``run_grover`` checks only the final state, before measuring it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import statevec
-from .gates import hadamard_layer, phase_flip_target, phase_flip_zero
+from .gates import hadamard_layer, phase_flip_zero
 
 
 @dataclass(frozen=True, eq=False)
 class SearchProblem:
-    """A k-qubit search space with a predicate marking the targets.
+    """A k-qubit search space and the indices its oracle marks.
 
-    ``marked`` holds the marked indices, ascending, as a read-only intp array.
+    ``marked`` may hold the indices in any order, repeated or not; it is
+    stored ascending and deduplicated as a read-only intp array.
     """
 
     k: int
-    predicate: Callable[[int], bool]
-    target_count: int
+    marked: np.ndarray
 
     def __post_init__(self):
         statevec.require_qubits(self.k, f"search over 2^{self.k} items")
-        marked = np.flatnonzero(phase_flip_target(self.k, self.predicate) < 0)
-        if marked.size != self.target_count:
-            raise ValueError(
-                f"predicate marks {marked.size} indices, declared {self.target_count}"
-            )
+        distinct = sorted({operator.index(t) for t in self.marked})
+        for t in distinct:
+            if not 0 <= t < self.N:
+                raise ValueError(f"target {t} out of range [0, {self.N})")
+        marked = np.array(distinct, dtype=np.intp)
         marked.setflags(write=False)
         object.__setattr__(self, "marked", marked)
 
@@ -63,9 +63,7 @@ class SearchProblem:
 
 def single_target(k: int, t: int) -> SearchProblem:
     """Search problem marking exactly the index t."""
-    if not 0 <= t < (1 << k):
-        raise ValueError(f"target {t} out of range [0, {1 << k})")
-    return SearchProblem(k, lambda i: i == t, 1)
+    return SearchProblem(k, (t,))
 
 
 def uniform_state(k: int) -> statevec.StateVector:
@@ -155,7 +153,7 @@ def run_grover(problem: SearchProblem, rng_seed: int) -> GroverResult:
     """
     marked = problem.marked
     amps = uniform_state(problem.k).amps.copy()
-    iterations = iteration_schedule(problem.N, problem.target_count)
+    iterations = iteration_schedule(problem.N, marked.size)
     trace = [_marked_mass(amps, marked)]
     for _ in range(iterations):
         _iterate_inplace(amps, marked)
@@ -164,7 +162,7 @@ def run_grover(problem: SearchProblem, rng_seed: int) -> GroverResult:
     outcome = statevec.measure_all(state, rng_seed, 1)[0]
     return GroverResult(
         found=outcome,
-        success=bool(problem.predicate(outcome)),
+        success=outcome in marked,
         success_probability=trace[-1],
         iterations=iterations,
         oracle_calls=iterations,

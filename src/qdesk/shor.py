@@ -77,29 +77,20 @@ def is_trivial_case(n: int) -> str:
     """Classify N as 'even', 'prime', 'prime power' or 'composite-ok'.
 
     The quantum pipeline only applies to the last class; the others have
-    classical shortcuts (division by two, nothing to do, k-th root).
+    classical shortcuts (division by two, nothing to do, taking a root).
+    The class follows from the smallest prime factor p of an odd N, found
+    by trial division: N itself, a power of p, or neither.
     """
     if n < 2:
         raise ValueError(f"N must be at least 2, got {n}")
     if n % 2 == 0:
         return "even"
-    if _is_prime(n):
+    p = next((d for d in range(3, math.isqrt(n) + 1, 2) if n % d == 0), n)
+    if p == n:
         return "prime"
-    for k in range(2, n.bit_length() + 1):
-        root = round(n ** (1.0 / k))
-        for m in (root - 1, root, root + 1):
-            if m >= 2 and m ** k == n:
-                return "prime power"
-    return "composite-ok"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            return False
-    return True
+    while n % p == 0:
+        n //= p
+    return "prime power" if n == 1 else "composite-ok"
 
 
 @dataclass(frozen=True)
@@ -387,12 +378,16 @@ def factor(n: int, max_attempts: int, rng_seed: int) -> FactorReport:
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be positive, got {max_attempts}")
-    if is_trivial_case(n) != "composite-ok":
+    # the register size bounds the trial division below, so it is checked
+    # first; N < 2 and even N are refused by is_trivial_case in O(1)
+    if n >= 2 and n % 2:
+        statevec.require_qubits(3 * n.bit_length(), f"factoring N={n}")
+    kind = is_trivial_case(n)
+    if kind != "composite-ok":
         raise ValueError(
-            f"N={n} is {is_trivial_case(n)}; the order-finding method needs an "
+            f"N={n} is {kind}; the order-finding method needs an "
             "odd composite with two or more distinct prime factors"
         )
-    statevec.require_qubits(3 * n.bit_length(), f"factoring N={n}")
     rng = statevec.make_rng(rng_seed)
     attempts: list[Attempt] = []
     for i in range(max_attempts):

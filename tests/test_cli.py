@@ -370,7 +370,7 @@ class TestMainEntry:
         assert payload["result"]["targets"] == [3, 9, 12]
         assert payload["result"]["found"] in (3, 9, 12)
 
-    @pytest.mark.parametrize("bad", ["abc", "2.5"])
+    @pytest.mark.parametrize("bad", ["abc", "2.5", "1_0", "+3", "\u0663"])
     def test_grover_targets_file_names_a_bad_line(self, bad, tmp_path, monkeypatch, capsys):
         (tmp_path / "targets.txt").write_text(f"3\n\n{bad}\n9\n")
         monkeypatch.chdir(tmp_path)
@@ -683,13 +683,19 @@ def distinct_prime_factors(n):
 @example(n=3855, max_attempts=1)
 @example(n=4096, max_attempts=1)
 @example(n=35, max_attempts=3)
+@example(n=441, max_attempts=1)
+@example(n=3 * 10**400 + 3, max_attempts=1)
+@example(n=100000000000031, max_attempts=1)
 def test_factor_arguments_keep_the_error_contract(n, max_attempts):
     code, payload = run_main(["factor", f"--n={n}", f"--max-attempts={max_attempts}", "--seed=1"])
-    # checked in order: attempts, an odd N with two distinct primes, register size
-    if max_attempts < 1 or n % 2 == 0 or n < 15 or distinct_prime_factors(n) < 2:
+    # checked in order: attempts; N < 15 or even; register size; two distinct
+    # primes (the register size bounds the trial division behind the last)
+    if max_attempts < 1 or n < 15 or n % 2 == 0:
         expected = 1
     elif 3 * n.bit_length() > statevec.MAX_QUBITS:
         expected = 3
+    elif distinct_prime_factors(n) < 2:
+        expected = 1
     else:
         expected = 0
     expect_error_or_report(code, expected, payload)

@@ -86,7 +86,7 @@ class TestIterate:
         assert out.amps[t].real == pytest.approx(2 * m + beta, abs=1e-12)
 
     def test_zero_targets_two_steps_identity(self, rng):
-        problem = SearchProblem(3, lambda i: False, 0)
+        problem = SearchProblem(3, ())
         state = random_state(rng, 3)
         out = grover_iterate(grover_iterate(state, problem), problem)
         assert np.allclose(out.amps, state.amps, atol=1e-12)
@@ -160,7 +160,7 @@ class TestRunGrover:
 
     def test_multiple_targets(self):
         marked = {3, 12, 9}
-        problem = SearchProblem(4, lambda i: i in marked, 3)
+        problem = SearchProblem(4, marked)
         result = run_grover(problem, rng_seed=2)
         assert result.success_probability > 0.9
         assert result.found in marked
@@ -172,7 +172,7 @@ class TestInPlaceLoop:
         rng = np.random.default_rng(k)
         for t in range(1, min(4, (1 << k) - 1) + 1):
             marked = {int(i) for i in rng.choice(1 << k, t, replace=False)}
-            problem = SearchProblem(k, marked.__contains__, t)
+            problem = SearchProblem(k, marked)
             result = run_grover(problem, rng_seed=k)
             state = uniform_state(k)
             stepped = [marked_probability(state, problem)]
@@ -184,7 +184,7 @@ class TestInPlaceLoop:
     def test_step_equals_the_diagonal_product_it_replaced(self, rng):
         # the old step: multiply by the +-1 oracle diagonal, then 2m - a
         for k, marked in ((1, {1}), (3, {0, 5}), (6, {17, 40, 63}), (9, {1, 2, 3, 500})):
-            problem = SearchProblem(k, marked.__contains__, len(marked))
+            problem = SearchProblem(k, marked)
             state = random_state(rng, k)
             flipped = state.amps * phase_flip_target(k, marked.__contains__)
             expected = 2.0 * flipped.mean() - flipped
@@ -258,19 +258,26 @@ class TestAnalyticRecurrence:
 
 
 class TestSearchProblem:
-    def test_target_count_checked(self):
-        with pytest.raises(ValueError, match="marks"):
-            SearchProblem(3, lambda i: i < 3, 2)
-
     def test_single_target_out_of_range(self):
         with pytest.raises(ValueError):
             single_target(2, 4)
 
     def test_marked_indices_are_one_read_only_index_array(self):
-        problem = SearchProblem(4, lambda i: i in (9, 3), 2)
+        problem = SearchProblem(4, [9, 3, 9, np.int64(3), 0])
         assert problem.marked.dtype == np.intp
-        assert problem.marked.tolist() == [3, 9]
+        assert problem.marked.tolist() == [0, 3, 9]
         assert not problem.marked.flags.writeable
+
+    def test_empty_marked_set_is_allowed(self):
+        problem = SearchProblem(3, set())
+        assert problem.marked.dtype == np.intp
+        assert problem.marked.size == 0
+        assert not problem.marked.flags.writeable
+
+    @pytest.mark.parametrize("bad", [-1, 16, 10**30])
+    def test_out_of_range_target_is_named(self, bad):
+        with pytest.raises(ValueError, match=rf"^target {bad} out of range \[0, 16\)$"):
+            SearchProblem(4, [3, bad])
 
     def test_marked_probability(self):
         problem = single_target(2, 1)

@@ -72,6 +72,29 @@ class TestNumberTheoryHelpers:
         assert is_trivial_case(35) == "composite-ok"
         assert is_trivial_case(121) == "prime power"
 
+    def test_classification_against_factorisation(self):
+        # referee: the multiset of prime factors, from a sieve of smallest factors
+        limit = 5000
+        smallest = list(range(limit + 1))
+        for p in range(2, math.isqrt(limit) + 1):
+            if smallest[p] == p:
+                for m in range(p * p, limit + 1, p):
+                    smallest[m] = min(smallest[m], p)
+        for n in range(2, limit + 1):
+            primes, rest = [], n
+            while rest > 1:
+                primes.append(smallest[rest])
+                rest //= smallest[rest]
+            if n % 2 == 0:
+                expected = "even"
+            elif len(primes) == 1:
+                expected = "prime"
+            elif len(set(primes)) == 1:
+                expected = "prime power"
+            else:
+                expected = "composite-ok"
+            assert is_trivial_case(n) == expected, n
+
     def test_instance_validation(self):
         with pytest.raises(ValueError):
             FactoringInstance(21, 7)  # shares a factor
