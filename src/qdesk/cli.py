@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Any, Callable
 
@@ -29,8 +30,6 @@ from .gates import Circuit, GateOp, cnot_op, cphase_op, h_op, swap_op, toffoli_o
 
 DEFAULT_SEED = 1729
 SEED_ENV_VAR = "QDESK_SEED"
-
-COMMANDS = ("factor", "grover", "simon", "simon-classical", "qft", "circuit-run")
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,11 @@ def majority_amplify(
 # circuit text format
 # ---------------------------------------------------------------------------
 
-_GATE_ARITY = {"H": 1, "CNOT": 2, "SWAP": 2, "TOFFOLI": 3, "CPHASE": 2}
+# name -> (wire count, builder); CPHASE's builder takes j and k before the wires
+_GATES: dict[str, tuple[int, Callable[..., GateOp]]] = {
+    "H": (1, h_op), "CNOT": (2, cnot_op), "SWAP": (2, swap_op),
+    "TOFFOLI": (3, toffoli_op), "CPHASE": (2, cphase_op),
+}
 
 
 def _is_integer(text: str) -> bool:
@@ -160,36 +163,31 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
     ops: list[GateOp] = []
     max_wire = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        # (column, token) pairs; \S+ splits where str.split() does
+        tokens = [(m.start() + 1, m.group())
+                  for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not tokens:
             continue
-        tokens = line.split()
-        name = tokens[0]
-        column = raw.index(name) + 1
-        if name not in _GATE_ARITY:
+        (column, name), *rest = tokens
+        if name not in _GATES:
             raise CircuitSyntaxError(
                 lineno, column,
-                f"unknown gate {name!r}; valid names: {', '.join(sorted(_GATE_ARITY))}",
+                f"unknown gate {name!r}; valid names: {', '.join(sorted(_GATES))}",
             )
-        if len(tokens) < 2:
+        if not rest:
             raise CircuitSyntaxError(lineno, len(raw) + 1, f"{name} needs wire indices")
-        wire_token = tokens[1]
-        wire_col = raw.index(wire_token, column) + 1
+        arity, build = _GATES[name]
+        (wire_col, wire_token), *param_tokens = rest
         wire_texts = wire_token.split(",")
         if not all(_is_integer(w) for w in wire_texts):
             raise CircuitSyntaxError(lineno, wire_col, f"bad wire list {wire_token!r}")
         wires = tuple(int(w) for w in wire_texts)
-        if len(wires) != _GATE_ARITY[name]:
+        if len(wires) != arity:
             raise CircuitSyntaxError(
-                lineno, wire_col,
-                f"{name} takes {_GATE_ARITY[name]} wires, got {len(wires)}",
+                lineno, wire_col, f"{name} takes {arity} wires, got {len(wires)}"
             )
         params = {}
-        cursor = wire_col - 1 + len(wire_token)
-        for tok in tokens[2:]:
-            cursor = raw.index(tok, cursor)
-            tok_col = cursor + 1
-            cursor += len(tok)
+        for tok_col, tok in param_tokens:
             if name != "CPHASE":
                 raise CircuitSyntaxError(
                     lineno, tok_col, f"{name} takes no parameters, got {tok!r}"
@@ -200,23 +198,12 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
             if key in params:
                 raise CircuitSyntaxError(lineno, tok_col, f"repeated parameter {key!r}")
             params[key] = int(value)
+        if name == "CPHASE" and sorted(params) != ["j", "k"]:
+            raise CircuitSyntaxError(
+                lineno, column, "CPHASE needs parameters j=<int> k=<int>"
+            )
         try:
-            if name == "H":
-                ops.append(h_op(*wires))
-            elif name == "CNOT":
-                ops.append(cnot_op(*wires))
-            elif name == "SWAP":
-                ops.append(swap_op(*wires))
-            elif name == "TOFFOLI":
-                ops.append(toffoli_op(*wires))
-            else:  # CPHASE
-                if sorted(params) != ["j", "k"]:
-                    raise CircuitSyntaxError(
-                        lineno, column, "CPHASE needs parameters j=<int> k=<int>"
-                    )
-                ops.append(cphase_op(params["j"], params["k"], *wires))
-        except CircuitSyntaxError:
-            raise
+            ops.append(build(*(params[key] for key in sorted(params)), *wires))
         except ValueError as exc:
             raise CircuitSyntaxError(lineno, column, str(exc)) from None
         max_wire = max(max_wire, *wires)
@@ -239,14 +226,10 @@ def circuit_to_text(circuit: Circuit) -> str:
     """Emit a circuit in the line-oriented text format."""
     lines = []
     for op in circuit.ops:
-        if op.name not in _GATE_ARITY:
+        if op.name not in _GATES:
             raise ValueError(f"gate {op.name!r} has no text form")
-        wires = ",".join(str(w) for w in op.wires)
-        if op.name == "CPHASE":
-            j, k = op.params
-            lines.append(f"CPHASE {wires} j={j} k={k}")
-        else:
-            lines.append(f"{op.name} {wires}")
+        params = "".join(f" {key}={value}" for key, value in zip("jk", op.params))
+        lines.append(f"{op.name} {','.join(map(str, op.wires))}{params}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -275,17 +258,7 @@ def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         "measured_c": final.measured_c,
         "recovered_r": final.recovered_r,
         "failure": final.failure,
-        "attempts": [
-            {
-                "x": a.x,
-                "measured_c": a.measured_c,
-                "recovered_r": a.recovered_r,
-                "factors": list(a.factors) if a.factors else None,
-                "failure": a.failure,
-                "lucky_gcd": a.lucky_gcd,
-            }
-            for a in report.attempts
-        ],
+        "attempts": [asdict(a) for a in report.attempts],
     }
     dump_path = params.get("dump_distribution")
     if dump_path:
@@ -494,10 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grover", help="amplitude-amplification search")
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--target", type=int, action="append", default=None,
-                   help="marked index (repeatable)")
+                   dest="targets", metavar="TARGET", help="marked index (repeatable)")
     p.add_argument("--targets-file", type=str, default=None,
+                   dest="targets_path", metavar="TARGETS_FILE",
                    help="file with one marked index per line")
-    p.add_argument("--trace", type=str, default=None,
+    p.add_argument("--trace", type=str, default=None, dest="trace_path", metavar="TRACE",
                    help="write per-iteration marked probability to this file")
     common(p)
 
@@ -517,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--no-swaps", action="store_true")
     p.add_argument("--emit-circuit", type=str, default=None,
+                   dest="emit_circuit_path", metavar="EMIT_CIRCUIT",
                    help="write the circuit in the text format to this file")
     common(p)
 
@@ -529,47 +504,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
-    params: dict[str, Any]
-    if args.command == "factor":
-        params = {
-            "n": args.n,
-            "max_attempts": args.max_attempts,
-            "dump_distribution": args.dump_distribution,
-        }
-    elif args.command == "grover":
-        targets = list(args.target or [])
-        if args.targets_file:
-            with open(args.targets_file, "r", encoding="utf-8") as fh:
+    """Parsed arguments as a config: the argparse ``dest`` names are the param keys."""
+    params = vars(args).copy()
+    command, seed, output = params.pop("command"), params.pop("seed"), params.pop("output")
+    if seed is None:
+        seed = _default_seed()
+    if command == "grover":
+        targets = params["targets"] = list(args.targets or [])
+        if args.targets_path:
+            with open(args.targets_path, "r", encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     text = line.strip()
                     if not text:
                         continue
                     if not _is_integer(text):
-                        raise ValueError(f"{args.targets_file}, line {lineno}: target must "
+                        raise ValueError(f"{args.targets_path}, line {lineno}: target must "
                                          f"be an integer, got {text!r}")
                     targets.append(int(text))
         if not targets:
             raise ValueError("grover needs --target or --targets-file")
-        params = {"qubits": args.qubits, "targets": targets,
-                  "trace_path": args.trace}
-    elif args.command == "simon":
+    elif command == "simon":
         if not args.c or set(args.c) - {"0", "1"}:
             raise ValueError(f"--c must be a bit string, got {args.c!r}")
         if len(args.c) != args.n:
             raise ValueError(f"--c must have exactly n={args.n} bits, got {args.c!r}")
-        params = {"n": args.n, "c": args.c, "max_rounds": args.max_rounds}
-    elif args.command == "simon-classical":
-        params = {"n": args.n, "trials": args.trials}
-    elif args.command == "qft":
-        params = {"qubits": args.qubits, "cutoff": args.cutoff,
-                  "no_swaps": args.no_swaps,
-                  "emit_circuit_path": args.emit_circuit}
-    elif args.command == "circuit-run":
-        params = {"file": args.file, "wires": args.wires}
-    else:
-        raise ValueError(f"unknown command {args.command!r}")
-    return RunConfig(args.command, seed, args.output, params)
+    return RunConfig(command, seed, output, params)
 
 
 def main(argv: list[str] | None = None) -> int:

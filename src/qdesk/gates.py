@@ -20,7 +20,7 @@ UNITARY_TOL = 1e-10
 EXPAND_MAX_WIRES = 10
 
 
-def _as_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def _as_unitary(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"gate matrix must be square, got shape {m.shape}")
@@ -30,7 +30,7 @@ def _as_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     if not np.all(np.isfinite(m.view(np.float64))):
         raise ValueError("gate matrix contains non-finite entries")
     defect = np.max(np.abs(m @ m.conj().T - np.eye(dim)))
-    if defect > tol:
+    if defect > UNITARY_TOL:
         raise ValueError(f"gate matrix is not unitary (max |M M+ - I| = {defect:.3e})")
     return m
 

@@ -201,6 +201,9 @@ def pre_qft_state(inst: FactoringInstance) -> statevec.StateVector:
 # distribution dump for the last attempt's x right after the run.
 @lru_cache(maxsize=1)
 def _order_finding_state_cached(n: int, x: int) -> statevec.StateVector:
+    # a miss drops the previous state before building this one, so two
+    # never coexist (lru_cache evicts only after the call returns)
+    _order_finding_state_cached.cache_clear()
     inst = FactoringInstance(n, x)
     state = pre_qft_state(inst)
     circuit = build_qft_circuit(QftSpec(2 * inst.L))

@@ -134,6 +134,11 @@ class TestCircuitText:
         ("H 1_0\n", 3, "bad wire list '1_0'"),
         ("CNOT 1,\u0663\n", 6, "bad wire list '1,\u0663'"),
         ("SWAP +1,2\n", 6, "bad wire list '+1,2'"),
+        # a wire token that also occurs inside the gate name
+        ("CNOT NOT\n", 6, "bad wire list 'NOT'"),
+        ("SWAP AP\n", 6, "bad wire list 'AP'"),
+        ("CPHASE PHASE\n", 8, "bad wire list 'PHASE'"),
+        ("TOFFOLI OFF\n", 9, "bad wire list 'OFF'"),
     ])
     def test_stray_parameters_and_bad_integers_are_named_at_their_token(self, text, column, message):
         line = text.count("\n")
@@ -468,6 +473,59 @@ def test_golden_report_digest(argv, sha256, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# SHA-256 of the report and of each side file, recorded before the config
+# keys became the argparse names; they pin the config echo of every option
+# and the order in which --target and --targets-file merge.
+CONFIG_ECHO_REPORTS = [
+    (["qft", "--qubits", "5", "--cutoff", "3", "--no-swaps", "--emit-circuit", "c.qc"],
+     "4c2e97406c6073940527bce08089461c1039ef359c0e5e51989be968314b5c6b",
+     {"c.qc": "5c4ed66c87e5e9f620cec1d5a740c308bffc897f1679a117e01b4557f1e83fb6"}),
+    (["grover", "--qubits", "6", "--target", "5", "--targets-file", "t.txt"],
+     "ce2dd36cb2c3ffb1fe22cd26dce4d24dee120418907a11c6eee0e491469664ab", {}),
+    (["factor", "--n", "21", "--seed", "2", "--max-attempts", "3", "--dump-distribution", "d.json"],
+     "b1671dfc207995045877e5b1b86c8a9c377843fcad4635fdad8dfd512a4af353",
+     {"d.json": "454029c723e416b64db660fc1597e2ba424dab2fe2456717b1b862c8305f361b"}),
+    (["simon", "--n", "5", "--c", "10110", "--max-rounds", "9"],
+     "195070cc5abab2329f27c8cde3e5013b1753547b1a58235ec3741ca5f7193c8d", {}),
+    (["circuit-run", "--file", "bell.qc", "--wires", "3"],
+     "bf0c7fbee16f141bf7786cc869369da769a23e7937747e14ccb938a77250a6fa", {}),
+]
+
+
+@pytest.mark.parametrize("argv,sha256,side_files", CONFIG_ECHO_REPORTS,
+                         ids=[argv[0] for argv, _, _ in CONFIG_ECHO_REPORTS])
+def test_config_echo_digest(argv, sha256, side_files, tmp_path, monkeypatch, capsys):
+    (tmp_path / "bell.qc").write_text("H 1\nCNOT 1,2\n")
+    (tmp_path / "t.txt").write_text("9\n\n33\n5\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+    for name, digest in side_files.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of each --help text at 80 columns
+HELP_DIGESTS = {
+    "qdesk": "672995819111d015ada1dea9dfb415f129784dd128d160791fd4959b3c9a01c9",
+    "factor": "a36374fa5b6395acdf1849c2151e57b6d68cc2e5e80a8fd7c811497cdaed9af2",
+    "grover": "a9b1ca1c1e82ef122dd37a2ad51a38adcc279d8879fe1a378ef7330c65cabcb9",
+    "simon": "a6e68ae04cdcc65bd1ffafa4007b2223d22ffded106cb713db68e86c83e17c3f",
+    "simon-classical": "8df811f5e12489f01ee7bf70f376d226d6523ce4efd710330dd82ccd9574277a",
+    "qft": "1800e68ca1c9483423d302cecc4406dfc1669904c5c246dbedda6ccbfdaf197d",
+    "circuit-run": "a969760cf00f08e994c2bb5c86fa5efd2e18b348a9c15763cb152c4c9051fda5",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_text_digest(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"] if command == "qdesk" else [command, "--help"])
+    assert exit_info.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
 def test_golden_grover_trace_sidecar_digest(tmp_path, monkeypatch, capsys):
     (tmp_path / "targets3.txt").write_text("1234\n7\n3000\n")
     monkeypatch.chdir(tmp_path)
@@ -675,8 +733,14 @@ def distinct_prime_factors(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.one_of(st.integers(-3, 40), st.integers(256, 5000)),
+@given(n=st.one_of(st.integers(-3, 40), st.integers(256, 5000),
+                   # those that exit before a circuit runs: up to 24 qubits
+                   st.sampled_from([n for n in range(41, 256)
+                                    if n % 2 == 0 or distinct_prime_factors(n) < 2])),
        max_attempts=st.integers(-1, 3))
+@example(n=243, max_attempts=1)
+@example(n=251, max_attempts=1)
+@example(n=254, max_attempts=1)
 @example(n=15, max_attempts=0)
 @example(n=9, max_attempts=2)
 @example(n=37, max_attempts=1)

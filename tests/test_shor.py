@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,24 @@ class TestFactorPipeline:
                 f1, f2 = report.attempts[0].factors
                 assert {f1, f2} == {3, 5}
         assert lucky > 0
+
+    def test_a_second_attempt_frees_the_first_state_before_building(self):
+        # seed 0 runs the circuit for x = 17 and then for x = 13 (15 qubits);
+        # two attempts may peak no higher than the first one alone; an
+        # untraced first run fills the caches that outlive a run
+        factor(21, max_attempts=1, rng_seed=0)
+        peaks, reports = [], []
+        for max_attempts in (1, 2):
+            shor._order_finding_state_cached.cache_clear()
+            tracemalloc.start()
+            try:
+                reports.append(factor(21, max_attempts, rng_seed=0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert [(a.x, a.measured_c is not None) for a in reports[1].attempts] == [(17, True), (13, True)]
+        state_bytes = 16 << 15
+        assert peaks[1] < peaks[0] + state_bytes // 2
 
     def test_trivial_inputs_rejected(self):
         for bad in (16, 13, 27):
