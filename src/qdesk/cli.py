@@ -175,7 +175,7 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
                 f"unknown gate {name!r}; valid names: {', '.join(sorted(_GATES))}",
             )
         if not rest:
-            raise CircuitSyntaxError(lineno, len(raw) + 1, f"{name} needs wire indices")
+            raise CircuitSyntaxError(lineno, column + len(name), f"{name} needs wire indices")
         arity, build = _GATES[name]
         (wire_col, wire_token), *param_tokens = rest
         wire_texts = wire_token.split(",")

@@ -139,6 +139,11 @@ class TestCircuitText:
         ("SWAP AP\n", 6, "bad wire list 'AP'"),
         ("CPHASE PHASE\n", 8, "bad wire list 'PHASE'"),
         ("TOFFOLI OFF\n", 9, "bad wire list 'OFF'"),
+        # a missing wire list is named just after the gate name, not at
+        # the end of the raw line with its comment or trailing spaces
+        ("H\n", 2, "H needs wire indices"),
+        ("H # wire one\n", 2, "H needs wire indices"),
+        ("CNOT 1,2\n  CNOT   \n", 7, "CNOT needs wire indices"),
     ])
     def test_stray_parameters_and_bad_integers_are_named_at_their_token(self, text, column, message):
         line = text.count("\n")

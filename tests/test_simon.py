@@ -84,6 +84,16 @@ class TestSampling:
                     assert abs(dist[y] - expected) < 1e-10
 
 
+    def test_sampling_law_holds_at_22_qubits(self):
+        # the GF(2) sampling law as referee for the blocked gate kernel:
+        # 2n = 22 qubits run 64 column blocks per gate
+        n, c = 11, 0b10110011101
+        dist = first_register_distribution(make_oracle(n, c, rng_seed=11))
+        orthogonal = [dot_mod2(y, c) == 0 for y in range(1 << n)]
+        expected = np.where(orthogonal, 2.0 ** -(n - 1), 0.0)
+        assert np.max(np.abs(dist - expected)) < 1e-12
+
+
 class TestRecoverShift:
     def test_three_bit_example(self):
         assert recover_shift([0b110, 0b011], 3) == 0b111
@@ -201,9 +211,9 @@ class TestCostAccounting:
         n = 4
         oracle = make_oracle(n, 0b1100, rng_seed=1)
         gate_calls = []
-        perm_calls = []
+        oracle_calls = []
         real_run = statevec.run_circuit
-        real_perm = statevec.apply_permutation
+        real_oracle = statevec.apply_xor_oracle
 
         def counting_run(state, circuit):
             gate_calls.extend(op.name for op in circuit.ops)
@@ -211,12 +221,13 @@ class TestCostAccounting:
 
         monkeypatch.setattr(simon_mod.statevec, "run_circuit", counting_run)
         monkeypatch.setattr(
-            simon_mod.statevec, "apply_permutation",
-            lambda state, perm: (perm_calls.append(1), real_perm(state, perm))[1],
+            simon_mod.statevec, "apply_xor_oracle",
+            lambda state, table, out_bits: (
+                oracle_calls.append(1), real_oracle(state, table, out_bits))[1],
         )
         simon_sample(oracle, rng_seed=0)
         assert gate_calls == ["H"] * (2 * n)
-        assert len(perm_calls) == 1
+        assert len(oracle_calls) == 1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_run_builds_one_sampling_state_and_matches_per_round_samples(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import qdesk
-from qdesk import gates, statevec
+from qdesk import gates, simon, statevec
 from qdesk.statevec import (
     CapacityError,
     StateVector,
@@ -284,8 +285,11 @@ class TestStructuredPaths:
         # the copy and the two scratch arrays; assigning one slice of the
         # state to another would add a quarter (SWAP) or an eighth
         # (TOFFOLI), since numpy cannot rule out overlap unless wire 1 is
-        # one of the gate's wires
-        n = 16
+        # one of the gate's wires.  At 15 qubits the state is one kernel
+        # block, so the scratch arrays are state-sized and the temporary
+        # would be a quarter of the state; at 16 it would be a quarter of
+        # a block and hide under this bound
+        n = 15
         state = random_state(rng, n)
         circuit = gates.Circuit(n, (gates.swap_op(2, n), gates.toffoli_op(n, 3, 5)))
         tracemalloc.start()
@@ -296,7 +300,9 @@ class TestStructuredPaths:
             tracemalloc.stop()
         assert peak < 3 * state.amps.nbytes + state.amps.nbytes // 16
 
-    @pytest.mark.parametrize("n", [9, 12, 16, 20])
+    # above 15 qubits the kernel runs column blocks of 2^15 amplitudes:
+    # 2, 8, 32 and 64 blocks per gate at n = 16, 18, 20 and 21
+    @pytest.mark.parametrize("n", [9, 12, 16, 18, 20, 21])
     def test_bit_identical_to_the_dense_kernel_on_mixed_circuits(self, n, rng):
         ops = []
         for _ in range(40):
@@ -311,6 +317,37 @@ class TestStructuredPaths:
         expected = state.amps.copy()
         dense_view_kernel(expected, [(op.matrix, [w - 1 for w in op.wires]) for op in ops])
         assert np.array_equal(run_circuit(state, gates.Circuit(n, tuple(ops))).amps, expected)
+
+
+class TestBlockedKernelMemory:
+    # n = 20 runs 32 blocks per gate.  The input state is built before
+    # tracing starts, so the peak is the new state, the finiteness mask
+    # that validates it (an eighth) and 1 MB of block scratch; a second
+    # state-sized array would double it
+    N = 20
+
+    def test_dense_layer_holds_no_state_sized_scratch(self, rng):
+        state = random_state(rng, self.N)
+        nbytes = state.amps.nbytes
+        tracemalloc.start()
+        try:
+            run_circuit(state, gates.hadamard_layer(self.N))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes + nbytes // 4
+
+    def test_xor_oracle_builds_no_permutation(self, rng):
+        state = random_state(rng, self.N)
+        nbytes = state.amps.nbytes
+        table = np.arange(1 << (self.N - 7)) * 5 % 128
+        tracemalloc.start()
+        try:
+            apply_xor_oracle(state, table, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes + nbytes // 4
 
 
 class TestBlasThreads:
@@ -438,6 +475,41 @@ class TestPermutationAndDiagonal:
         for table in ([0, 4], [-1, 0]):
             with pytest.raises(ValueError, match="2-bit values"):
                 apply_xor_oracle(init_basis(3, 0), np.array(table), 2)
+
+    # (table kind, input bits, out_bits): rows are moved in chunks of
+    # 2^(14 - out_bits), so out_bits 4 and 10 take many chunks, 5 and 6
+    # one partial chunk, and 14 and 15 one row per chunk
+    @pytest.mark.parametrize("kind, in_bits, out_bits", [
+        ("shor", 16, 4), ("shor", 3, 5), ("shor", 2, 14), ("shor", 2, 15),
+        ("simon", 6, 6), ("simon", 10, 10), ("simon", 3, 14), ("simon", 2, 15),
+    ])
+    def test_xor_oracle_is_the_explicit_permutation(self, kind, in_bits, out_bits, rng):
+        if kind == "shor":
+            # x^a mod N for an N of out_bits bits: 15, 21, 8633 = 89 * 97
+            # and 19781 = 131 * 151
+            modulus = {4: 15, 5: 21, 14: 8633, 15: 19781}[out_bits]
+            table = np.array([pow(7, a, modulus) for a in range(1 << in_bits)])
+        else:
+            # a Simon table's n-bit entries are also out_bits-bit values
+            table = simon.make_oracle(in_bits, 1, rng_seed=in_bits).table
+        state = random_state(rng, in_bits + out_bits)
+        a = np.arange(1 << in_bits)[:, np.newaxis]
+        w = np.arange(1 << out_bits)[np.newaxis, :]
+        perm = ((a << out_bits) | (w ^ table[:, np.newaxis])).ravel()
+        expected = apply_permutation(state, perm).amps
+        assert np.array_equal(apply_xor_oracle(state, table, out_bits).amps, expected)
+
+    # a wrong size must not reach numpy's reshape, whose message would leak
+    @pytest.mark.parametrize("table, out_bits, message", [
+        ([0, 1, 2], 2, "oracle table must have 4 entries, got shape (3,)"),
+        ([[0, 1], [2, 3]], 2, "oracle table must have 4 entries, got shape (2, 2)"),
+        ([0] * 16, 2, "oracle table must have 4 entries, got shape (16,)"),
+        ([0], 5, "out_bits=5 out of range [0, 4]"),
+        ([0], -1, "out_bits=-1 out of range [0, 4]"),
+    ])
+    def test_xor_oracle_refuses_a_table_of_the_wrong_size(self, table, out_bits, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_xor_oracle(init_basis(4, 0), np.array(table), out_bits)
 
     def test_marginal_sums_low_wires(self, rng):
         state = random_state(rng, 5)
