@@ -218,8 +218,7 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
 
 def parse_circuit_file(path: str, n_wires: int | None = None) -> Circuit:
     """Read and parse a circuit file (see :func:`parse_circuit_text`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_circuit_text(fh.read(), n_wires)
+    return parse_circuit_text(_read_text(path), n_wires)
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -409,18 +408,32 @@ def run(config: RunConfig) -> RunReport:
     )
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write a file atomically (temp file in place, then rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _read_text(path: str) -> str:
+    """Read an input file; bytes that are not UTF-8 are an error naming it."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write a file atomically (temp file in place, then rename).
+
+    A failure is an OSError naming ``path`` and leaves no temp file behind.
+    """
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def get_report_schema() -> dict[str, Any]:
@@ -512,15 +525,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if command == "grover":
         targets = params["targets"] = list(args.targets or [])
         if args.targets_path:
-            with open(args.targets_path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    text = line.strip()
-                    if not text:
-                        continue
-                    if not _is_integer(text):
-                        raise ValueError(f"{args.targets_path}, line {lineno}: target must "
-                                         f"be an integer, got {text!r}")
-                    targets.append(int(text))
+            lines = _read_text(args.targets_path).split("\n")
+            for lineno, line in enumerate(lines, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                if not _is_integer(text):
+                    raise ValueError(f"{args.targets_path}, line {lineno}: target must "
+                                     f"be an integer, got {text!r}")
+                targets.append(int(text))
         if not targets:
             raise ValueError("grover needs --target or --targets-file")
     elif command == "simon":
@@ -537,15 +550,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         report = run(config)
-    except statevec.CapacityError as exc:
-        _emit(getattr(args, "output", None),
-              _dumps({"error": {"type": "resource", "message": str(exc)}}))
-        return 3
+        _emit(config.output_path, report.to_json())
     except (ValueError, OSError) as exc:
-        _emit(getattr(args, "output", None),
-              _dumps({"error": {"type": "domain", "message": str(exc)}}))
-        return 1
-    _emit(config.output_path, report.to_json())
+        kind = "resource" if isinstance(exc, statevec.CapacityError) else "domain"
+        text = _dumps({"error": {"type": kind, "message": str(exc)}})
+        try:
+            _emit(args.output, text)
+        except OSError:  # an unwritable --output still gets its error on stdout
+            sys.stdout.write(text)
+        return 3 if kind == "resource" else 1
     print(f"qdesk: {config.command} finished in {report.wall_time_s:.3f}s",
           file=sys.stderr)
     return 0

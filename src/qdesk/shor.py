@@ -36,19 +36,12 @@ LAMBDA_MAX = 4
 
 
 def modexp(x: int, a: int, n: int) -> int:
-    """Modular power x^a mod n by square and multiply."""
+    """Modular power x^a mod n."""
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
     if a < 0:
         raise ValueError(f"exponent must be non-negative, got {a}")
-    result = 1
-    base = x % n
-    while a:
-        if a & 1:
-            result = result * base % n
-        base = base * base % n
-        a >>= 1
-    return result
+    return pow(x, a, n)
 
 
 def _orbit(x: int, n: int) -> list[int]:
@@ -200,19 +193,17 @@ def pre_qft_state(inst: FactoringInstance) -> statevec.StateVector:
 # One entry: at the cap a state is 256 MB, and the only reuse is the
 # distribution dump for the last attempt's x right after the run.
 @lru_cache(maxsize=1)
-def _order_finding_state_cached(n: int, x: int) -> statevec.StateVector:
+def _order_finding_state_cached(inst: FactoringInstance) -> statevec.StateVector:
     # a miss drops the previous state before building this one, so two
     # never coexist (lru_cache evicts only after the call returns)
     _order_finding_state_cached.cache_clear()
-    inst = FactoringInstance(n, x)
-    state = pre_qft_state(inst)
     circuit = build_qft_circuit(QftSpec(2 * inst.L))
-    return statevec.run_circuit(state, circuit)
+    return statevec.run_circuit(pre_qft_state(inst), circuit)
 
 
 def order_finding_state(inst: FactoringInstance) -> statevec.StateVector:
-    """Final machine state just before measurement (cached per N, x)."""
-    return _order_finding_state_cached(inst.N, inst.x)
+    """Final machine state just before measurement (cached per instance)."""
+    return _order_finding_state_cached(inst)
 
 
 def run_order_finding_circuit(inst: FactoringInstance, rng_seed: int) -> int:
@@ -400,7 +391,7 @@ def factor(n: int, max_attempts: int, rng_seed: int) -> FactorReport:
             attempts.append(
                 Attempt(x, None, None, (shared, n // shared), None, lucky_gcd=True)
             )
-            return FactorReport(n, tuple(attempts))
+            break
         inst = FactoringInstance(n, x)
         c = run_order_finding_circuit(inst, statevec.derive_seed(rng_seed, i))
         order = recover_order(inst, c)
@@ -410,5 +401,5 @@ def factor(n: int, max_attempts: int, rng_seed: int) -> FactorReport:
         factors, failure = extract_factors(n, x, order.r)
         attempts.append(Attempt(x, c, order.r, factors, failure))
         if factors is not None:
-            return FactorReport(n, tuple(attempts))
+            break
     return FactorReport(n, tuple(attempts))

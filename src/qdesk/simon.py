@@ -104,16 +104,25 @@ def dot_mod2(a: int, b: int) -> int:
     return bin(a & b).count("1") & 1
 
 
+def _echelon(rows: list[int]) -> dict[int, int]:
+    """Reduced row echelon form over GF(2): pivot bit position -> row."""
+    echelon: dict[int, int] = {}
+    for row in rows:
+        for pos, b in echelon.items():
+            if (row >> pos) & 1:
+                row ^= b
+        if row:
+            pos = row.bit_length() - 1
+            for other_pos in list(echelon):
+                if (echelon[other_pos] >> pos) & 1:
+                    echelon[other_pos] ^= row
+            echelon[pos] = row
+    return echelon
+
+
 def gf2_rank(rows: list[int]) -> int:
     """Rank of a set of bit-vector rows over GF(2)."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
+    return len(_echelon(rows))
 
 
 def recover_shift(rows: list[int], n: int) -> int | None:
@@ -126,17 +135,7 @@ def recover_shift(rows: list[int], n: int) -> int | None:
     for row in rows:
         if row >> n:
             raise ValueError(f"row {row:#b} is wider than n={n} bits")
-    echelon: dict[int, int] = {}  # pivot bit position -> reduced row
-    for row in rows:
-        for pos, b in echelon.items():
-            if (row >> pos) & 1:
-                row ^= b
-        if row:
-            pos = row.bit_length() - 1
-            for other_pos in list(echelon):
-                if (echelon[other_pos] >> pos) & 1:
-                    echelon[other_pos] ^= row
-            echelon[pos] = row
+    echelon = _echelon(rows)
     rank = len(echelon)
     if rank == n:
         raise ValueError(
@@ -170,8 +169,8 @@ class SimonResult:
 def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResult:
     """Sample until the rows span n-1 dimensions, then solve for the shift.
 
-    Duplicate samples are kept in the round count but deduplicated before
-    elimination.  For n = 1 the orthogonal space is trivial and the unique
+    Every sample counts as a round; zero and repeated samples add nothing
+    to the rank.  For n = 1 the orthogonal space is trivial and the unique
     candidate c = 1 is returned after zero rounds.
 
     Every round prepares the same state, so it is built once and measured
@@ -183,20 +182,14 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
         raise ValueError(f"max_rounds must be at least n={n}, got {max_rounds}")
     state = sampling_state(oracle)
     samples: list[int] = []
-    rows: list[int] = []
-    rounds = 0
-    while gf2_rank(rows) < n - 1:
-        if rounds >= max_rounds:
-            return SimonResult(n, None, rounds, tuple(samples))
-        y = _measure_input_register(state, n, statevec.derive_seed(rng_seed, rounds))
-        rounds += 1
-        samples.append(y)
-        if y and y not in rows:
-            rows.append(y)
-    c = recover_shift(rows, n)
-    if c is None or oracle.f(0) != oracle.f(c):
+    while (c := recover_shift(samples, n)) is None:
+        if len(samples) >= max_rounds:
+            return SimonResult(n, None, len(samples), tuple(samples))
+        seed = statevec.derive_seed(rng_seed, len(samples))
+        samples.append(_measure_input_register(state, n, seed))
+    if oracle.f(0) != oracle.f(c):
         raise ValueError("recovered shift fails the oracle spot check f(0) = f(c)")
-    return SimonResult(n, c, rounds, tuple(samples))
+    return SimonResult(n, c, len(samples), tuple(samples))
 
 
 @dataclass(frozen=True)

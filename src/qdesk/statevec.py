@@ -33,11 +33,10 @@ NORM_TOL = 1e-10
 
 # The gate kernel works on blocks of 2^15 amplitudes (512 KB, so its two
 # scratch arrays fit a 2 MB L2 cache) and the XOR oracle moves rows in
-# chunks of about 2^14.  Over 2^12..2^17 on a 21-qubit QFT, 2^14..2^16
+# chunks of the same size.  Over 2^12..2^17 on a 21-qubit QFT, 2^14..2^16
 # came out fastest: smaller blocks pay more per-block Python overhead
 # (1.5x the QFT time at 2^12), larger ones spill out of the cache.
 _BLOCK_BITS = 15
-_CHUNK_BITS = 14
 
 
 class CapacityError(ValueError):
@@ -125,11 +124,11 @@ def init_basis(n_qubits: int, index: int) -> StateVector:
     return StateVector(n_qubits, amps, copy=False)
 
 
-def _run_inplace(amps: np.ndarray, ops: Sequence[tuple[GateOp, list[int]]]) -> None:
-    """Apply (gate, axes) ops in order to ``amps`` in place (view kernel).
+def _run_inplace(amps: np.ndarray, ops: Sequence[GateOp]) -> None:
+    """Apply gate ops in order to ``amps`` in place (view kernel).
 
     Views ``amps`` as a (2,)*n tensor (wire w is axis w-1) and, per gate,
-    moves its axes to the front (``axes[0]`` the gate's high bit), so row
+    moves its wires' axes to the front (its first wire the high bit), so row
     r of the 2^k x 2^(n-k) unfolding is the slice ``full[r's bits]``.
     Each gate then runs one column block at a time: a block fixes the
     first n - 15 of the other axes (the highest wires the gate does not
@@ -163,9 +162,9 @@ def _run_inplace(amps: np.ndarray, ops: Sequence[tuple[GateOp, list[int]]]) -> N
     prefixes = list(itertools.product((0, 1), repeat=lead))
     gathered = np.empty(amps.size >> lead, dtype=amps.dtype)
     product = np.empty_like(gathered)
-    for gate, axes in ops:
-        k = len(axes)
-        full = np.moveaxis(tensor, axes, range(k))
+    for gate in ops:
+        k = len(gate.wires)
+        full = np.moveaxis(tensor, [w - 1 for w in gate.wires], range(k))
         shape = full.shape[:k] + full.shape[k + lead:]
         width = gathered.size >> k
         part_in = gathered[:width].reshape(shape[k:])
@@ -193,16 +192,15 @@ def _run_inplace(amps: np.ndarray, ops: Sequence[tuple[GateOp, list[int]]]) -> N
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply a gate to the wires it names, returning the new state.
 
-    Implements the induced action of the tensor extension of the gate
-    matrix without ever building the full 2^n x 2^n operator.  ``GateOp``
-    has already checked that its wires are distinct and at least 1.
+    A one-op :func:`run_circuit` over the whole register, so the full
+    2^n x 2^n operator is never built.  ``GateOp`` has already checked
+    that its wires are distinct and at least 1; the top wire is checked
+    here against the state.
     """
     top = max(gate.wires)
     if top > state.n_qubits:
         raise ValueError(f"wire {top} out of range [1, {state.n_qubits}]")
-    amps = state.amps.copy()
-    _run_inplace(amps, [(gate, [w - 1 for w in gate.wires])])
-    return StateVector(state.n_qubits, amps, copy=False)
+    return run_circuit(state, Circuit(state.n_qubits, (gate,)))
 
 
 def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -218,9 +216,8 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         raise ValueError(
             f"circuit needs {circuit.n_wires} wires but state has {state.n_qubits}"
         )
-    ops = [(op, [w - 1 for w in op.wires]) for op in circuit.ops]
     amps = state.amps.copy()
-    _run_inplace(amps, ops)
+    _run_inplace(amps, circuit.ops)
     return StateVector(state.n_qubits, amps, copy=False)
 
 
@@ -260,7 +257,7 @@ def apply_xor_oracle(state: StateVector, table: np.ndarray, out_bits: int) -> St
     The low ``out_bits`` wires hold w and the wires above them hold a, so
     ``table`` has one entry per value of a, each an ``out_bits``-bit value.
     XOR with such a value permutes each row of fixed a, so no bijection
-    check is needed; rows are moved in chunks of about 2^14 amplitudes,
+    check is needed; rows are moved in chunks of about one kernel block,
     and the call holds no state-sized array beyond the new state.
     """
     if not 0 <= out_bits <= state.n_qubits:
@@ -274,7 +271,7 @@ def apply_xor_oracle(state: StateVector, table: np.ndarray, out_bits: int) -> St
     src = state.amps.reshape(rows, -1)
     dst = np.empty_like(src)
     w = np.arange(1 << out_bits, dtype=np.intp)
-    step = max((1 << _CHUNK_BITS) >> out_bits, 1)
+    step = max((1 << _BLOCK_BITS) >> out_bits, 1)
     for start in range(0, rows, step):
         chunk = slice(start, start + step)
         np.put_along_axis(dst[chunk], w ^ table[chunk, np.newaxis], src[chunk], axis=1)

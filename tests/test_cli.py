@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -424,6 +425,43 @@ class TestMainEntry:
             key = format(idx, "03b")
             reported = payload["result"]["distribution"].get(key, 0.0)
             assert reported == pytest.approx(float(p), abs=1e-9)
+
+    @pytest.mark.parametrize("argv, flag, target", [
+        (["qft", "--qubits", "3"], "--output", "missing"),
+        (["qft", "--qubits", "3"], "--output", "directory"),
+        (["qft", "--qubits", "3"], "--emit-circuit", "missing"),
+        (["grover", "--qubits", "3", "--target", "5"], "--trace", "missing"),
+        (["factor", "--n", "15", "--seed", "3"], "--dump-distribution", "missing"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_unwritable_path_is_one_reproducible_domain_error(self, argv, flag, target,
+                                                              tmp_path, capsys):
+        if target == "missing":
+            path, reason = tmp_path / "missing" / "out.json", os.strerror(errno.ENOENT)
+        else:
+            path, reason = tmp_path, os.strerror(errno.EISDIR)
+        outputs = []
+        for _ in range(2):
+            assert main([*argv, flag, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]) == {
+            "error": {"type": "domain", "message": f"cannot write {path}: {reason}"}
+        }
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("argv", [
+        ["circuit-run", "--file", "bad.txt"],
+        ["grover", "--qubits", "3", "--targets-file", "bad.txt"],
+    ], ids=lambda a: a[0])
+    def test_undecodable_input_file_is_named(self, argv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "bad.txt").write_bytes(b"\xff3\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "domain", "message": "bad.txt: not UTF-8 text",
+        }
 
 
 class TestDistributionJson:

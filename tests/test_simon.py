@@ -125,6 +125,29 @@ class TestRecoverShift:
         with pytest.raises(ValueError, match="wider"):
             recover_shift([0b1000], 3)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rank_and_shift_match_enumeration(self, n, rng):
+        # raw sample lists, zeros and repeats included, drawn either from
+        # all of F_2^n or from the rows orthogonal to a random shift
+        outcomes = set()
+        for _ in range(200):
+            c = int(rng.integers(1, 1 << n))
+            orthogonal = rng.random() < 0.5
+            pool = [y for y in range(1 << n) if not orthogonal or dot_mod2(y, c) == 0]
+            rows = [int(y) for y in rng.choice(pool, size=int(rng.integers(0, 2 * n + 2)))]
+            span = {0}
+            for row in rows:
+                span |= {s ^ row for s in span}
+            assert 1 << gf2_rank(rows) == len(span)
+            shifts = [x for x in range(1, 1 << n) if all(dot_mod2(x, r) == 0 for r in rows)]
+            if not shifts:
+                with pytest.raises(ValueError, match="full space"):
+                    recover_shift(rows, n)
+            else:
+                assert recover_shift(rows, n) == (shifts[0] if len(shifts) == 1 else None)
+            outcomes.add(min(len(shifts), 2))
+        assert outcomes == ({0, 1} if n == 1 else {0, 1, 2})
+
 
 class TestRunSimon:
     def test_recovers_small_shift(self):
