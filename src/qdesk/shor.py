@@ -176,18 +176,21 @@ def _power_table(x: int, n: int, length: int) -> np.ndarray:
     return np.tile(np.asarray(orbit, dtype=np.int64), reps)[:length]
 
 
+def _loaded_machine(inst: FactoringInstance) -> statevec._Machine:
+    """The machine after the superposition load and the oracle."""
+    statevec.require_qubits(inst.n_qubits, f"factoring N={inst.N}")
+    two_l = 2 * inst.L
+    machine = statevec._Machine.basis(inst.n_qubits, 0).run(hadamard_layer(two_l))
+    return machine.xor_oracle(_power_table(inst.x, inst.N, 1 << two_l), inst.L)
+
+
 def pre_qft_state(inst: FactoringInstance) -> statevec.StateVector:
     """Machine state after the superposition load and the oracle.
 
     The exponent register holds every a with equal weight and the value
     register holds x^a mod N alongside it.
     """
-    statevec.require_qubits(inst.n_qubits, f"factoring N={inst.N}")
-    two_l = 2 * inst.L
-    state = statevec.init_basis(inst.n_qubits, 0)
-    state = statevec.run_circuit(state, hadamard_layer(two_l))
-    powers = _power_table(inst.x, inst.N, 1 << two_l)
-    return statevec.apply_xor_oracle(state, powers, inst.L)
+    return _loaded_machine(inst).freeze()
 
 
 # One entry: at the cap a state is 256 MB, and the only reuse is the
@@ -197,8 +200,7 @@ def _order_finding_state_cached(inst: FactoringInstance) -> statevec.StateVector
     # a miss drops the previous state before building this one, so two
     # never coexist (lru_cache evicts only after the call returns)
     _order_finding_state_cached.cache_clear()
-    circuit = build_qft_circuit(QftSpec(2 * inst.L))
-    return statevec.run_circuit(pre_qft_state(inst), circuit)
+    return _loaded_machine(inst).run(build_qft_circuit(QftSpec(2 * inst.L))).freeze()
 
 
 def order_finding_state(inst: FactoringInstance) -> statevec.StateVector:

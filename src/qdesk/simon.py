@@ -75,9 +75,8 @@ def sampling_state(oracle: SimonOracle) -> statevec.StateVector:
     """
     n = oracle.n
     layer = hadamard_layer(n)
-    state = statevec.run_circuit(statevec.init_basis(2 * n, 0), layer)
-    state = statevec.apply_xor_oracle(state, oracle.table, n)
-    return statevec.run_circuit(state, layer)
+    machine = statevec._Machine.basis(2 * n, 0).run(layer).xor_oracle(oracle.table, n)
+    return machine.run(layer).freeze()
 
 
 def first_register_distribution(oracle: SimonOracle) -> np.ndarray:

@@ -5,9 +5,10 @@ Conventions
 * Wires are numbered 1..n and wire 1 is the MOST significant bit of a basis
   index; the basis state labelled by the bit string ``b1 b2 ... bn`` has
   integer index ``int("b1b2...bn", 2)``.
-* A :class:`StateVector` is an immutable value; every operation returns a
-  new state.  Normalization is checked (tolerance 1e-10) and never silently
-  repaired - an unnormalized array is an error.
+* A :class:`StateVector` is an immutable value; every public operation
+  returns a new state.  Normalization is checked (tolerance 1e-10) and never
+  silently repaired - an unnormalized array is an error.  Inside the
+  package, a run evolves one private :class:`_Machine` buffer in place.
 * Randomness comes from numpy's PCG64 bit generator.  Measurement samples
   are drawn by inverse-CDF lookup of uniform variates on the cumulative
   distribution, so a fixed seed reproduces the exact sample sequence on any
@@ -25,7 +26,8 @@ import numpy as np
 
 from .gates import Circuit, GateOp
 
-#: Hard cap on the simulated register: 2^24 complex doubles is ~256 MB.
+#: Hard cap on the simulated register: 2^24 complex doubles is 256 MB; one
+#: such state, 1 MB of scratch and ~35 MB of interpreter peak near 293 MB.
 MAX_QUBITS = 24
 
 #: Tolerance on sum |amp|^2 = 1 and on unit-modulus diagonal factors.
@@ -89,9 +91,10 @@ class StateVector:
             raise ValueError(
                 f"amplitude array must have length 2^{n_qubits}, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
+        # a finite sum of non-negative squares has only finite terms
         norm_sq = float(np.vdot(arr, arr).real)
+        if not np.isfinite(norm_sq) and not np.all(np.isfinite(arr.view(np.float64))):
+            raise ValueError("amplitudes must be finite")
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state is not normalized: sum |amp|^2 = {norm_sq!r} "
@@ -114,14 +117,7 @@ def init_basis(n_qubits: int, index: int) -> StateVector:
     Wire 1 is the most significant bit of the index: ``init_basis(3, 4)``
     puts the excitation on wire 1 (binary 100).
     """
-    require_qubits(n_qubits, "a basis state")
-    dim = 1 << n_qubits
-    index = int(index)
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range [0, {dim})")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps, copy=False)
+    return _Machine.basis(n_qubits, index).freeze()
 
 
 def _run_inplace(amps: np.ndarray, ops: Sequence[GateOp]) -> None:
@@ -189,6 +185,68 @@ def _run_inplace(amps: np.ndarray, ops: Sequence[GateOp]) -> None:
                 view[...] = product.reshape(shape)
 
 
+class _Machine:
+    """One register evolved in place in the one writable buffer it owns.
+
+    Steps return the machine, so they chain; :meth:`freeze` validates the
+    buffer once and hands it to a :class:`StateVector`, keeping no reference.
+    """
+
+    def __init__(self, n_qubits: int, amps: np.ndarray):
+        self.n_qubits = n_qubits
+        self.amps = amps
+
+    @classmethod
+    def basis(cls, n_qubits: int, index: int) -> _Machine:
+        """A machine holding the basis state with amplitude 1 at ``index``."""
+        require_qubits(n_qubits, "a basis state")
+        dim = 1 << n_qubits
+        index = int(index)
+        if not 0 <= index < dim:
+            raise ValueError(f"basis index {index} out of range [0, {dim})")
+        amps = np.zeros(dim, dtype=np.complex128)
+        amps[index] = 1.0
+        return cls(n_qubits, amps)
+
+    def run(self, circuit: Circuit) -> _Machine:
+        """Apply every op of a circuit in order (see :func:`run_circuit`)."""
+        if circuit.n_wires > self.n_qubits:
+            raise ValueError(
+                f"circuit needs {circuit.n_wires} wires but state has {self.n_qubits}")
+        _run_inplace(self.amps, circuit.ops)
+        return self
+
+    def xor_oracle(self, table: np.ndarray, out_bits: int) -> _Machine:
+        """Map (a, w) -> (a, w XOR table[a]) (see :func:`apply_xor_oracle`).
+
+        XOR permutes each row of fixed a, so no bijection check is needed.
+        Each chunk of rows, about one kernel block, is copied into one
+        scratch array and put back permuted.
+        """
+        if not 0 <= out_bits <= self.n_qubits:
+            raise ValueError(f"out_bits={out_bits} out of range [0, {self.n_qubits}]")
+        table = np.asarray(table, dtype=np.intp)
+        rows = self.amps.size >> out_bits
+        if table.shape != (rows,):
+            raise ValueError(f"oracle table must have {rows} entries, got shape {table.shape}")
+        if np.any(table >> out_bits):
+            raise ValueError(f"oracle table entries must be {out_bits}-bit values")
+        by_row = self.amps.reshape(rows, -1)
+        w = np.arange(1 << out_bits, dtype=np.intp)
+        step = min(max((1 << _BLOCK_BITS) >> out_bits, 1), rows)
+        scratch = np.empty((step, 1 << out_bits), dtype=self.amps.dtype)
+        for start in range(0, rows, step):
+            chunk = slice(start, start + step)
+            np.copyto(scratch, by_row[chunk])
+            np.put_along_axis(by_row[chunk], w ^ table[chunk, np.newaxis], scratch, axis=1)
+        return self
+
+    def freeze(self) -> StateVector:
+        """Validate the buffer once and return it as an immutable state."""
+        amps, self.amps = self.amps, None
+        return StateVector(self.n_qubits, amps, copy=False)
+
+
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply a gate to the wires it names, returning the new state.
 
@@ -212,13 +270,7 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     ``GateOp`` and ``Circuit`` have already checked every op's wires
     against 1 and ``n_wires``.
     """
-    if circuit.n_wires > state.n_qubits:
-        raise ValueError(
-            f"circuit needs {circuit.n_wires} wires but state has {state.n_qubits}"
-        )
-    amps = state.amps.copy()
-    _run_inplace(amps, circuit.ops)
-    return StateVector(state.n_qubits, amps, copy=False)
+    return _Machine(state.n_qubits, state.amps.copy()).run(circuit).freeze()
 
 
 def apply_diagonal(state: StateVector, phases: np.ndarray) -> StateVector:
@@ -256,43 +308,34 @@ def apply_xor_oracle(state: StateVector, table: np.ndarray, out_bits: int) -> St
 
     The low ``out_bits`` wires hold w and the wires above them hold a, so
     ``table`` has one entry per value of a, each an ``out_bits``-bit value.
-    XOR with such a value permutes each row of fixed a, so no bijection
-    check is needed; rows are moved in chunks of about one kernel block,
-    and the call holds no state-sized array beyond the new state.
     """
-    if not 0 <= out_bits <= state.n_qubits:
-        raise ValueError(f"out_bits={out_bits} out of range [0, {state.n_qubits}]")
-    table = np.asarray(table, dtype=np.intp)
-    rows = state.amps.size >> out_bits
-    if table.shape != (rows,):
-        raise ValueError(f"oracle table must have {rows} entries, got shape {table.shape}")
-    if np.any(table >> out_bits):
-        raise ValueError(f"oracle table entries must be {out_bits}-bit values")
-    src = state.amps.reshape(rows, -1)
-    dst = np.empty_like(src)
-    w = np.arange(1 << out_bits, dtype=np.intp)
-    step = max((1 << _BLOCK_BITS) >> out_bits, 1)
-    for start in range(0, rows, step):
-        chunk = slice(start, start + step)
-        np.put_along_axis(dst[chunk], w ^ table[chunk, np.newaxis], src[chunk], axis=1)
-    return StateVector(state.n_qubits, dst.ravel(), copy=False)
+    return _Machine(state.n_qubits, state.amps.copy()).xor_oracle(table, out_bits).freeze()
 
 
 def distribution(state: StateVector) -> np.ndarray:
     """Measurement probabilities |amp|^2 for every basis index."""
-    probs = np.abs(state.amps) ** 2
-    return probs
+    return np.abs(state.amps) ** 2
 
 
 def marginal(state: StateVector, high_bits: int) -> np.ndarray:
     """Measurement distribution of the top ``high_bits`` wires alone.
 
     Sums the outcome probabilities over the remaining low wires; entry i
-    is the probability that wires 1..high_bits read the integer i.
+    is the probability that wires 1..high_bits read the integer i.  It is
+    summed one kernel block at a time, longer rows in pieces added in pairs
+    (numpy's pairwise tree), so it is the whole-array row sum bit for bit.
     """
     if not 1 <= high_bits <= state.n_qubits:
         raise ValueError(f"high_bits={high_bits} out of range [1, {state.n_qubits}]")
-    return distribution(state).reshape(1 << high_bits, -1).sum(axis=1)
+    pieces = state.amps.reshape(-1, min(state.amps.size >> high_bits, 1 << _BLOCK_BITS))
+    step = (1 << _BLOCK_BITS) // pieces.shape[1]
+    sums = np.empty(len(pieces))
+    for i in range(0, len(pieces), step):
+        np.sum(np.abs(pieces[i:i + step]) ** 2, axis=1, out=sums[i:i + step])
+    sums = sums.reshape(1 << high_bits, -1)
+    while sums.shape[1] > 1:
+        sums = sums[:, 0::2] + sums[:, 1::2]
+    return sums.ravel()
 
 
 def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:
@@ -300,15 +343,23 @@ def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:
 
     Deterministic for a fixed seed: uniform variates from the seeded PCG64
     stream are mapped through the inverse CDF of the outcome distribution.
+    The CDF is built and searched one kernel block at a time, which is the
+    whole-array ``cumsum`` and ``searchsorted`` bit for bit.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    probs = distribution(state)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0  # guard the top bin against rounding
     u = make_rng(rng_seed).random(shots)
-    idx = np.searchsorted(cdf, u, side="right")
-    return [int(i) for i in np.minimum(idx, probs.size - 1)]
+    blocks = state.amps.reshape(-1, min(state.amps.size, 1 << _BLOCK_BITS))
+    idx, carry = 0, 0.0
+    for i, block in enumerate(blocks):
+        cdf = np.abs(block) ** 2
+        cdf[0] += carry
+        np.cumsum(cdf, out=cdf)
+        carry = cdf[-1]
+        if i == len(blocks) - 1:
+            cdf[-1] = 1.0  # guard the top bin against rounding
+        idx += np.searchsorted(cdf, u, side="right")
+    return [int(i) for i in np.minimum(idx, state.amps.size - 1)]
 
 
 def extract_register(index: int, n_qubits: int, first_wire: int, last_wire: int) -> int:

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qdesk
 from qdesk import qft, shor, statevec
 from qdesk.cli import (
     CircuitSyntaxError,
@@ -827,3 +830,25 @@ def test_simon_classical_arguments_keep_the_error_contract(n, trials):
         queries = payload["result"]["queries"]
         # a collision needs two queries and is forced after 2^(n-1) + 1
         assert 2 <= queries["min"] <= queries["median"] <= queries["max"] <= (1 << (n - 1)) + 1
+
+
+def peak_rss_mb(argv):
+    """Peak RSS of one ``python -m qdesk`` process, from ``os.wait4``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qdesk.__file__).parents[1]))
+    child = subprocess.Popen([sys.executable, "-m", "qdesk", *argv], env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, argv
+    return usage.ru_maxrss / 1024
+
+
+def test_factoring_holds_one_state_end_to_end():
+    # a 21-qubit attempt (a 32 MB state) against a 12-qubit one that runs
+    # the same code on a 64 KB state: the difference is what the large
+    # state costs, 32 MB for the state and 1 MB of kernel scratch when
+    # one buffer carries the run, about twice that when each stage keeps
+    # its input alive next to a new state
+    state_mb = (16 << 21) / 2**20
+    excess = (peak_rss_mb(["factor", "--n", "119", "--seed", "2", "--max-attempts", "1"])
+              - peak_rss_mb(["factor", "--n", "15", "--seed", "1", "--max-attempts", "1"]))
+    assert excess < 1.25 * state_mb

@@ -351,6 +351,22 @@ class TestFactorPipeline:
         state_bytes = 16 << 15
         assert peaks[1] < peaks[0] + state_bytes // 2
 
+    def test_order_finding_state_holds_one_state(self):
+        # load, oracle and transform run on one buffer: the peak is that
+        # state, the kernel's two 512 KB block scratch arrays (a quarter of
+        # this 18-qubit state) and small tables; a second state-sized array
+        # would double it
+        inst = FactoringInstance(33, 5)
+        nbytes = 16 << inst.n_qubits
+        shor._order_finding_state_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            order_finding_state(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes + 2 * (16 << 15) + nbytes // 8
+
     def test_trivial_inputs_rejected(self):
         for bad in (16, 13, 27):
             with pytest.raises(ValueError):

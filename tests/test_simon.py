@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,26 +230,42 @@ class TestCostAccounting:
         assert state.n_qubits == 6
         assert abs(np.vdot(state.amps, state.amps).real - 1) < 1e-10
 
-    def test_round_cost_is_2n_hadamards_and_one_oracle(self, monkeypatch):
-        import qdesk.simon as simon_mod
+    def test_sampling_state_holds_one_state(self):
+        # both Hadamard layers and the oracle run on one buffer: the peak
+        # is that state, the kernel's two 512 KB block scratch arrays (a
+        # quarter of this 18-qubit state) and the oracle's index chunk
+        n = 9
+        oracle = make_oracle(n, 0b101100111, rng_seed=3)
+        nbytes = 16 << (2 * n)
+        tracemalloc.start()
+        try:
+            sampling_state(oracle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes + 2 * (16 << 15) + nbytes // 8
 
+    def test_round_cost_is_2n_hadamards_and_one_oracle(self, monkeypatch):
+        # the sampling state is built on one machine, so the ops are
+        # counted where the machine applies them
         n = 4
         oracle = make_oracle(n, 0b1100, rng_seed=1)
         gate_calls = []
         oracle_calls = []
-        real_run = statevec.run_circuit
-        real_oracle = statevec.apply_xor_oracle
+        machine = statevec._Machine
+        real_run = machine.run
+        real_oracle = machine.xor_oracle
 
-        def counting_run(state, circuit):
+        def counting_run(self, circuit):
             gate_calls.extend(op.name for op in circuit.ops)
-            return real_run(state, circuit)
+            return real_run(self, circuit)
 
-        monkeypatch.setattr(simon_mod.statevec, "run_circuit", counting_run)
-        monkeypatch.setattr(
-            simon_mod.statevec, "apply_xor_oracle",
-            lambda state, table, out_bits: (
-                oracle_calls.append(1), real_oracle(state, table, out_bits))[1],
-        )
+        def counting_oracle(self, table, out_bits):
+            oracle_calls.append(1)
+            return real_oracle(self, table, out_bits)
+
+        monkeypatch.setattr(machine, "run", counting_run)
+        monkeypatch.setattr(machine, "xor_oracle", counting_oracle)
         simon_sample(oracle, rng_seed=0)
         assert gate_calls == ["H"] * (2 * n)
         assert len(oracle_calls) == 1

@@ -75,6 +75,18 @@ class TestStateVectorInvariants:
         with pytest.raises(ValueError, match="finite"):
             StateVector(1, np.array([np.nan, 0.0]))
 
+    # the norm is computed first and the entries are checked only when it
+    # is not finite, so an overflowing norm of finite amplitudes must still
+    # read as unnormalized
+    @pytest.mark.parametrize("amps, message", [
+        ([np.inf, 0.0], "amplitudes must be finite"),
+        ([np.nan, 1.0], "amplitudes must be finite"),
+        ([1e200, 0.0], "not normalized: sum |amp|^2 = inf"),
+    ])
+    def test_messages_keep_their_order(self, amps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StateVector(1, np.array(amps))
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
@@ -321,9 +333,8 @@ class TestStructuredPaths:
 
 class TestBlockedKernelMemory:
     # n = 20 runs 32 blocks per gate.  The input state is built before
-    # tracing starts, so the peak is the new state, the finiteness mask
-    # that validates it (an eighth) and 1 MB of block scratch; a second
-    # state-sized array would double it
+    # tracing starts, so the peak is the new state and 1 MB of block
+    # scratch; a second state-sized array would double it
     N = 20
 
     def test_dense_layer_holds_no_state_sized_scratch(self, rng):
@@ -426,6 +437,90 @@ class TestMeasureAll:
         for outcome, p in enumerate(probs):
             sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(samples.count(outcome) / shots - p) <= 3 * sigma + 1e-9
+
+
+def inverse_cdf_reference(state, rng_seed, shots):
+    """The whole-array sampler: one 2^n CDF and one searchsorted."""
+    probs = np.abs(state.amps) ** 2
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    u = statevec.make_rng(rng_seed).random(shots)
+    idx = np.searchsorted(cdf, u, side="right")
+    return [int(i) for i in np.minimum(idx, probs.size - 1)]
+
+
+class FixedVariates:
+    """A stand-in generator that hands out chosen uniform variates."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shots):
+        assert shots == self.u.size
+        return self.u.copy()
+
+
+class TestBlockedSampling:
+    # 2, 8 and 32 blocks of 2^15 amplitudes
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    @pytest.mark.parametrize("shots", [1, 1024])
+    def test_equals_the_whole_array_inverse_cdf(self, n, shots, rng):
+        state = random_state(rng, n)
+        for seed in (0, 7, 2**40 + 3):
+            assert measure_all(state, seed, shots) == inverse_cdf_reference(state, seed, shots)
+
+    def test_top_bin_guard_and_block_edges(self, monkeypatch):
+        # a total that rounds below 1 and a zero last amplitude: variates
+        # past the unguarded total must land on the top bin; variates at
+        # and next to the first block's last CDF entry test that "entries
+        # <= u" adds up across blocks and that only the last block gets
+        # the 1.0 guard
+        n = 16
+        amps = np.full(1 << n, math.sqrt((1 - 4e-11) / ((1 << n) - 1)), dtype=np.complex128)
+        amps[-1] = 0
+        state = StateVector(n, amps)
+        cdf = np.cumsum(np.abs(state.amps) ** 2)
+        assert cdf[-1] < 1.0
+        edge = (1 << 15) - 1
+        u = [0.0, cdf[edge - 1], cdf[edge], cdf[edge + 1], np.nextafter(cdf[edge], 1.0),
+             cdf[-2], np.nextafter(cdf[-1], 1.0), (1 + cdf[-1]) / 2, np.nextafter(1.0, 0.0)]
+        monkeypatch.setattr(statevec, "make_rng", lambda seed: FixedVariates(u))
+        got = measure_all(state, 0, len(u))
+        assert got == inverse_cdf_reference(state, 0, len(u))
+        assert got[-3:] == [(1 << n) - 1] * 3
+
+    def test_holds_no_state_sized_float_array(self, rng):
+        state = random_state(rng, 20)
+        nbytes = state.amps.nbytes
+        tracemalloc.start()
+        try:
+            measure_all(state, 3, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes // 8
+
+
+class TestBlockedMarginal:
+    @pytest.mark.parametrize("n", range(16, 22))
+    def test_equals_the_whole_array_row_sums(self, n, rng):
+        state = random_state(rng, n)
+        probs = np.abs(state.amps) ** 2
+        for high_bits in range(1, n + 1):
+            expected = probs.reshape(1 << high_bits, -1).sum(axis=1)
+            assert np.array_equal(marginal(state, high_bits), expected), high_bits
+
+    @pytest.mark.parametrize("high_bits", [1, 10])
+    def test_holds_no_state_sized_float_array(self, high_bits, rng):
+        state = random_state(rng, 20)
+        nbytes = state.amps.nbytes
+        tracemalloc.start()
+        try:
+            marginal(state, high_bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes // 8
 
 
 class TestExtractRegister:
