@@ -321,21 +321,11 @@ def marginal(state: StateVector, high_bits: int) -> np.ndarray:
     """Measurement distribution of the top ``high_bits`` wires alone.
 
     Sums the outcome probabilities over the remaining low wires; entry i
-    is the probability that wires 1..high_bits read the integer i.  It is
-    summed one kernel block at a time, longer rows in pieces added in pairs
-    (numpy's pairwise tree), so it is the whole-array row sum bit for bit.
+    is the probability that wires 1..high_bits read the integer i.
     """
     if not 1 <= high_bits <= state.n_qubits:
         raise ValueError(f"high_bits={high_bits} out of range [1, {state.n_qubits}]")
-    pieces = state.amps.reshape(-1, min(state.amps.size >> high_bits, 1 << _BLOCK_BITS))
-    step = (1 << _BLOCK_BITS) // pieces.shape[1]
-    sums = np.empty(len(pieces))
-    for i in range(0, len(pieces), step):
-        np.sum(np.abs(pieces[i:i + step]) ** 2, axis=1, out=sums[i:i + step])
-    sums = sums.reshape(1 << high_bits, -1)
-    while sums.shape[1] > 1:
-        sums = sums[:, 0::2] + sums[:, 1::2]
-    return sums.ravel()
+    return distribution(state).reshape(1 << high_bits, -1).sum(axis=1)
 
 
 def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:

@@ -501,28 +501,6 @@ class TestBlockedSampling:
         assert peak < nbytes // 8
 
 
-class TestBlockedMarginal:
-    @pytest.mark.parametrize("n", range(16, 22))
-    def test_equals_the_whole_array_row_sums(self, n, rng):
-        state = random_state(rng, n)
-        probs = np.abs(state.amps) ** 2
-        for high_bits in range(1, n + 1):
-            expected = probs.reshape(1 << high_bits, -1).sum(axis=1)
-            assert np.array_equal(marginal(state, high_bits), expected), high_bits
-
-    @pytest.mark.parametrize("high_bits", [1, 10])
-    def test_holds_no_state_sized_float_array(self, high_bits, rng):
-        state = random_state(rng, 20)
-        nbytes = state.amps.nbytes
-        tracemalloc.start()
-        try:
-            marginal(state, high_bits)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < nbytes // 8
-
-
 class TestExtractRegister:
     def test_top_span(self):
         assert extract_register(0b1011, 4, 1, 2) == 2
