@@ -369,7 +369,7 @@ def _run_qft(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 def _run_circuit_file(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     circuit = parse_circuit_file(params["file"], params.get("wires"))
-    state = statevec.run_circuit(statevec.init_basis(circuit.n_wires, 0), circuit)
+    state = statevec._Machine.basis(circuit.n_wires, 0).run(circuit).freeze()
     probs = statevec.distribution(state)
     return {
         "n_wires": circuit.n_wires,

@@ -18,9 +18,9 @@ amplitudes (alpha, beta), one step maps
 and this closed two-variable recurrence tracks the full simulation
 exactly; it is the independent check used by the tests.
 
-The iteration runs in place on one buffer - negate the marked amplitudes,
-then reflect about the mean - and the state is validated once per public
-call: ``run_grover`` checks only the final state, before measuring it.
+The iteration runs in place on the buffer of the machine that loaded the
+uniform state - negate the marked amplitudes, then reflect about the mean -
+and ``run_grover`` freezes that machine once, before measuring it.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def single_target(k: int, t: int) -> SearchProblem:
 
 def uniform_state(k: int) -> statevec.StateVector:
     """Equal superposition of all 2^k indices, built from Hadamards."""
-    return statevec.run_circuit(statevec.init_basis(k, 0), hadamard_layer(k))
+    return statevec._Machine.basis(k, 0).run(hadamard_layer(k)).freeze()
 
 
 def _reflect_inplace(amps: np.ndarray) -> None:
@@ -152,14 +152,13 @@ def run_grover(problem: SearchProblem, rng_seed: int) -> GroverResult:
     iteration - which is the quantity that scales like sqrt(N).
     """
     marked = problem.marked
-    amps = uniform_state(problem.k).amps.copy()
+    machine = statevec._Machine.basis(problem.k, 0).run(hadamard_layer(problem.k))
     iterations = iteration_schedule(problem.N, marked.size)
-    trace = [_marked_mass(amps, marked)]
+    trace = [_marked_mass(machine.amps, marked)]
     for _ in range(iterations):
-        _iterate_inplace(amps, marked)
-        trace.append(_marked_mass(amps, marked))
-    state = statevec.StateVector(problem.k, amps, copy=False)
-    outcome = statevec.measure_all(state, rng_seed, 1)[0]
+        _iterate_inplace(machine.amps, marked)
+        trace.append(_marked_mass(machine.amps, marked))
+    outcome = statevec.measure_all(machine.freeze(), rng_seed, 1)[0]
     return GroverResult(
         found=outcome,
         success=outcome in marked,

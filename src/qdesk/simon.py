@@ -58,13 +58,10 @@ def make_oracle(n: int, c: int, rng_seed: int) -> SimonOracle:
         raise ValueError(f"c={c} is not an {n}-bit value")
     rng = statevec.make_rng(rng_seed)
     outputs = rng.permutation(1 << n)[: 1 << (n - 1)]
-    table = np.full(1 << n, -1, dtype=np.int64)
-    coset = 0
-    for x in range(1 << n):
-        if table[x] < 0:
-            table[x] = table[x ^ c] = outputs[coset]
-            coset += 1
-    return SimonOracle(n, c, table)
+    # each coset is numbered by its smaller member, in ascending order
+    x = np.arange(1 << n)
+    _, coset = np.unique(np.minimum(x, x ^ c), return_inverse=True)
+    return SimonOracle(n, c, outputs[coset])
 
 
 def sampling_state(oracle: SimonOracle) -> statevec.StateVector:

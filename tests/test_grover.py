@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,20 @@ class TestInPlaceLoop:
         monkeypatch.setattr(grover, "_iterate_inplace", leaky_step)
         with pytest.raises(ValueError, match="not normalized"):
             run_grover(single_target(6, 17), rng_seed=0)
+
+    def test_search_holds_one_state(self):
+        # the loop runs on the uniform state's own buffer, so the peak is
+        # that state and the Hadamard layer's 1 MB of block scratch; a copy
+        # of the uniform state would double it
+        k = 18
+        problem = single_target(k, 5)
+        tracemalloc.start()
+        try:
+            run_grover(problem, rng_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (16 << k)
 
 
 class TestAnalyticRecurrence:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,21 @@ class TestBatchedFidelity:
     def test_circuit_that_is_not_a_transform(self):
         circ = Circuit(5, (h_op(2), cnot_op(2, 5), toffoli_op(5, 1, 3), h_op(4)))
         assert qft_fidelity(5, circ) == per_input_fidelity(5, circ) < 0.5
+
+    def test_batches_share_one_buffer(self):
+        # the input buffer is every batch's machine: the peak is it, the
+        # column buffer, the kernel's two block-sized scratch arrays (each
+        # a batch at this size) and the per-input rows; a per-batch copy
+        # of the input would add one batch more
+        k = 10
+        circ = build_qft_circuit(QftSpec(k))
+        tracemalloc.start()
+        try:
+            qft_fidelity(k, circ)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * (16 << (k + 4))
 
 
 class TestTransformProperties:

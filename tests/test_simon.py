@@ -42,6 +42,22 @@ class TestMakeOracle:
                 same = oracle.f(x) == oracle.f(y)
                 assert same == (y in (x, x ^ 0b1001))
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_table_equals_the_coset_loop(self, n):
+        # the loop numbers each coset {x, x ^ c} at its first member
+        for c in sorted(c for c in {1, (1 << n) - 1, (1 << (n - 1)) + 1} if c < 1 << n):
+            for seed in (0, 7, 12345):
+                outputs = statevec.make_rng(seed).permutation(1 << n)[: 1 << (n - 1)]
+                expected = np.full(1 << n, -1, dtype=np.int64)
+                coset = 0
+                for x in range(1 << n):
+                    if expected[x] < 0:
+                        expected[x] = expected[x ^ c] = outputs[coset]
+                        coset += 1
+                table = make_oracle(n, c, rng_seed=seed).table
+                assert table.dtype == np.int64
+                assert np.array_equal(table, expected), (n, c, seed)
+
     def test_zero_shift_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             make_oracle(3, 0, rng_seed=0)
