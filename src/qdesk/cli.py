@@ -232,10 +232,11 @@ def circuit_to_text(circuit: Circuit) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def distribution_to_json(probs: np.ndarray, n_qubits: int) -> dict[str, float]:
-    """Map zero-padded bit strings to probabilities, omitting zero entries."""
+def distribution_to_json(probs: np.ndarray) -> dict[str, float]:
+    """Map zero-padded n-bit strings to the 2^n probabilities, omitting zeros."""
+    width = probs.size.bit_length() - 1
     return {
-        format(i, f"0{n_qubits}b"): float(p)
+        format(i, f"0{width}b"): float(p)
         for i, p in enumerate(probs)
         if p > 0.0
     }
@@ -355,7 +356,7 @@ def _run_qft(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         _write_text(params["emit_circuit_path"], circuit_to_text(circuit))
     fidelity = None
     if spec.k <= qft.FIDELITY_MAX_QUBITS:
-        fidelity = qft.qft_fidelity(spec.k, circuit)
+        fidelity = qft.qft_fidelity(circuit)
     return {
         "qubits": spec.k,
         "cutoff": spec.approx_cutoff,
@@ -374,7 +375,7 @@ def _run_circuit_file(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     return {
         "n_wires": circuit.n_wires,
         "ops": len(circuit),
-        "distribution": distribution_to_json(probs, circuit.n_wires),
+        "distribution": distribution_to_json(probs),
     }
 
 

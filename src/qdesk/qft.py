@@ -91,8 +91,8 @@ def gate_counts(circuit: Circuit) -> dict[str, int]:
     return dict(Counter(op.name for op in circuit.ops))
 
 
-def qft_fidelity(k: int, circuit: Circuit) -> float:
-    """Worst-case overlap of the circuit with the exact transform.
+def qft_fidelity(circuit: Circuit) -> float:
+    """Worst-case overlap of the circuit with the exact transform on its k wires.
 
     Returns min over basis inputs a of |<exact output | circuit output>|^2.
     Exact outputs are generated directly from the phase formula, so this
@@ -100,10 +100,7 @@ def qft_fidelity(k: int, circuit: Circuit) -> float:
     run 16 at a time (1 or 4 for k < 4) as one state on k + 4 qubits whose
     low wires index the batch, with the circuit on the top k wires.
     """
-    if circuit.n_wires != k:
-        raise ValueError(
-            f"circuit has {circuit.n_wires} wires, expected k={k}"
-        )
+    k = circuit.n_wires
     if k > FIDELITY_MAX_QUBITS:
         raise statevec.CapacityError(
             f"qft_fidelity runs 2^k circuit evaluations; k={k} exceeds "
@@ -128,7 +125,7 @@ def qft_fidelity(k: int, circuit: Circuit) -> float:
     columns = np.empty((width, dim), dtype=np.complex128)
     for first in range(0, dim, width):
         inputs[((first + slots) << low) | slots] = 1.0 / lift
-        out = statevec._Machine(k + low, inputs.view()).run(circuit).freeze().amps
+        out = statevec._Machine(inputs.view()).run(circuit).freeze().amps
         # contiguous rows, so np.vdot sums each one as it summed a single state
         np.multiply(out.reshape(dim, width).T, lift, out=columns)
         inputs.fill(0)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -114,14 +113,6 @@ class FactoringInstance:
 
 
 @dataclass(frozen=True)
-class OrderResult:
-    """A verified multiplicative order and how it was obtained."""
-
-    r: int
-    source: str  # "measured+cf" or "exhaustive oracle"
-
-
-@dataclass(frozen=True)
 class Convergent:
     """A reduced fraction p/q from a continued-fraction expansion."""
 
@@ -194,18 +185,17 @@ def pre_qft_state(inst: FactoringInstance) -> statevec.StateVector:
 
 
 # One entry: at the cap a state is 256 MB, and the only reuse is the
-# distribution dump for the last attempt's x right after the run.
-@lru_cache(maxsize=1)
-def _order_finding_state_cached(inst: FactoringInstance) -> statevec.StateVector:
-    # a miss drops the previous state before building this one, so two
-    # never coexist (lru_cache evicts only after the call returns)
-    _order_finding_state_cached.cache_clear()
-    return _loaded_machine(inst).run(build_qft_circuit(QftSpec(2 * inst.L))).freeze()
+# distribution dump for the last attempt's x right after the run.  A miss
+# clears it before building, so two states never coexist.
+_states: dict[FactoringInstance, statevec.StateVector] = {}
 
 
 def order_finding_state(inst: FactoringInstance) -> statevec.StateVector:
     """Final machine state just before measurement (cached per instance)."""
-    return _order_finding_state_cached(inst)
+    if inst not in _states:
+        _states.clear()
+        _states[inst] = _loaded_machine(inst).run(build_qft_circuit(QftSpec(2 * inst.L))).freeze()
+    return _states[inst]
 
 
 def run_order_finding_circuit(inst: FactoringInstance, rng_seed: int) -> int:
@@ -303,7 +293,7 @@ def continued_fraction_candidates(c: int, two_pow_2l: int, n: int) -> list[Conve
     return convergents
 
 
-def recover_order(inst: FactoringInstance, c: int) -> OrderResult | None:
+def recover_order(inst: FactoringInstance, c: int) -> int | None:
     """Recover the order of x from a measured c, or None on a miss.
 
     Each convergent denominator q is widened to lam*q for lam up to
@@ -340,7 +330,7 @@ def recover_order(inst: FactoringInstance, c: int) -> OrderResult | None:
     half_width = 1 << (inst.L + 1)
     if d == 0 or abs(c * r - d * q_total) * half_width > q_total * r:
         return None
-    return OrderResult(r, "measured+cf")
+    return r
 
 
 def extract_factors(n: int, x: int, r: int) -> tuple[tuple[int, int] | None, str | None]:
@@ -396,12 +386,12 @@ def factor(n: int, max_attempts: int, rng_seed: int) -> FactorReport:
             break
         inst = FactoringInstance(n, x)
         c = run_order_finding_circuit(inst, statevec.derive_seed(rng_seed, i))
-        order = recover_order(inst, c)
-        if order is None:
+        r = recover_order(inst, c)
+        if r is None:
             attempts.append(Attempt(x, c, None, None, FAILURE_CF_MISS))
             continue
-        factors, failure = extract_factors(n, x, order.r)
-        attempts.append(Attempt(x, c, order.r, factors, failure))
+        factors, failure = extract_factors(n, x, r)
+        attempts.append(Attempt(x, c, r, factors, failure))
         if factors is not None:
             break
     return FactorReport(n, tuple(attempts))

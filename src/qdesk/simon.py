@@ -86,13 +86,13 @@ def simon_sample(oracle: SimonOracle, rng_seed: int) -> int:
 
     Every returned y satisfies y . c = 0 (mod 2) with certainty.
     """
-    return _measure_input_register(sampling_state(oracle), oracle.n, rng_seed)
+    return _measure_input_register(sampling_state(oracle), rng_seed)
 
 
-def _measure_input_register(state: statevec.StateVector, n: int, rng_seed: int) -> int:
+def _measure_input_register(state: statevec.StateVector, rng_seed: int) -> int:
     """Measure the whole 2n-qubit sampling state and read wires 1..n."""
     outcome = statevec.measure_all(state, rng_seed, 1)[0]
-    return statevec.extract_register(outcome, 2 * n, 1, n)
+    return statevec.extract_register(outcome, state.n_qubits, 1, state.n_qubits // 2)
 
 
 def dot_mod2(a: int, b: int) -> int:
@@ -182,7 +182,7 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
         if len(samples) >= max_rounds:
             return SimonResult(n, None, len(samples), tuple(samples))
         seed = statevec.derive_seed(rng_seed, len(samples))
-        samples.append(_measure_input_register(state, n, seed))
+        samples.append(_measure_input_register(state, seed))
     if oracle.f(0) != oracle.f(c):
         raise ValueError("recovered shift fails the oracle spot check f(0) = f(c)")
     return SimonResult(n, c, len(samples), tuple(samples))

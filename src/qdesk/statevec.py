@@ -192,8 +192,8 @@ class _Machine:
     buffer once and hands it to a :class:`StateVector`, keeping no reference.
     """
 
-    def __init__(self, n_qubits: int, amps: np.ndarray):
-        self.n_qubits = n_qubits
+    def __init__(self, amps: np.ndarray):
+        self.n_qubits = amps.size.bit_length() - 1  # a buffer of 2^n amplitudes
         self.amps = amps
 
     @classmethod
@@ -206,7 +206,7 @@ class _Machine:
             raise ValueError(f"basis index {index} out of range [0, {dim})")
         amps = np.zeros(dim, dtype=np.complex128)
         amps[index] = 1.0
-        return cls(n_qubits, amps)
+        return cls(amps)
 
     def run(self, circuit: Circuit) -> _Machine:
         """Apply every op of a circuit in order (see :func:`run_circuit`)."""
@@ -251,13 +251,9 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply a gate to the wires it names, returning the new state.
 
     A one-op :func:`run_circuit` over the whole register, so the full
-    2^n x 2^n operator is never built.  ``GateOp`` has already checked
-    that its wires are distinct and at least 1; the top wire is checked
-    here against the state.
+    2^n x 2^n operator is never built; the ``Circuit`` it builds checks
+    the gate's wires against the state.
     """
-    top = max(gate.wires)
-    if top > state.n_qubits:
-        raise ValueError(f"wire {top} out of range [1, {state.n_qubits}]")
     return run_circuit(state, Circuit(state.n_qubits, (gate,)))
 
 
@@ -270,7 +266,7 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     ``GateOp`` and ``Circuit`` have already checked every op's wires
     against 1 and ``n_wires``.
     """
-    return _Machine(state.n_qubits, state.amps.copy()).run(circuit).freeze()
+    return _Machine(state.amps.copy()).run(circuit).freeze()
 
 
 def apply_diagonal(state: StateVector, phases: np.ndarray) -> StateVector:
@@ -309,7 +305,7 @@ def apply_xor_oracle(state: StateVector, table: np.ndarray, out_bits: int) -> St
     The low ``out_bits`` wires hold w and the wires above them hold a, so
     ``table`` has one entry per value of a, each an ``out_bits``-bit value.
     """
-    return _Machine(state.n_qubits, state.amps.copy()).xor_oracle(table, out_bits).freeze()
+    return _Machine(state.amps.copy()).xor_oracle(table, out_bits).freeze()
 
 
 def distribution(state: StateVector) -> np.ndarray:

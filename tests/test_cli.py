@@ -329,16 +329,27 @@ class TestMainEntry:
         assert payload["error"]["type"] == "domain"
         assert payload["error"]["message"] == f"n must lie in [1, 8] for the baseline, got {n}"
 
-    def test_factor_dump_reuses_the_one_cached_state(self, tmp_path, capsys):
-        cached = shor._order_finding_state_cached
-        cached.cache_clear()
-        code = main(["factor", "--n", "15", "--seed", "3",
+    def test_factor_dump_reuses_the_one_cached_state(self, tmp_path, monkeypatch, capsys):
+        builds = []
+        loaded_machine = shor._loaded_machine
+
+        def counting(inst):
+            builds.append(inst)
+            return loaded_machine(inst)
+
+        monkeypatch.setattr(shor, "_loaded_machine", counting)
+        shor._states.clear()
+        code = main(["factor", "--n", "15", "--seed", "3", "--output", str(tmp_path / "r.json"),
                      "--dump-distribution", str(tmp_path / "dist.json")])
         assert code == 0
-        assert cached.cache_info().hits >= 1
+        report = json.loads((tmp_path / "r.json").read_text())
+        circuit_xs = [a["x"] for a in report["result"]["attempts"] if a["measured_c"] is not None]
+        # one build per circuit attempt, none for the dump of the last one
+        assert circuit_xs and [inst.x for inst in builds] == circuit_xs
+        assert list(shor._states) == [shor.FactoringInstance(15, circuit_xs[-1])]
         shor.order_finding_state(shor.FactoringInstance(21, 2))
         shor.order_finding_state(shor.FactoringInstance(21, 5))
-        assert cached.cache_info().currsize == 1
+        assert list(shor._states) == [shor.FactoringInstance(21, 5)]
 
     def test_factor_distribution_dump(self, tmp_path, capsys):
         dump = tmp_path / "dist.json"
@@ -470,12 +481,12 @@ class TestMainEntry:
 class TestDistributionJson:
     def test_zero_entries_omitted(self):
         probs = np.array([0.5, 0.0, 0.0, 0.5])
-        assert distribution_to_json(probs, 2) == {"00": 0.5, "11": 0.5}
+        assert distribution_to_json(probs) == {"00": 0.5, "11": 0.5}
 
     def test_keys_zero_padded(self):
         probs = np.zeros(8)
         probs[1] = 1.0
-        assert list(distribution_to_json(probs, 3)) == ["001"]
+        assert list(distribution_to_json(probs)) == ["001"]
 
 
 # A multi-target search from a targets file; its report and --trace sidecar

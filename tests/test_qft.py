@@ -97,21 +97,21 @@ class TestFidelity:
     def test_exact_circuit_fidelity_one(self):
         for k in (1, 3, 5):
             circ = build_qft_circuit(QftSpec(k))
-            assert qft_fidelity(k, circ) == pytest.approx(1.0, abs=1e-9)
+            assert qft_fidelity(circ) == pytest.approx(1.0, abs=1e-9)
 
     def test_identity_circuit(self):
         # overlap of a basis state with a uniform-magnitude column is 2^-k
-        assert qft_fidelity(2, Circuit(2)) == pytest.approx(0.25, abs=1e-12)
+        assert qft_fidelity(Circuit(2)) == pytest.approx(0.25, abs=1e-12)
 
     def test_no_cutoff_equals_cutoff_k(self):
         k = 5
         circ = build_qft_circuit(QftSpec(k, approx_cutoff=k))
-        assert qft_fidelity(k, circ) == pytest.approx(1.0, abs=1e-9)
+        assert qft_fidelity(circ) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_cutoff(self):
         k = 8
         fids = [
-            qft_fidelity(k, build_qft_circuit(QftSpec(k, approx_cutoff=m)))
+            qft_fidelity(build_qft_circuit(QftSpec(k, approx_cutoff=m)))
             for m in range(2, k + 1)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(fids, fids[1:]))
@@ -121,11 +121,7 @@ class TestFidelity:
         k = 8
         cutoff = math.ceil(math.log2(k)) + 2
         circ = build_qft_circuit(QftSpec(k, approx_cutoff=cutoff))
-        assert qft_fidelity(k, circ) >= 0.99
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            qft_fidelity(3, build_qft_circuit(QftSpec(2)))
+        assert qft_fidelity(circ) >= 0.99
 
 
 def per_input_fidelity(k, circuit):
@@ -146,21 +142,21 @@ class TestBatchedFidelity:
     @pytest.mark.parametrize("k", range(1, 10))
     def test_exact_transform_equals_the_per_input_loop(self, k):
         circ = build_qft_circuit(QftSpec(k))
-        assert qft_fidelity(k, circ) == per_input_fidelity(k, circ)
+        assert qft_fidelity(circ) == per_input_fidelity(k, circ)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_every_cutoff_and_swap_setting_equals_the_per_input_loop(self, k):
         for cutoff in range(1, k + 1):
             for swaps in (True, False):
                 circ = build_qft_circuit(QftSpec(k, cutoff, swaps))
-                assert qft_fidelity(k, circ) == per_input_fidelity(k, circ), (cutoff, swaps)
+                assert qft_fidelity(circ) == per_input_fidelity(k, circ), (cutoff, swaps)
 
     def test_identity_is_exactly_one_quarter(self):
-        assert qft_fidelity(2, Circuit(2)) == 0.25 == per_input_fidelity(2, Circuit(2))
+        assert qft_fidelity(Circuit(2)) == 0.25 == per_input_fidelity(2, Circuit(2))
 
     def test_circuit_that_is_not_a_transform(self):
         circ = Circuit(5, (h_op(2), cnot_op(2, 5), toffoli_op(5, 1, 3), h_op(4)))
-        assert qft_fidelity(5, circ) == per_input_fidelity(5, circ) < 0.5
+        assert qft_fidelity(circ) == per_input_fidelity(5, circ) < 0.5
 
     def test_batches_share_one_buffer(self):
         # the input buffer is every batch's machine: the peak is it, the
@@ -171,7 +167,7 @@ class TestBatchedFidelity:
         circ = build_qft_circuit(QftSpec(k))
         tracemalloc.start()
         try:
-            qft_fidelity(k, circ)
+            qft_fidelity(circ)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -198,3 +194,23 @@ class TestTransformProperties:
             out = statevec.run_circuit(statevec.init_basis(k, a), circ)
             expected = np.exp(2j * np.pi * a * np.arange(dim) / dim) / math.sqrt(dim)
             assert np.max(np.abs(out.amps - expected)) < 1e-10
+
+
+class TestFftReferee:
+    """The circuit against numpy's FFT, which shares no code with the gate kernel.
+
+    With entry (b, a) = e^{+2 pi i ab/2^k} / sqrt(2^k), the transform of a
+    state is ``np.fft.ifft(amps, norm="ortho")``.  The largest gaps seen on
+    random states were under 7e-17 from k = 12 to 24; the bound comes from
+    those, not from the kernel under test.
+    """
+
+    @pytest.mark.parametrize("k", [12, 16, 20, pytest.param(24, marks=pytest.mark.cap)])
+    def test_circuit_matches_the_fft_on_a_random_state(self, k):
+        rng = np.random.default_rng(k)
+        amps = rng.standard_normal(2 << k).view(np.complex128)
+        amps /= np.sqrt(np.vdot(amps, amps).real)
+        gap = np.fft.ifft(amps, norm="ortho")
+        gap -= statevec.run_circuit(statevec.StateVector(k, amps, copy=False),
+                                    build_qft_circuit(QftSpec(k))).amps
+        assert np.max(np.abs(gap)) <= 1e-14

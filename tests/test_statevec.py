@@ -121,7 +121,7 @@ class TestApplyGate:
         assert np.allclose(state.amps, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-12)
 
     def test_wire_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"op H on wires \(3,\) exceeds n_wires=2"):
             apply_gate(init_basis(2, 0), gates.h_op(3))
 
     def test_repeated_wire_rejected(self):
