@@ -44,17 +44,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """A finished run: config echo, result payload, version tag.
-
-    ``wall_time_s`` is carried on the object for callers but deliberately
-    left out of the JSON so identical configs serialize byte-identically.
-    """
+    """A finished run: config echo, result payload, version tag."""
 
     command: str
     config: dict[str, Any]
     result: dict[str, Any]
     version: str
-    wall_time_s: float
 
     def to_json(self) -> str:
         return _dumps({
@@ -157,8 +152,8 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
 
     Only CPHASE takes parameters, and it takes each of j and k exactly
     once; a parameter on another gate or a repeated key is an error at
-    that token.  When ``n_wires`` is omitted it defaults to the largest
-    wire mentioned.
+    that token, and so is a wire above ``n_wires`` when it is given.  When
+    ``n_wires`` is omitted it defaults to the largest wire mentioned.
     """
     ops: list[GateOp] = []
     max_wire = 0
@@ -207,6 +202,8 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
         except ValueError as exc:
             raise CircuitSyntaxError(lineno, column, str(exc)) from None
         max_wire = max(max_wire, *wires)
+        if n_wires is not None and max_wire > n_wires:
+            raise CircuitSyntaxError(lineno, wire_col, f"wire {max_wire} exceeds n_wires={n_wires}")
     if n_wires is None:
         if max_wire == 0:
             raise ValueError(
@@ -393,9 +390,7 @@ def run(config: RunConfig) -> RunReport:
     """Dispatch a validated config to its command handler."""
     if config.command not in _HANDLERS:
         raise ValueError(f"unknown command {config.command!r}")
-    start = time.perf_counter()
     result = _HANDLERS[config.command](config.seed, config.params)
-    elapsed = time.perf_counter() - start
     config_echo = {"seed": config.seed}
     config_echo.update(
         {k: v for k, v in config.params.items() if not k.endswith("_path")}
@@ -405,17 +400,18 @@ def run(config: RunConfig) -> RunReport:
         config=config_echo,
         result=result,
         version=__version__,
-        wall_time_s=elapsed,
     )
 
 
 def _read_text(path: str) -> str:
-    """Read an input file; bytes that are not UTF-8 are an error naming it."""
+    """Read an input file; a failure is an error naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -546,6 +542,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    start = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -560,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:  # an unwritable --output still gets its error on stdout
             sys.stdout.write(text)
         return 3 if kind == "resource" else 1
-    print(f"qdesk: {config.command} finished in {report.wall_time_s:.3f}s",
+    print(f"qdesk: {config.command} finished in {time.perf_counter() - start:.3f}s",
           file=sys.stderr)
     return 0
 

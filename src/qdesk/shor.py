@@ -141,9 +141,7 @@ class FactorReport:
 
     @property
     def final(self) -> Attempt | None:
-        for attempt in self.attempts:
-            if attempt.factors is not None:
-                return attempt
+        # factor() stops right after the attempt that splits N, so it is last
         return self.attempts[-1] if self.attempts else None
 
     @property
@@ -173,15 +171,6 @@ def _loaded_machine(inst: FactoringInstance) -> statevec._Machine:
     two_l = 2 * inst.L
     machine = statevec._Machine.basis(inst.n_qubits, 0).run(hadamard_layer(two_l))
     return machine.xor_oracle(_power_table(inst.x, inst.N, 1 << two_l), inst.L)
-
-
-def pre_qft_state(inst: FactoringInstance) -> statevec.StateVector:
-    """Machine state after the superposition load and the oracle.
-
-    The exponent register holds every a with equal weight and the value
-    register holds x^a mod N alongside it.
-    """
-    return _loaded_machine(inst).freeze()
 
 
 # One entry: at the cap a state is 256 MB, and the only reuse is the

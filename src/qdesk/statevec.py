@@ -20,7 +20,6 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 import numpy as np
 
@@ -120,71 +119,6 @@ def init_basis(n_qubits: int, index: int) -> StateVector:
     return _Machine.basis(n_qubits, index).freeze()
 
 
-def _run_inplace(amps: np.ndarray, ops: Sequence[GateOp]) -> None:
-    """Apply gate ops in order to ``amps`` in place (view kernel).
-
-    Views ``amps`` as a (2,)*n tensor (wire w is axis w-1) and, per gate,
-    moves its wires' axes to the front (its first wire the high bit), so row
-    r of the 2^k x 2^(n-k) unfolding is the slice ``full[r's bits]``.
-    Each gate then runs one column block at a time: a block fixes the
-    first n - 15 of the other axes (the highest wires the gate does not
-    touch) to one prefix, so it holds 2^15 amplitudes, 512 KB, and a
-    state of 2^15 amplitudes or fewer is a single block.  A block is
-    2^(15-k) whole columns of the unfolding, at least 2^12 for gates of
-    up to three wires, and its product is bit-identical to those columns
-    of the whole-state product (the tests compare blocked runs with the
-    unblocked kernel).
-    Three paths per block, all bit-identical to the first:
-
-    * dense (H, any other gate): gather the block into one scratch array,
-      multiply its unfolding by the matrix into the other, write back;
-    * diagonal (CPHASE, ``GateOp.phase_rows``): gather each slice whose
-      entry is not 1, multiply it as a (1,1) @ (1,m) ``np.matmul`` (the
-      BLAS product; numpy's ``*`` differs by an ulp), write it back;
-    * single swap (SWAP, CNOT, TOFFOLI, ``GateOp.swap_rows``): gather both
-      slices and write each back in the other's place.  Both go through
-      scratch, because assigning one view of ``amps`` to another makes
-      numpy copy the source into a hidden temporary.
-
-    The fast paths use prefixes of the scratch arrays and need at least 4
-    columns: with 1 or 2, the (1,1) product differs from the dense one in
-    most cases.  The two block-sized scratch arrays are allocated once
-    per call and no gate allocates, so apart from ``amps`` a call holds
-    1 MB at most.
-    """
-    n = amps.size.bit_length() - 1
-    tensor = amps.reshape((2,) * n)
-    lead = max(n - _BLOCK_BITS, 0)
-    prefixes = list(itertools.product((0, 1), repeat=lead))
-    gathered = np.empty(amps.size >> lead, dtype=amps.dtype)
-    product = np.empty_like(gathered)
-    for gate in ops:
-        k = len(gate.wires)
-        full = np.moveaxis(tensor, [w - 1 for w in gate.wires], range(k))
-        shape = full.shape[:k] + full.shape[k + lead:]
-        width = gathered.size >> k
-        part_in = gathered[:width].reshape(shape[k:])
-        part_out = product[:width].reshape(shape[k:])
-        for prefix in prefixes:
-            view = full[(slice(None),) * k + prefix]
-            if width >= 4 and gate.phase_rows is not None:
-                for row, entry in gate.phase_rows:
-                    np.copyto(part_in, view[row])
-                    np.matmul(entry, part_in.reshape(1, width), out=part_out.reshape(1, width))
-                    view[row] = part_out
-            elif width >= 4 and gate.swap_rows is not None:
-                row_a, row_b = gate.swap_rows
-                np.copyto(part_in, view[row_a])
-                np.copyto(part_out, view[row_b])
-                view[row_a] = part_out
-                view[row_b] = part_in
-            else:
-                np.copyto(gathered.reshape(shape), view)
-                np.matmul(gate.matrix, gathered.reshape(1 << k, -1),
-                          out=product.reshape(1 << k, -1))
-                view[...] = product.reshape(shape)
-
-
 class _Machine:
     """One register evolved in place in the one writable buffer it owns.
 
@@ -209,11 +143,71 @@ class _Machine:
         return cls(amps)
 
     def run(self, circuit: Circuit) -> _Machine:
-        """Apply every op of a circuit in order (see :func:`run_circuit`)."""
+        """The gate kernel: apply a circuit's ops in order, in place.
+
+        The circuit acts on the top wires (see :func:`run_circuit`).  Views
+        the buffer as a (2,)*n tensor (wire w is axis w-1) and, per gate,
+        moves its wires' axes to the front (its first wire the high bit), so
+        row r of the 2^k x 2^(n-k) unfolding is the slice ``full[r's bits]``.
+        Each gate then runs one column block at a time: a block fixes the
+        first n - 15 of the other axes (the highest wires the gate does not
+        touch) to one prefix, so it holds 2^15 amplitudes, 512 KB; a state
+        of 2^15 amplitudes or fewer is one block.  A block is 2^(15-k) whole
+        columns of the unfolding, at least 2^12 for gates of up to three
+        wires, and its product is bit-identical to those columns of the
+        whole-state product (the tests compare blocked and unblocked runs).
+        Three paths per block, all bit-identical to the first:
+
+        * dense (H, any other gate): gather the block into one scratch array,
+          multiply its unfolding by the matrix into the other, write back;
+        * diagonal (CPHASE, ``GateOp.phase_rows``): gather each slice whose
+          entry is not 1, multiply it as a (1,1) @ (1,m) ``np.matmul`` (the
+          BLAS product; numpy's ``*`` differs by an ulp), write it back;
+        * single swap (SWAP, CNOT, TOFFOLI, ``GateOp.swap_rows``): gather both
+          slices and write each back in the other's place.  Both go through
+          scratch, because assigning one view of the buffer to another makes
+          numpy copy the source into a hidden temporary.
+
+        The fast paths use prefixes of the scratch arrays and need at least 4
+        columns: with 1 or 2, the (1,1) product differs from the dense one in
+        most cases.  The two block-sized scratch arrays are allocated once
+        per call and no gate allocates, so apart from the buffer a call holds
+        1 MB at most.
+        """
         if circuit.n_wires > self.n_qubits:
             raise ValueError(
                 f"circuit needs {circuit.n_wires} wires but state has {self.n_qubits}")
-        _run_inplace(self.amps, circuit.ops)
+        n = self.n_qubits
+        tensor = self.amps.reshape((2,) * n)
+        lead = max(n - _BLOCK_BITS, 0)
+        prefixes = list(itertools.product((0, 1), repeat=lead))
+        gathered = np.empty(self.amps.size >> lead, dtype=self.amps.dtype)
+        product = np.empty_like(gathered)
+        for gate in circuit.ops:
+            k = len(gate.wires)
+            full = np.moveaxis(tensor, [w - 1 for w in gate.wires], range(k))
+            shape = full.shape[:k] + full.shape[k + lead:]
+            width = gathered.size >> k
+            part_in = gathered[:width].reshape(shape[k:])
+            part_out = product[:width].reshape(shape[k:])
+            for prefix in prefixes:
+                view = full[(slice(None),) * k + prefix]
+                if width >= 4 and gate.phase_rows is not None:
+                    for row, entry in gate.phase_rows:
+                        np.copyto(part_in, view[row])
+                        np.matmul(entry, part_in.reshape(1, width), out=part_out.reshape(1, width))
+                        view[row] = part_out
+                elif width >= 4 and gate.swap_rows is not None:
+                    row_a, row_b = gate.swap_rows
+                    np.copyto(part_in, view[row_a])
+                    np.copyto(part_out, view[row_b])
+                    view[row_a] = part_out
+                    view[row_b] = part_in
+                else:
+                    np.copyto(gathered.reshape(shape), view)
+                    np.matmul(gate.matrix, gathered.reshape(1 << k, -1),
+                              out=product.reshape(1 << k, -1))
+                    view[...] = product.reshape(shape)
         return self
 
     def xor_oracle(self, table: np.ndarray, out_bits: int) -> _Machine:

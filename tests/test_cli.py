@@ -4,10 +4,12 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qdesk
-from qdesk import qft, shor, statevec
+from qdesk import cli, qft, shor, statevec
 from qdesk.cli import (
     CircuitSyntaxError,
     DEFAULT_SEED,
@@ -161,6 +163,11 @@ class TestCircuitText:
         op, = parse_circuit_text("CPHASE 1,2 j=0 k=5000\n").ops
         assert np.array_equal(op.matrix, np.eye(4))
 
+    def test_wire_above_the_wire_count_is_named_at_its_token(self):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit_text("H 1\nCNOT 1,5\n", n_wires=3)
+        assert str(err.value) == "line 2, column 6: wire 5 exceeds n_wires=3"
+
     def test_empty_text_needs_wire_count(self):
         with pytest.raises(ValueError, match="--wires"):
             parse_circuit_text("")
@@ -249,7 +256,6 @@ class TestReports:
 
     def test_wall_time_not_serialized(self):
         report = self._run("qft", {"qubits": 3, "cutoff": None, "no_swaps": False})
-        assert report.wall_time_s >= 0
         assert "wall_time" not in report.to_json()
 
     def test_probabilities_have_twelve_digits(self):
@@ -476,6 +482,35 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().out)["error"] == {
             "type": "domain", "message": "bad.txt: not UTF-8 text",
         }
+
+    @pytest.mark.parametrize("flag", ["--file", "--targets-file"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_input_file_is_named(self, flag, target, tmp_path, capsys):
+        argv = ["circuit-run"] if flag == "--file" else ["grover", "--qubits", "3"]
+        if target == "missing":
+            path, reason = tmp_path / "missing.txt", os.strerror(errno.ENOENT)
+        else:
+            path, reason = tmp_path, os.strerror(errno.EISDIR)
+        assert main([*argv, flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["error"] == {
+            "type": "domain", "message": f"cannot read {path}: {reason}",
+        }
+
+    def test_stderr_time_covers_the_whole_command(self, monkeypatch, capsys):
+        dumps = cli._dumps
+
+        def slow_dumps(obj):
+            time.sleep(0.3)
+            return dumps(obj)
+
+        monkeypatch.setattr(cli, "_dumps", slow_dumps)
+        assert main(["qft", "--qubits", "2"]) == 0
+        err = capsys.readouterr().err
+        seconds = re.fullmatch(r"qdesk: qft finished in (\d+\.\d+)s\n", err)
+        assert seconds is not None, err
+        assert float(seconds.group(1)) >= 0.3
 
 
 class TestDistributionJson:

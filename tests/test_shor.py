@@ -21,7 +21,6 @@ from qdesk.shor import (
     modexp,
     multiplicative_order,
     order_finding_state,
-    pre_qft_state,
     recover_order,
     run_order_finding_circuit,
 )
@@ -129,12 +128,12 @@ class TestCircuit:
             state = statevec.apply_gate(state, h_op(w))
         powers = shor._power_table(x, n, 1 << (2 * inst.L))
         expected = statevec.apply_xor_oracle(state, powers, inst.L)
-        assert np.array_equal(pre_qft_state(inst).amps, expected.amps)
+        assert np.array_equal(shor._loaded_machine(inst).freeze().amps, expected.amps)
 
     def test_second_register_holds_orbit(self):
         # before the transform the value register carries exactly the powers
         inst = FactoringInstance(15, 7)
-        state = pre_qft_state(inst)
+        state = shor._loaded_machine(inst).freeze()
         probs = statevec.distribution(state)
         values = {
             statevec.extract_register(s, inst.n_qubits, 2 * inst.L + 1, inst.n_qubits)
