@@ -351,9 +351,6 @@ def _run_qft(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     counts = qft.gate_counts(circuit)
     if params.get("emit_circuit_path"):
         _write_text(params["emit_circuit_path"], circuit_to_text(circuit))
-    fidelity = None
-    if spec.k <= qft.FIDELITY_MAX_QUBITS:
-        fidelity = qft.qft_fidelity(circuit)
     return {
         "qubits": spec.k,
         "cutoff": spec.approx_cutoff,
@@ -361,7 +358,7 @@ def _run_qft(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         "gate_counts": counts,
         "hadamard_phase_gates": counts.get("H", 0) + counts.get("CPHASE", 0),
         "total_ops": len(circuit),
-        "fidelity": fidelity,
+        "fidelity": qft.phase_form_fidelity(circuit),
     }
 
 

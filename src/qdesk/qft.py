@@ -18,6 +18,7 @@ k, which is the guarantee the acceptance suite pins down.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,10 +29,6 @@ from .gates import Circuit, cphase_op, h_op, swap_op
 
 #: dft_matrix builds a dense 2^k x 2^k array; keep it a test-scale oracle.
 DFT_MATRIX_MAX_QUBITS = 10
-
-#: qft_fidelity runs the circuit on every basis input, 16 inputs per run;
-#: 2^12 inputs is the largest that stays interactive.
-FIDELITY_MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -91,46 +88,52 @@ def gate_counts(circuit: Circuit) -> dict[str, int]:
     return dict(Counter(op.name for op in circuit.ops))
 
 
-def qft_fidelity(circuit: Circuit) -> float:
-    """Worst-case overlap of the circuit with the exact transform on its k wires.
+def _bit_sums(part: np.ndarray) -> np.ndarray:
+    """Column i: the rows of part summed over the set bits of i, msb first."""
+    return part @ np.indices((2,) * part.shape[1]).reshape(-1, 1 << part.shape[1])
 
-    Returns min over basis inputs a of |<exact output | circuit output>|^2.
-    Exact outputs are generated directly from the phase formula, so this
-    does not require the dense matrix and runs up to k = 12.  The inputs
-    run 16 at a time (1 or 4 for k < 4) as one state on k + 4 qubits whose
-    low wires index the batch, with the circuit on the top k wires.
+
+def phase_form_fidelity(circuit: Circuit) -> float:
+    """Worst-case overlap of an H, CPHASE and SWAP circuit with the exact transform.
+
+    On basis input a, wire w ends in (|0> + e^{i phi_w}|1>)/sqrt(2), phi_w an
+    integer form over the input bits in units of 2*pi / 2^(k+1).  The overlap
+    is the product of (1 + cos(phi_w - 2*pi*a / 2^w)) / 2 (Coppersmith,
+    arXiv:quant-ph/0201067), minimised over all 2^k inputs 2^14 at a time.
+    Any op outside that form raises ValueError.
     """
     k = circuit.n_wires
-    if k > FIDELITY_MAX_QUBITS:
-        raise statevec.CapacityError(
-            f"qft_fidelity runs 2^k circuit evaluations; k={k} exceeds "
-            f"{FIDELITY_MAX_QUBITS}"
-        )
-    dim = 1 << k
-    roots = np.exp(2j * np.pi * np.arange(dim) / dim)
-    scale = 1.0 / np.sqrt(dim)
+    modulus = 1 << (k + 1)
+    holds = list(range(k))  # the input wire whose qubit each wire now carries
+    form = np.zeros((k, k), dtype=np.int64)  # row c: qubit c's phase form
+    for op in circuit.ops:
+        carried = [holds[w - 1] for w in op.wires]
+        after = [form[c, c] != 0 for c in carried]  # past its H: its own bit is in
+        if op.name == "H" and not after[0]:  # pi times the bit it holds
+            form[carried[0], carried[0]] = modulus >> 1
+        elif op.name == "SWAP":
+            holds[op.wires[0] - 1], holds[op.wires[1] - 1] = carried[::-1]
+        elif op.name == "CPHASE" and not all(after) and op.params[1] - op.params[0] <= k:
+            if any(after):  # its angle times the other's bit; else a global phase
+                target, bit = carried if after[0] else carried[::-1]
+                form[target, bit] += modulus >> (op.params[1] + 1 - op.params[0])
+        else:
+            raise ValueError(f"{op.name} on wires {op.wires} leaves the phase form")
+    if not form.diagonal().all():
+        raise ValueError(f"wire {holds.index(form.diagonal().argmin()) + 1} never gets an H")
+    weights = 1 << np.arange(k - 1, -1, -1)  # of the input bits in a
+    delta = (form[holds] - np.outer(2 * weights, weights)) % modulus  # minus 2*pi*a / 2^w
+    split = max(0, k - 14)
+    low, high = _bit_sums(delta[:, split:]), _bit_sums(delta[:, :split])
+    mixed = high.any(axis=1)  # the wires whose delta reads a high bit
+
+    def factors(sums):
+        return (1 + np.cos((sums % modulus) * math.ldexp(2 * math.pi, -(k + 1)))) / 2
+
+    low_only, low = factors(low[~mixed]).prod(axis=0), low[mixed]
     worst = 1.0
-    idx = np.arange(dim)
-    # 16 inputs per run was the fastest of 4, 16, 64 and 256 at k = 11; an
-    # even number of batch wires loads each input at amplitude 2^-(low/2),
-    # a power of two, so scaling back by 2^(low/2) is exact.
-    low = min(4, k - k % 2)
-    width = 1 << low
-    lift = 1 << (low // 2)
-    slots = np.arange(width)
-    # one buffer is every batch's machine and one more holds the columns;
-    # the output check covers the input too, since the input is exactly
-    # normalised and the circuit is unitary
-    inputs = np.zeros(dim * width, dtype=np.complex128)
-    columns = np.empty((width, dim), dtype=np.complex128)
-    for first in range(0, dim, width):
-        inputs[((first + slots) << low) | slots] = 1.0 / lift
-        out = statevec._Machine(inputs.view()).run(circuit).freeze().amps
-        # contiguous rows, so np.vdot sums each one as it summed a single state
-        np.multiply(out.reshape(dim, width).T, lift, out=columns)
-        inputs.fill(0)
-        for a, column in zip(range(first, first + width), columns):
-            exact = roots[(a * idx) % dim] * scale
-            overlap = abs(np.vdot(exact, column)) ** 2
-            worst = min(worst, overlap)
+    for offset in high[mixed].T:
+        worst = min(worst, (low_only * factors(low + offset[:, None]).prod(axis=0)).min())
+        if worst == 0.0:  # no factor is negative
+            break
     return float(worst)

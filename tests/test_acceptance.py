@@ -17,9 +17,9 @@ import pytest
 
 from qdesk import grover, shor, simon, statevec
 from qdesk.gates import Circuit, GateOp, expand_to_matrix
-from qdesk.qft import QftSpec, build_qft_circuit, dft_matrix, gate_counts, qft_fidelity
+from qdesk.qft import QftSpec, build_qft_circuit, dft_matrix, gate_counts
 
-from conftest import random_unitary
+from conftest import qft_fidelity, random_unitary
 
 
 def _report(number, description, ok, detail=""):

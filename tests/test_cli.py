@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qdesk
-from qdesk import cli, qft, shor, statevec
+from qdesk import cli, shor, statevec
 from qdesk.cli import (
     CircuitSyntaxError,
     DEFAULT_SEED,
@@ -565,12 +565,19 @@ def test_golden_report_digest(argv, sha256, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+NO_SWAPS_ARGV = ["qft", "--qubits", "5", "--cutoff", "3", "--no-swaps", "--emit-circuit", "c.qc"]
+# its report as it was when the fidelity came from running the circuit on
+# every input: the minimum, exactly 0, read as floating-point noise
+NO_SWAPS_CIRCUIT_RUN_SHA256 = "4c2e97406c6073940527bce08089461c1039ef359c0e5e51989be968314b5c6b"
+NO_SWAPS_CIRCUIT_RUN_FIDELITY = 4.31727098422e-67
+
 # SHA-256 of the report and of each side file, recorded before the config
 # keys became the argparse names; they pin the config echo of every option
-# and the order in which --target and --targets-file merge.
+# and the order in which --target and --targets-file merge.  The qft
+# report's digest was re-recorded when its fidelity became exactly 0.0.
 CONFIG_ECHO_REPORTS = [
-    (["qft", "--qubits", "5", "--cutoff", "3", "--no-swaps", "--emit-circuit", "c.qc"],
-     "4c2e97406c6073940527bce08089461c1039ef359c0e5e51989be968314b5c6b",
+    (NO_SWAPS_ARGV,
+     "d8f7b7f7bb525a684ad8aed3828c0b9f4afe2978027b8115090d2ab53e926c88",
      {"c.qc": "5c4ed66c87e5e9f620cec1d5a740c308bffc897f1679a117e01b4557f1e83fb6"}),
     (["grover", "--qubits", "6", "--target", "5", "--targets-file", "t.txt"],
      "ce2dd36cb2c3ffb1fe22cd26dce4d24dee120418907a11c6eee0e491469664ab", {}),
@@ -595,6 +602,37 @@ def test_config_echo_digest(argv, sha256, side_files, tmp_path, monkeypatch, cap
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
     for name, digest in side_files.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_no_swaps_report_changed_only_in_its_fidelity(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(NO_SWAPS_ARGV) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["fidelity"] == 0.0
+    report["result"]["fidelity"] = NO_SWAPS_CIRCUIT_RUN_FIDELITY
+    assert hashlib.sha256(cli._dumps(report).encode()).hexdigest() == NO_SWAPS_CIRCUIT_RUN_SHA256
+
+
+# The benchmark's recorded qft requests, replayed in-process; the golden
+# file is only read here.
+BENCHMARK_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+GOLDEN_QFT_ITEMS = [
+    item for item in json.loads(BENCHMARK_GOLDEN.read_text(encoding="utf-8"))["items"]
+    if item["argv"][0] == "qft"
+]
+
+
+def test_the_golden_file_holds_twelve_qft_requests():
+    assert len(GOLDEN_QFT_ITEMS) == 12
+
+
+@pytest.mark.parametrize("item", GOLDEN_QFT_ITEMS,
+                         ids=lambda item: f"{item['class']}-seed{item['argv'][-1]}")
+def test_golden_benchmark_qft_report_digest(item, monkeypatch, capsys):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(item["argv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == item["sha256"]
 
 
 # SHA-256 of each --help text at 80 columns
@@ -732,7 +770,7 @@ def test_qft_arguments_keep_the_error_contract(k, cutoff, no_swaps):
         result = payload["result"]
         assert (result["qubits"], result["cutoff"], result["swaps"]) == (k, cutoff, not no_swaps)
         assert result["total_ops"] == sum(result["gate_counts"].values())
-        assert (result["fidelity"] is None) == (k > qft.FIDELITY_MAX_QUBITS)
+        assert isinstance(result["fidelity"], float) and 0.0 <= result["fidelity"] <= 1.0
     else:
         assert payload["error"]["type"] == ("resource" if code == 3 else "domain")
 

@@ -1,18 +1,21 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qdesk import statevec
-from qdesk.gates import Circuit, cnot_op, expand_to_matrix, h_op, toffoli_op
+from qdesk.gates import Circuit, GateOp, cnot_op, cphase_op, expand_to_matrix, h_op, swap_op
 from qdesk.qft import (
     QftSpec,
     build_qft_circuit,
     dft_matrix,
     gate_counts,
-    qft_fidelity,
+    phase_form_fidelity,
 )
+
+from conftest import qft_fidelity
 
 
 class TestDftMatrix:
@@ -124,54 +127,97 @@ class TestFidelity:
         assert qft_fidelity(circ) >= 0.99
 
 
-def per_input_fidelity(k, circuit):
-    """qft_fidelity as it ran before batching: one circuit run per basis input."""
-    dim = 1 << k
-    roots = np.exp(2j * np.pi * np.arange(dim) / dim)
-    scale = 1.0 / np.sqrt(dim)
-    worst = 1.0
-    idx = np.arange(dim)
-    for a in range(dim):
-        out = statevec.run_circuit(statevec.init_basis(k, a), circuit)
-        exact = roots[(a * idx) % dim] * scale
-        worst = min(worst, abs(np.vdot(exact, out.amps)) ** 2)
-    return float(worst)
+def report_digits(value):
+    """The 12 significant digits a report keeps."""
+    return f"{value:.12g}"
 
 
-class TestBatchedFidelity:
-    @pytest.mark.parametrize("k", range(1, 10))
-    def test_exact_transform_equals_the_per_input_loop(self, k):
-        circ = build_qft_circuit(QftSpec(k))
-        assert qft_fidelity(circ) == per_input_fidelity(k, circ)
+REFEREE_CASES = [(k, cutoff) for k in range(1, 11) for cutoff in (None, *range(1, k + 1))] + [
+    (k, cutoff) for k in (11, 12) for cutoff in (None, math.ceil(math.log2(k)) + 2)]
 
-    @pytest.mark.parametrize("k", range(1, 8))
-    def test_every_cutoff_and_swap_setting_equals_the_per_input_loop(self, k):
-        for cutoff in range(1, k + 1):
-            for swaps in (True, False):
-                circ = build_qft_circuit(QftSpec(k, cutoff, swaps))
-                assert qft_fidelity(circ) == per_input_fidelity(k, circ), (cutoff, swaps)
 
-    def test_identity_is_exactly_one_quarter(self):
-        assert qft_fidelity(Circuit(2)) == 0.25 == per_input_fidelity(2, Circuit(2))
+class TestPhaseFormFidelity:
+    @pytest.mark.parametrize("k,cutoff", REFEREE_CASES, ids=[f"{k}-{c}" for k, c in REFEREE_CASES])
+    def test_built_transforms_agree_with_the_circuit_referee(self, k, cutoff):
+        circ = build_qft_circuit(QftSpec(k, cutoff))
+        assert report_digits(phase_form_fidelity(circ)) == report_digits(qft_fidelity(circ))
 
-    def test_circuit_that_is_not_a_transform(self):
-        circ = Circuit(5, (h_op(2), cnot_op(2, 5), toffoli_op(5, 1, 3), h_op(4)))
-        assert qft_fidelity(circ) == per_input_fidelity(5, circ) < 0.5
+    @pytest.mark.parametrize("k", [*range(2, 9), 16, 24])
+    def test_without_swaps_the_minimum_is_exactly_zero(self, k):
+        # the referee's circuit run leaves floating-point noise instead
+        for cutoff in (None, *range(1, k + 1)):
+            circ = build_qft_circuit(QftSpec(k, cutoff, include_bit_reversal_swaps=False))
+            assert phase_form_fidelity(circ) == 0.0
+            if k <= 8:
+                assert qft_fidelity(circ) < 1e-60
 
-    def test_batches_share_one_buffer(self):
-        # the input buffer is every batch's machine: the peak is it, the
-        # column buffer, the kernel's two block-sized scratch arrays (each
-        # a batch at this size) and the per-input rows; a per-batch copy
-        # of the input would add one batch more
-        k = 10
-        circ = build_qft_circuit(QftSpec(k))
-        tracemalloc.start()
-        try:
-            qft_fidelity(circ)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5.5 * (16 << (k + 4))
+    # k = 20 and 24 also hold wires whose delta reads the high input bits,
+    # and at cutoff 1 the minimum lies far below every other input's value
+    @pytest.mark.parametrize("k,m,pinned", [
+        (16, 7, 0.9990454705652257), (20, 7, 0.9984449194439483), (20, 1, None), (20, 2, None),
+        (24, 7, 0.997843698189),
+    ])
+    def test_matches_the_closed_form_at_the_all_ones_input(self, k, m, pinned):
+        # with swaps, qubit c drops its couplings to the input bits s > c + m,
+        # of angle 2*pi / 2^(s - c + 1): all positive and summing below
+        # pi / 2^m, so every |delta_c| peaks together at a = 2^k - 1
+        closed = math.prod(
+            math.cos(sum(math.pi / 2 ** (s - c + 1) for s in range(c + m + 1, k + 1))) ** 2
+            for c in range(1, k + 1))
+        fidelity = phase_form_fidelity(build_qft_circuit(QftSpec(k, m)))
+        assert fidelity == pytest.approx(closed, rel=1e-13, abs=1e-15)
+        if pinned is not None:
+            assert report_digits(fidelity) == report_digits(pinned)
+
+    @pytest.mark.parametrize("variant", ["global-phase", "reversed-cphase", "relabelled"])
+    def test_other_product_form_circuits_agree_with_the_circuit_referee(self, variant):
+        ops = build_qft_circuit(QftSpec(6, 3)).ops
+
+        def rewire(op, wires):
+            return GateOp(op.matrix, tuple(wires), op.name, op.params)
+
+        if variant == "global-phase":  # a CPHASE before either wire's H
+            ops = (cphase_op(0, 2, 2, 5), *ops)
+        elif variant == "reversed-cphase":  # the wire past its H named first
+            ops = tuple(rewire(op, op.wires[::-1]) if op.name == "CPHASE" else op for op in ops)
+        else:  # the same unitary, with wires 1 and 6 swapped away and back
+            rename = {1: 6, 6: 1}
+            ops = (swap_op(1, 6), *(rewire(op, (rename.get(w, w) for w in op.wires)) for op in ops),
+                   swap_op(1, 6))
+        circ = Circuit(6, ops)
+        assert report_digits(phase_form_fidelity(circ)) == report_digits(qft_fidelity(circ))
+
+    def test_log_cutoff_keeps_fidelity_above_0_99_up_to_the_cap(self):
+        fidelities = {}
+        for k in range(6, statevec.MAX_QUBITS + 1):
+            circ = build_qft_circuit(QftSpec(k, math.ceil(math.log2(k)) + 2))
+            fidelities[k] = phase_form_fidelity(circ)
+        worst = min(fidelities, key=fidelities.get)
+        assert fidelities[worst] > 0.99
+        assert (worst, fidelities[worst]) == (16, pytest.approx(0.9955894618844, abs=1e-12))
+
+    @pytest.mark.parametrize("circuit,message", [
+        (Circuit(2), "wire 1 never gets an H"),
+        (Circuit(2, (h_op(1), h_op(2), h_op(1))), "H on wires (1,)"),
+        (Circuit(2, (h_op(1), h_op(2), cphase_op(0, 1, 2, 1))), "CPHASE on wires (2, 1)"),
+        (Circuit(2, (h_op(1), cnot_op(1, 2), h_op(2))), "CNOT on wires (1, 2)"),
+    ], ids=["identity", "second-H", "cphase-after-both-H", "cnot"])
+    def test_refuses_a_circuit_outside_the_phase_form(self, circuit, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            phase_form_fidelity(circuit)
+
+    def test_memory_does_not_scale_with_the_input_count(self):
+        # 16 times the inputs at k = 20; one more table row per wire
+        peaks = {}
+        for k in (16, 20):
+            circ = build_qft_circuit(QftSpec(k, 7))
+            tracemalloc.start()
+            try:
+                phase_form_fidelity(circ)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20] < 1.5 * peaks[16]
 
 
 class TestTransformProperties:
