@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec
-from .gates import hadamard_layer
 from .qft import QftSpec, build_qft_circuit
 
 FAILURE_ODD_R = "odd r"
@@ -165,14 +164,6 @@ def _power_table(x: int, n: int, length: int) -> np.ndarray:
     return np.tile(np.asarray(orbit, dtype=np.int64), reps)[:length]
 
 
-def _loaded_machine(inst: FactoringInstance) -> statevec._Machine:
-    """The machine after the superposition load and the oracle."""
-    statevec.require_qubits(inst.n_qubits, f"factoring N={inst.N}")
-    two_l = 2 * inst.L
-    machine = statevec._Machine.basis(inst.n_qubits, 0).run(hadamard_layer(two_l))
-    return machine.xor_oracle(_power_table(inst.x, inst.N, 1 << two_l), inst.L)
-
-
 # One entry: at the cap a state is 256 MB, and the only reuse is the
 # distribution dump for the last attempt's x right after the run.  A miss
 # clears it before building, so two states never coexist.
@@ -183,15 +174,17 @@ def order_finding_state(inst: FactoringInstance) -> statevec.StateVector:
     """Final machine state just before measurement (cached per instance)."""
     if inst not in _states:
         _states.clear()
-        _states[inst] = _loaded_machine(inst).run(build_qft_circuit(QftSpec(2 * inst.L))).freeze()
+        statevec.require_qubits(inst.n_qubits, f"factoring N={inst.N}")
+        two_l = 2 * inst.L
+        powers = _power_table(inst.x, inst.N, 1 << two_l)
+        transform = build_qft_circuit(QftSpec(two_l))
+        _states[inst] = statevec._Machine.period_finding(transform, powers, inst.L).freeze()
     return _states[inst]
 
 
 def run_order_finding_circuit(inst: FactoringInstance, rng_seed: int) -> int:
     """Run the full circuit once and return the measured exponent-register c."""
-    state = order_finding_state(inst)
-    outcome = statevec.measure_all(state, rng_seed, 1)[0]
-    return statevec.extract_register(outcome, inst.n_qubits, 1, 2 * inst.L)
+    return statevec.measure_all(order_finding_state(inst), rng_seed, 1)[0] >> inst.L
 
 
 def first_register_distribution(inst: FactoringInstance) -> np.ndarray:

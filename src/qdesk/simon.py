@@ -70,10 +70,8 @@ def sampling_state(oracle: SimonOracle) -> statevec.StateVector:
     Wires 1..n hold the input register, wires n+1..2n the output register.
     The oracle enters as the reversible basis map (x, w) -> (x, w XOR f(x)).
     """
-    n = oracle.n
-    layer = hadamard_layer(n)
-    machine = statevec._Machine.basis(2 * n, 0).run(layer).xor_oracle(oracle.table, n)
-    return machine.run(layer).freeze()
+    transform = hadamard_layer(oracle.n)
+    return statevec._Machine.period_finding(transform, oracle.table, oracle.n).freeze()
 
 
 def first_register_distribution(oracle: SimonOracle) -> np.ndarray:
@@ -86,13 +84,7 @@ def simon_sample(oracle: SimonOracle, rng_seed: int) -> int:
 
     Every returned y satisfies y . c = 0 (mod 2) with certainty.
     """
-    return _measure_input_register(sampling_state(oracle), rng_seed)
-
-
-def _measure_input_register(state: statevec.StateVector, rng_seed: int) -> int:
-    """Measure the whole 2n-qubit sampling state and read wires 1..n."""
-    outcome = statevec.measure_all(state, rng_seed, 1)[0]
-    return statevec.extract_register(outcome, state.n_qubits, 1, state.n_qubits // 2)
+    return statevec.measure_all(sampling_state(oracle), rng_seed, 1)[0] >> oracle.n
 
 
 def dot_mod2(a: int, b: int) -> int:
@@ -182,7 +174,7 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
         if len(samples) >= max_rounds:
             return SimonResult(n, None, len(samples), tuple(samples))
         seed = statevec.derive_seed(rng_seed, len(samples))
-        samples.append(_measure_input_register(state, seed))
+        samples.append(statevec.measure_all(state, seed, 1)[0] >> n)
     if oracle.f(0) != oracle.f(c):
         raise ValueError("recovered shift fails the oracle spot check f(0) = f(c)")
     return SimonResult(n, c, len(samples), tuple(samples))

@@ -23,7 +23,7 @@ import itertools
 
 import numpy as np
 
-from .gates import Circuit, GateOp
+from .gates import Circuit, GateOp, hadamard_layer
 
 #: Hard cap on the simulated register: 2^24 complex doubles is 256 MB; one
 #: such state, 1 MB of scratch and ~35 MB of interpreter peak near 293 MB.
@@ -141,6 +141,19 @@ class _Machine:
         amps = np.zeros(dim, dtype=np.complex128)
         amps[index] = 1.0
         return cls(amps)
+
+    @classmethod
+    def period_finding(cls, transform: Circuit, table: np.ndarray, out_bits: int) -> _Machine:
+        """|0>, H on the input register, the XOR oracle, then ``transform``.
+
+        The input register is the top ``transform.n_wires`` wires, above the
+        ``out_bits`` the oracle writes.  H^n is the Fourier transform over
+        Z_2^n (Simon) and the QFT the one over Z_(2^2L) (order finding); a
+        measured outcome ``>> out_bits`` reads the input register.
+        """
+        m = transform.n_wires
+        machine = cls.basis(m + out_bits, 0).run(hadamard_layer(m))
+        return machine.xor_oracle(table, out_bits).run(transform)
 
     def run(self, circuit: Circuit) -> _Machine:
         """The gate kernel: apply a circuit's ops in order, in place.

@@ -337,13 +337,13 @@ class TestMainEntry:
 
     def test_factor_dump_reuses_the_one_cached_state(self, tmp_path, monkeypatch, capsys):
         builds = []
-        loaded_machine = shor._loaded_machine
+        power_table = shor._power_table
 
-        def counting(inst):
-            builds.append(inst)
-            return loaded_machine(inst)
+        def counting(x, n, length):
+            builds.append(x)
+            return power_table(x, n, length)
 
-        monkeypatch.setattr(shor, "_loaded_machine", counting)
+        monkeypatch.setattr(shor, "_power_table", counting)
         shor._states.clear()
         code = main(["factor", "--n", "15", "--seed", "3", "--output", str(tmp_path / "r.json"),
                      "--dump-distribution", str(tmp_path / "dist.json")])
@@ -351,7 +351,7 @@ class TestMainEntry:
         report = json.loads((tmp_path / "r.json").read_text())
         circuit_xs = [a["x"] for a in report["result"]["attempts"] if a["measured_c"] is not None]
         # one build per circuit attempt, none for the dump of the last one
-        assert circuit_xs and [inst.x for inst in builds] == circuit_xs
+        assert circuit_xs and builds == circuit_xs
         assert list(shor._states) == [shor.FactoringInstance(15, circuit_xs[-1])]
         shor.order_finding_state(shor.FactoringInstance(21, 2))
         shor.order_finding_state(shor.FactoringInstance(21, 5))
@@ -614,21 +614,29 @@ def test_no_swaps_report_changed_only_in_its_fidelity(tmp_path, monkeypatch, cap
     assert hashlib.sha256(cli._dumps(report).encode()).hexdigest() == NO_SWAPS_CIRCUIT_RUN_SHA256
 
 
-# The benchmark's recorded qft requests, replayed in-process; the golden
-# file is only read here.
+# The benchmark's recorded qft requests, and its factor and Simon requests
+# at 18 and 20 qubits plus the first three at 21, replayed in-process; the
+# golden file is only read here.
 BENCHMARK_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-GOLDEN_QFT_ITEMS = [
-    item for item in json.loads(BENCHMARK_GOLDEN.read_text(encoding="utf-8"))["items"]
-    if item["argv"][0] == "qft"
-]
+GOLDEN_ITEMS = json.loads(BENCHMARK_GOLDEN.read_text(encoding="utf-8"))["items"]
+GOLDEN_QFT_ITEMS = [item for item in GOLDEN_ITEMS if item["argv"][0] == "qft"]
+GOLDEN_PERIOD_ITEMS = (
+    [item for item in GOLDEN_ITEMS if item["class"] in ("factor18", "simon9", "simon10")]
+    + [item for item in GOLDEN_ITEMS if item["class"] == "factor21"][:3]
+)
+
+
+def _golden_id(item):
+    # a class fixes the size; factor requests of one class differ in N too
+    n = f"-N{item['argv'][2]}" if item["argv"][0] == "factor" else ""
+    return f"{item['class']}{n}-seed{item['argv'][-1]}"
 
 
 def test_the_golden_file_holds_twelve_qft_requests():
     assert len(GOLDEN_QFT_ITEMS) == 12
 
 
-@pytest.mark.parametrize("item", GOLDEN_QFT_ITEMS,
-                         ids=lambda item: f"{item['class']}-seed{item['argv'][-1]}")
+@pytest.mark.parametrize("item", GOLDEN_QFT_ITEMS + GOLDEN_PERIOD_ITEMS, ids=_golden_id)
 def test_golden_benchmark_qft_report_digest(item, monkeypatch, capsys):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert main(item["argv"]) == 0

@@ -21,7 +21,8 @@ from qdesk.gates import (
     toffoli_op,
 )
 
-from qdesk import grover, simon, statevec
+from qdesk import grover, shor, simon, statevec
+from qdesk.qft import QftSpec, build_qft_circuit
 
 from conftest import random_state, random_unitary
 
@@ -245,6 +246,16 @@ class TestHadamardLayer:
         state = statevec.apply_xor_oracle(state, oracle.table, n)
         return simon.sampling_state(oracle), self._h_gate_by_gate(state, n)
 
+    def _order_finding(self, nx):
+        n, x = nx
+        inst = shor.FactoringInstance(n, x)
+        two_l = 2 * inst.L
+        state = self._h_gate_by_gate(statevec.init_basis(inst.n_qubits, 0), two_l)
+        powers = [pow(x, a, n) for a in range(1 << two_l)]
+        state = statevec.apply_xor_oracle(state, powers, inst.L)
+        expected = statevec.run_circuit(state, build_qft_circuit(QftSpec(two_l)))
+        return shor.order_finding_state(inst), expected
+
     def _composed(self, k):
         state = random_state(np.random.default_rng(k), k)
         expected = self._h_gate_by_gate(state, k)
@@ -257,6 +268,8 @@ class TestHadamardLayer:
         "builder,size",
         [("_uniform", k) for k in range(1, 13)]
         + [("_sampling", n) for n in range(1, 7)]
+        + [pytest.param("_order_finding", (n, x), id=f"_order_finding-{n}-{x}")
+           for n, x in [(15, 7), (21, 2), (35, 3)]]
         + [("_composed", k) for k in range(1, 7)],
     )
     def test_layer_states_equal_the_gate_by_gate_states(self, builder, size):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qdesk import shor, statevec
-from qdesk.gates import h_op
+from qdesk.gates import Circuit, h_op
+from qdesk.qft import QftSpec, build_qft_circuit
 from qdesk.shor import (
     FAILURE_MINUS_ONE,
     FAILURE_ODD_R,
@@ -128,12 +129,15 @@ class TestCircuit:
             state = statevec.apply_gate(state, h_op(w))
         powers = shor._power_table(x, n, 1 << (2 * inst.L))
         expected = statevec.apply_xor_oracle(state, powers, inst.L)
-        assert np.array_equal(shor._loaded_machine(inst).freeze().amps, expected.amps)
+        # an empty transform leaves the loaded state
+        loaded = statevec._Machine.period_finding(Circuit(2 * inst.L), powers, inst.L)
+        assert np.array_equal(loaded.freeze().amps, expected.amps)
 
     def test_second_register_holds_orbit(self):
         # before the transform the value register carries exactly the powers
         inst = FactoringInstance(15, 7)
-        state = shor._loaded_machine(inst).freeze()
+        powers = shor._power_table(7, 15, 1 << (2 * inst.L))
+        state = statevec._Machine.period_finding(Circuit(2 * inst.L), powers, inst.L).freeze()
         probs = statevec.distribution(state)
         values = {
             statevec.extract_register(s, inst.n_qubits, 2 * inst.L + 1, inst.n_qubits)
@@ -150,8 +154,46 @@ class TestCircuit:
     def test_qubit_budget_refused(self):
         big = 3 * 257 * 5  # 3855, L = 12, would need 36 qubits
         inst = FactoringInstance(big, 2)
-        with pytest.raises(statevec.CapacityError, match="36 qubits"):
+        # the whole message, so the machine's own "a basis state" check
+        # cannot stand in for the named one
+        with pytest.raises(statevec.CapacityError,
+                           match=r"^factoring N=3855 needs 36 qubits \(cap 24\)$"):
             run_order_finding_circuit(inst, rng_seed=0)
+
+    def test_attempt_cost_is_2l_hadamards_one_oracle_and_the_qft(self, monkeypatch):
+        # the counterpart of Simon's round-cost test: the state is built on
+        # one machine, so the ops are counted where the machine applies them
+        inst = FactoringInstance(21, 2)
+        two_l = 2 * inst.L
+        gate_calls = []
+        oracle_out_bits = []
+        machine = statevec._Machine
+        real_run = machine.run
+        real_oracle = machine.xor_oracle
+
+        def counting_run(self, circuit):
+            gate_calls.extend((op.name, op.wires) for op in circuit.ops)
+            return real_run(self, circuit)
+
+        def counting_oracle(self, table, out_bits):
+            oracle_out_bits.append(out_bits)
+            return real_oracle(self, table, out_bits)
+
+        monkeypatch.setattr(machine, "run", counting_run)
+        monkeypatch.setattr(machine, "xor_oracle", counting_oracle)
+        monkeypatch.setattr(shor, "_states", {})
+        order_finding_state(inst)
+        qft_ops = [(op.name, op.wires) for op in build_qft_circuit(QftSpec(two_l)).ops]
+        assert gate_calls == [("H", (w,)) for w in range(1, two_l + 1)] + qft_ops
+        assert oracle_out_bits == [inst.L]
+
+    def test_measured_c_is_the_extracted_exponent_register(self):
+        inst = FactoringInstance(35, 3)
+        state = order_finding_state(inst)
+        for seed in range(20):
+            outcome = statevec.measure_all(state, seed, 1)[0]
+            expected = statevec.extract_register(outcome, inst.n_qubits, 1, 2 * inst.L)
+            assert run_order_finding_circuit(inst, seed) == expected
 
 
 class TestAnalyticLaw:

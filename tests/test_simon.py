@@ -88,6 +88,13 @@ class TestSampling:
             y = simon_sample(oracle, rng_seed=seed)
             assert dot_mod2(y, 0b1010) == 0
 
+    def test_sample_is_the_extracted_input_register(self):
+        oracle = make_oracle(5, 0b10110, rng_seed=3)
+        state = sampling_state(oracle)
+        for seed in range(20):
+            outcome = statevec.measure_all(state, seed, 1)[0]
+            assert simon_sample(oracle, seed) == statevec.extract_register(outcome, 10, 1, 5)
+
     def test_single_bit_always_zero(self):
         oracle = make_oracle(1, 1, rng_seed=0)
         assert all(simon_sample(oracle, seed) == 0 for seed in range(5))
