@@ -90,7 +90,6 @@ class MajorityVote:
 
     outcome: bool
     successes: int
-    failures: int
 
 
 def majority_amplify(
@@ -108,7 +107,7 @@ def majority_amplify(
     for i in range(trials):
         if trial(statevec.derive_seed(rng_seed, i)):
             successes += 1
-    return MajorityVote(successes > trials // 2, successes, trials - successes)
+    return MajorityVote(successes > trials // 2, successes)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +126,13 @@ def _is_integer(text: str) -> bool:
 
     ``int`` alone would also take "+3", "1_0" and non-ASCII digits.
     """
-    return text.isascii() and text.removeprefix("-").isdigit()
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        return False
+    try:
+        int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return False
+    return True
 
 
 class CircuitSyntaxError(ValueError):

@@ -112,14 +112,6 @@ class FactoringInstance:
 
 
 @dataclass(frozen=True)
-class Convergent:
-    """A reduced fraction p/q from a continued-fraction expansion."""
-
-    p: int
-    q: int
-
-
-@dataclass(frozen=True)
 class Attempt:
     """One pass of the factoring loop."""
 
@@ -135,7 +127,6 @@ class Attempt:
 class FactorReport:
     """Full record of a factoring run, attempt by attempt."""
 
-    N: int
     attempts: tuple[Attempt, ...]
 
     @property
@@ -252,15 +243,15 @@ def analytic_distribution(inst: FactoringInstance) -> np.ndarray:
 # continued fractions and order recovery
 # ---------------------------------------------------------------------------
 
-def continued_fraction_candidates(c: int, two_pow_2l: int, n: int) -> list[Convergent]:
-    """Convergents p/q of c / two_pow_2l with q < n, in expansion order.
+def continued_fraction_candidates(c: int, two_pow_2l: int, n: int) -> list[tuple[int, int]]:
+    """Convergents (p, q) of c / two_pow_2l with q < n, in expansion order.
 
     Convergents are automatically in lowest terms; their denominators are
     the candidate orders (up to a small integer factor).
     """
     if not 0 <= c < two_pow_2l:
         raise ValueError(f"c={c} out of range [0, {two_pow_2l})")
-    convergents: list[Convergent] = []
+    convergents: list[tuple[int, int]] = []
     num, den = c, two_pow_2l
     p_prev, p_cur = 0, 1  # numerator recurrence seeds h(-2), h(-1)
     q_prev, q_cur = 1, 0  # denominator recurrence seeds k(-2), k(-1)
@@ -270,7 +261,7 @@ def continued_fraction_candidates(c: int, two_pow_2l: int, n: int) -> list[Conve
         q_prev, q_cur = q_cur, quot * q_cur + q_prev
         if q_cur >= n:
             break
-        convergents.append(Convergent(p_cur, q_cur))
+        convergents.append((p_cur, q_cur))
         num, den = den, rem
     return convergents
 
@@ -279,34 +270,22 @@ def recover_order(inst: FactoringInstance, c: int) -> int | None:
     """Recover the order of x from a measured c, or None on a miss.
 
     Each convergent denominator q is widened to lam*q for lam up to
-    LAMBDA_MAX (undoing a shared factor between the peak number d and r)
-    and tested by modular exponentiation; a verified exponent is reduced
-    to the least power giving 1, which is the exact order.  The order is
-    accepted only when the measurement actually supports it, i.e. c/2^(2L)
-    lies within 2^-(L+1) of a nonzero multiple d/r - otherwise an
+    LAMBDA_MAX (undoing a shared factor between the peak number d and r),
+    and the first of these exponents that modular exponentiation verifies
+    is reduced to the least power giving 1, which is the exact order.  The
+    order is accepted only when the measurement actually supports it, i.e.
+    c/2^(2L) lies within 2^-(L+1) of a nonzero multiple d/r - otherwise an
     uninformative c (such as 0, whose only convergent has numerator 0)
     would be laundered into an answer it never witnessed.
     """
     q_total = 1 << (2 * inst.L)
-    verified: list[int] = []
-    for conv in continued_fraction_candidates(c, q_total, inst.N):
-        if conv.p == 0:
-            continue
-        for lam in range(1, LAMBDA_MAX + 1):
-            e = lam * conv.q
-            if e >= inst.N:
-                break
-            if modexp(inst.x, e, inst.N) == 1:
-                verified.append(e)
-    if not verified:
+    exponents = (lam * q for p, q in continued_fraction_candidates(c, q_total, inst.N) if p
+                 for lam in range(1, LAMBDA_MAX + 1) if lam * q < inst.N)
+    e = next((e for e in exponents if modexp(inst.x, e, inst.N) == 1), None)
+    if e is None:
         return None
-    best = min(verified)
-    # any verified exponent is a multiple of the order; take the least divisor
-    r = next(
-        div
-        for div in range(1, best + 1)
-        if best % div == 0 and modexp(inst.x, div, inst.N) == 1
-    )
+    # e is a multiple of the order, and the order is its least divisor giving 1
+    r = next(div for div in range(1, e + 1) if e % div == 0 and modexp(inst.x, div, inst.N) == 1)
     # peak condition, in exact integers: |c/Q - d/r| <= 1/2^(L+1) for some d >= 1
     d = (2 * c * r + q_total) // (2 * q_total)  # nearest integer to c*r/Q
     half_width = 1 << (inst.L + 1)
@@ -376,4 +355,4 @@ def factor(n: int, max_attempts: int, rng_seed: int) -> FactorReport:
         attempts.append(Attempt(x, c, r, factors, failure))
         if factors is not None:
             break
-    return FactorReport(n, tuple(attempts))
+    return FactorReport(tuple(attempts))

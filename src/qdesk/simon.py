@@ -31,7 +31,6 @@ class SimonOracle:
     """Lookup-table oracle with the hidden-shift pairing property."""
 
     n: int
-    c: int
     table: np.ndarray
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ def make_oracle(n: int, c: int, rng_seed: int) -> SimonOracle:
     # each coset is numbered by its smaller member, in ascending order
     x = np.arange(1 << n)
     _, coset = np.unique(np.minimum(x, x ^ c), return_inverse=True)
-    return SimonOracle(n, c, outputs[coset])
+    return SimonOracle(n, outputs[coset])
 
 
 def sampling_state(oracle: SimonOracle) -> statevec.StateVector:
@@ -144,7 +143,6 @@ def recover_shift(rows: list[int], n: int) -> int | None:
 class SimonResult:
     """Outcome of the sampling loop."""
 
-    n: int
     c: int | None
     rounds: int
     samples: tuple[int, ...]
@@ -172,12 +170,12 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
     samples: list[int] = []
     while (c := recover_shift(samples, n)) is None:
         if len(samples) >= max_rounds:
-            return SimonResult(n, None, len(samples), tuple(samples))
+            return SimonResult(None, len(samples), tuple(samples))
         seed = statevec.derive_seed(rng_seed, len(samples))
         samples.append(statevec.measure_all(state, seed, 1)[0] >> n)
     if oracle.f(0) != oracle.f(c):
         raise ValueError("recovered shift fails the oracle spot check f(0) = f(c)")
-    return SimonResult(n, c, len(samples), tuple(samples))
+    return SimonResult(c, len(samples), tuple(samples))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -150,6 +151,11 @@ class TestCircuitText:
         ("H\n", 2, "H needs wire indices"),
         ("H # wire one\n", 2, "H needs wire indices"),
         ("CNOT 1,2\n  CNOT   \n", 7, "CNOT needs wire indices"),
+        # more digits than int() converts by default (4,300)
+        pytest.param("H " + "1" * 4301 + "\n", 3, f"bad wire list {'1' * 4301!r}",
+                     id="wire-of-4301-digits"),
+        pytest.param("CPHASE 1,2 j=0 k=" + "1" * 4301 + "\n", 16,
+                     f"bad parameter {'k=' + '1' * 4301!r}", id="k-of-4301-digits"),
     ])
     def test_stray_parameters_and_bad_integers_are_named_at_their_token(self, text, column, message):
         line = text.count("\n")
@@ -167,6 +173,10 @@ class TestCircuitText:
         with pytest.raises(CircuitSyntaxError) as err:
             parse_circuit_text("H 1\nCNOT 1,5\n", n_wires=3)
         assert str(err.value) == "line 2, column 6: wire 5 exceeds n_wires=3"
+        # 4,300 digits, the most int() converts by default, still read as a wire
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit_text("H " + "9" * 4300 + "\n", n_wires=3)
+        assert str(err.value) == f"line 1, column 3: wire {'9' * 4300} exceeds n_wires=3"
 
     def test_empty_text_needs_wire_count(self):
         with pytest.raises(ValueError, match="--wires"):
@@ -401,7 +411,8 @@ class TestMainEntry:
         assert payload["result"]["targets"] == [3, 9, 12]
         assert payload["result"]["found"] in (3, 9, 12)
 
-    @pytest.mark.parametrize("bad", ["abc", "2.5", "1_0", "+3", "\u0663"])
+    @pytest.mark.parametrize("bad", ["abc", "2.5", "1_0", "+3", "\u0663",
+                                     pytest.param("1" * 4301, id="4301-digits")])
     def test_grover_targets_file_names_a_bad_line(self, bad, tmp_path, monkeypatch, capsys):
         (tmp_path / "targets.txt").write_text(f"3\n\n{bad}\n9\n")
         monkeypatch.chdir(tmp_path)
@@ -614,30 +625,52 @@ def test_no_swaps_report_changed_only_in_its_fidelity(tmp_path, monkeypatch, cap
     assert hashlib.sha256(cli._dumps(report).encode()).hexdigest() == NO_SWAPS_CIRCUIT_RUN_SHA256
 
 
-# The benchmark's recorded qft requests, and its factor and Simon requests
-# at 18 and 20 qubits plus the first three at 21, replayed in-process; the
-# golden file is only read here.
-BENCHMARK_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-GOLDEN_ITEMS = json.loads(BENCHMARK_GOLDEN.read_text(encoding="utf-8"))["items"]
+# The benchmark's recorded requests replayed in-process: every class in full
+# except factor21, whose first three items stand for it; the rest of that
+# tail is left to tools/check_golden.py.  The golden file is only read here,
+# and perfbench/plan.py is only imported for the input files it writes.
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN_ITEMS = json.loads((BENCH_DIR / "golden.json").read_text(encoding="utf-8"))["items"]
 GOLDEN_QFT_ITEMS = [item for item in GOLDEN_ITEMS if item["argv"][0] == "qft"]
-GOLDEN_PERIOD_ITEMS = (
-    [item for item in GOLDEN_ITEMS if item["class"] in ("factor18", "simon9", "simon10")]
+GOLDEN_FULL_CLASSES = (
+    "qft9", "qft10", "qft11", "circuit12", "circuit14", "circuit16",
+    "grover16t1", "grover16t2", "grover16t3", "grover16t4", "grover17t1", "grover18",
+    "factor18", "simon9", "simon10",
+)
+GOLDEN_REPLAYED = (
+    [item for item in GOLDEN_ITEMS if item["class"] in GOLDEN_FULL_CLASSES]
     + [item for item in GOLDEN_ITEMS if item["class"] == "factor21"][:3]
 )
+_plan_spec = importlib.util.spec_from_file_location("perfbench_plan", BENCH_DIR / "plan.py")
+BENCH_PLAN = importlib.util.module_from_spec(_plan_spec)
+sys.modules[_plan_spec.name] = BENCH_PLAN  # where its dataclasses look it up
+_plan_spec.loader.exec_module(BENCH_PLAN)
 
 
 def _golden_id(item):
-    # a class fixes the size; factor requests of one class differ in N too
-    n = f"-N{item['argv'][2]}" if item["argv"][0] == "factor" else ""
-    return f"{item['class']}{n}-seed{item['argv'][-1]}"
+    # a class fixes the size; requests of one class differ in N, the first
+    # target or targets file, or the circuit file too
+    argv = item["argv"]
+    operand = {"factor": argv[2], "grover": argv[4], "circuit-run": argv[2]}.get(argv[0])
+    operand = f"-{Path(operand).stem}" if operand else ""
+    return f"{item['class']}{operand}-seed{argv[-1]}"
 
 
 def test_the_golden_file_holds_twelve_qft_requests():
     assert len(GOLDEN_QFT_ITEMS) == 12
 
 
-@pytest.mark.parametrize("item", GOLDEN_QFT_ITEMS + GOLDEN_PERIOD_ITEMS, ids=_golden_id)
-def test_golden_benchmark_qft_report_digest(item, monkeypatch, capsys):
+def test_every_golden_class_is_replayed():
+    assert {item["class"] for item in GOLDEN_REPLAYED} == {item["class"] for item in GOLDEN_ITEMS}
+    left_out = [item for item in GOLDEN_ITEMS if item not in GOLDEN_REPLAYED]
+    assert left_out == [item for item in GOLDEN_ITEMS if item["class"] == "factor21"][3:]
+
+
+@pytest.mark.parametrize("item", GOLDEN_REPLAYED, ids=_golden_id)
+def test_golden_benchmark_report_digest(item, tmp_path, monkeypatch, capsys):
+    # circuit-run reports echo the relative .perfbench_work/ path of their file
+    BENCH_PLAN.write_inputs(tmp_path, [item])
+    monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert main(item["argv"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == item["sha256"]

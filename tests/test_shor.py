@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from qdesk.qft import QftSpec, build_qft_circuit
 from qdesk.shor import (
     FAILURE_MINUS_ONE,
     FAILURE_ODD_R,
-    Convergent,
     FactoringInstance,
     analytic_distribution,
     analytic_outcome_probability,
@@ -252,15 +252,15 @@ class TestAnalyticLaw:
 class TestContinuedFractions:
     def test_includes_three_quarters(self):
         convs = continued_fraction_candidates(192, 256, 15)
-        assert Convergent(3, 4) in convs
+        assert (3, 4) in convs
 
     def test_zero_gives_zero_convergent(self):
-        assert continued_fraction_candidates(0, 256, 15) == [Convergent(0, 1)]
+        assert continued_fraction_candidates(0, 256, 15) == [(0, 1)]
 
     def test_one_third_close_fraction(self):
         # 85/256 expands as [0; 3, 85], so 1/3 is its first nonzero convergent
         convs = continued_fraction_candidates(85, 256, 21)
-        assert Convergent(1, 3) in convs
+        assert (1, 3) in convs
 
     def test_lowest_terms_and_denominator_bound(self, rng):
         for _ in range(100):
@@ -268,16 +268,16 @@ class TestContinuedFractions:
             c = int(rng.integers(0, q_total))
             n = int(rng.integers(3, 60))
             convs = continued_fraction_candidates(c, q_total, n)
-            for conv in convs:
-                assert math.gcd(conv.p, conv.q) == 1
-                assert 0 < conv.q < n
+            for p, q in convs:
+                assert math.gcd(p, q) == 1
+                assert 0 < q < n
             # denominators appear in non-decreasing order
-            dens = [conv.q for conv in convs]
+            dens = [q for _, q in convs]
             assert dens == sorted(dens)
 
     def test_convergents_approximate(self):
         convs = continued_fraction_candidates(179, 1024, 50)
-        errors = [abs(179 / 1024 - conv.p / conv.q) for conv in convs]
+        errors = [abs(179 / 1024 - p / q) for p, q in convs]
         assert errors == sorted(errors, reverse=True)
 
 
@@ -298,6 +298,29 @@ class TestRecoverOrder:
         for d in range(1, 6):
             c = round(1024 * d / 6)
             assert recover_order(inst, c) == 6, d
+
+    @pytest.mark.parametrize("n, x", [(15, 7), (21, 2), (33, 5), (35, 3), (39, 2), (51, 2)])
+    def test_every_outcome_against_the_stated_rule(self, n, x):
+        # the rule, stated without the witness walk: the order comes back
+        # exactly when some lam*q < N (lam <= LAMBDA_MAX, convergent p/q with
+        # p != 0) is a multiple of it and c/Q lies within 2^-(L+1) of some
+        # d/r with d >= 1; otherwise None
+        inst = FactoringInstance(n, x)
+        r = multiplicative_order(x, n)
+        q_total = 1 << (2 * inst.L)
+        half_width = Fraction(1, 2 << inst.L)
+        for c in range(q_total):
+            witnessed = any(
+                lam * q < n and lam * q % r == 0
+                for p, q in continued_fraction_candidates(c, q_total, n) if p
+                for lam in range(1, shor.LAMBDA_MAX + 1)
+            )
+            in_window = any(
+                d >= 1 and abs(Fraction(c, q_total) - Fraction(d, r)) <= half_width
+                for d in (c * r // q_total, c * r // q_total + 1)
+            )
+            expected = r if witnessed and in_window else None
+            assert recover_order(inst, c) == expected, c
 
     def test_never_returns_unverified(self):
         inst = FactoringInstance(15, 7)
