@@ -4,6 +4,8 @@ Every command emits a single JSON report, either to stdout or to the file
 given with ``--output``.  Reports are byte-reproducible for a fixed seed:
 floats are serialized with 12 significant digits, keys are sorted, and the
 wall-clock time is logged to stderr rather than written into the report.
+A ``circuit-run`` distribution is written one block of outcomes at a time,
+so the report never exists whole in memory.
 The master seed comes from ``--seed``, else the ``QDESK_SEED`` environment
 variable, else the documented default.  Sub-seeds for independent streams
 are derived from the master seed and a position index, never by sharing
@@ -19,6 +21,7 @@ import re
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Any, Callable
@@ -44,20 +47,47 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """A finished run: config echo, result payload, version tag."""
+    """A finished run: config echo, result payload, version tag.
+
+    A ``circuit-run`` result holds its final state under "distribution";
+    the report text shows it as the outcome law (see :meth:`chunks`).
+    """
 
     command: str
     config: dict[str, Any]
     result: dict[str, Any]
     version: str
 
-    def to_json(self) -> str:
-        return _dumps({
+    def chunks(self) -> Iterator[str]:
+        """The report's JSON text in pieces, in order.
+
+        Every field but a state under "distribution" is serialized whole by
+        :func:`_dumps`, with a placeholder string for the state; the text is
+        split at the placeholder's last occurrence, which is the one in the
+        result (only the config echo, before it, holds user text).  The
+        outcome law goes in between, one block at a time.
+        """
+        state = self.result.get("distribution")
+        streamed = isinstance(state, statevec.StateVector)
+        text = _dumps({
             "command": self.command,
             "config": self.config,
-            "result": self.result,
+            "result": {**self.result, "distribution": _PLACEHOLDER} if streamed else self.result,
             "version": self.version,
         })
+        if not streamed:
+            yield text
+            return
+        head, _, tail = text.rpartition(json.dumps(_PLACEHOLDER))
+        yield head
+        # result["distribution"] is two levels deep: its braces are indented 4
+        yield from _distribution_chunks(statevec.probability_blocks(state), state.n_qubits,
+                                        "    ")
+        yield tail
+
+    def to_json(self) -> str:
+        """The whole report text: :meth:`chunks` joined."""
+        return "".join(self.chunks())
 
 
 def _round_floats(obj: Any) -> Any:
@@ -78,6 +108,45 @@ def _round_floats(obj: Any) -> Any:
 def _dumps(obj: Any) -> str:
     """Serialize a report or sidecar payload: rounded floats, sorted keys."""
     return json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n"
+
+
+# stands in for a streamed distribution in the text _dumps renders around
+# it; no readable file path holds a NUL
+_PLACEHOLDER = "\0distribution\0"
+
+# kept entries per written chunk: a few hundred KB of text, and few enough
+# Python strings at once that the chunk, not the list, sets the transient
+_LINES_PER_CHUNK = 4096
+
+
+def _distribution_chunks(blocks: Iterable[np.ndarray], width: int, indent: str) -> Iterator[str]:
+    """The JSON object of an outcome law, as ``json.dumps(indent=2)`` writes it.
+
+    ``blocks`` are consecutive runs of the 2^width probabilities, in index
+    order.  Every p > 0.0 is an entry ``"<width-bit index>": p`` with p
+    rounded as :func:`_round_floats` rounds it; the object opens where
+    ``indent`` leaves it, its entries are indented two spaces deeper, and
+    with no entry it is ``{}``.  The zero-padded keys of one width sort as
+    their indices, so index order is ``sort_keys`` order.  The entries go
+    out ``_LINES_PER_CHUNK`` at a time, each distinct probability of a
+    chunk formatted once.
+    """
+    separator = ",\n" + indent + "  "
+    opening = "{\n" + indent + "  "
+    key = f"0{width}b"
+    start = 0
+    for block in blocks:
+        kept = np.flatnonzero(block > 0.0)
+        for first in range(0, kept.size, _LINES_PER_CHUNK):
+            index = kept[first:first + _LINES_PER_CHUNK]
+            values, which = np.unique(block[index], return_inverse=True)
+            texts = [repr(float(f"{p:.12g}")) for p in values.tolist()]
+            yield opening + separator.join(
+                f'"{format(i, key)}": {texts[t]}'
+                for i, t in zip((index + start).tolist(), which.tolist()))
+            opening = separator
+        start += block.size
+    yield "{}" if opening != separator else "\n" + indent + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +204,22 @@ def _is_integer(text: str) -> bool:
     return True
 
 
+# the most characters of one input token an error message repeats
+_ECHO_CHARS = 32
+
+
+def _echo(token: str, show: Callable[[str], str] = repr) -> str:
+    """``show(token)`` for an error message, cut short when the token is long.
+
+    A token over ``_ECHO_CHARS`` characters is shown by its first
+    ``_ECHO_CHARS`` and its length, so a message stays short whatever the
+    input holds.
+    """
+    if len(token) <= _ECHO_CHARS:
+        return show(token)
+    return f"{show(token[:_ECHO_CHARS])}... ({len(token)} characters)"
+
+
 class CircuitSyntaxError(ValueError):
     """Parse failure carrying a line/column diagnostic."""
 
@@ -172,7 +257,7 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
         if name not in _GATES:
             raise CircuitSyntaxError(
                 lineno, column,
-                f"unknown gate {name!r}; valid names: {', '.join(sorted(_GATES))}",
+                f"unknown gate {_echo(name)}; valid names: {', '.join(sorted(_GATES))}",
             )
         if not rest:
             raise CircuitSyntaxError(lineno, column + len(name), f"{name} needs wire indices")
@@ -180,7 +265,7 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
         (wire_col, wire_token), *param_tokens = rest
         wire_texts = wire_token.split(",")
         if not all(_is_integer(w) for w in wire_texts):
-            raise CircuitSyntaxError(lineno, wire_col, f"bad wire list {wire_token!r}")
+            raise CircuitSyntaxError(lineno, wire_col, f"bad wire list {_echo(wire_token)}")
         wires = tuple(int(w) for w in wire_texts)
         if len(wires) != arity:
             raise CircuitSyntaxError(
@@ -190,11 +275,11 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
         for tok_col, tok in param_tokens:
             if name != "CPHASE":
                 raise CircuitSyntaxError(
-                    lineno, tok_col, f"{name} takes no parameters, got {tok!r}"
+                    lineno, tok_col, f"{name} takes no parameters, got {_echo(tok)}"
                 )
             key, eq, value = tok.partition("=")
             if not eq or key not in ("j", "k") or not _is_integer(value):
-                raise CircuitSyntaxError(lineno, tok_col, f"bad parameter {tok!r}")
+                raise CircuitSyntaxError(lineno, tok_col, f"bad parameter {_echo(tok)}")
             if key in params:
                 raise CircuitSyntaxError(lineno, tok_col, f"repeated parameter {key!r}")
             params[key] = int(value)
@@ -208,7 +293,8 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
             raise CircuitSyntaxError(lineno, column, str(exc)) from None
         max_wire = max(max_wire, *wires)
         if n_wires is not None and max_wire > n_wires:
-            raise CircuitSyntaxError(lineno, wire_col, f"wire {max_wire} exceeds n_wires={n_wires}")
+            raise CircuitSyntaxError(lineno, wire_col, f"wire {_echo(str(max_wire), str)} "
+                                                       f"exceeds n_wires={n_wires}")
     if n_wires is None:
         if max_wire == 0:
             raise ValueError(
@@ -232,16 +318,6 @@ def circuit_to_text(circuit: Circuit) -> str:
         params = "".join(f" {key}={value}" for key, value in zip("jk", op.params))
         lines.append(f"{op.name} {','.join(map(str, op.wires))}{params}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def distribution_to_json(probs: np.ndarray) -> dict[str, float]:
-    """Map zero-padded n-bit strings to the 2^n probabilities, omitting zeros."""
-    width = probs.size.bit_length() - 1
-    return {
-        format(i, f"0{width}b"): float(p)
-        for i, p in enumerate(probs)
-        if p > 0.0
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +353,7 @@ def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
             }
         else:
             payload = {"N": n, "x": None, "distribution": {}}
-        _write_text(dump_path, _dumps(payload))
+        _write_text(dump_path, [_dumps(payload)])
     return result
 
 
@@ -287,7 +363,7 @@ def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     result_obj = grover.run_grover(problem, seed)
     if params.get("trace_path"):
         trace = {"marked_probability": list(result_obj.trace)}
-        _write_text(params["trace_path"], _dumps(trace))
+        _write_text(params["trace_path"], [_dumps(trace)])
     return {
         "qubits": k,
         "n_items": problem.N,
@@ -355,7 +431,7 @@ def _run_qft(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     circuit = qft.build_qft_circuit(spec)
     counts = qft.gate_counts(circuit)
     if params.get("emit_circuit_path"):
-        _write_text(params["emit_circuit_path"], circuit_to_text(circuit))
+        _write_text(params["emit_circuit_path"], [circuit_to_text(circuit)])
     return {
         "qubits": spec.k,
         "cutoff": spec.approx_cutoff,
@@ -369,12 +445,11 @@ def _run_qft(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 def _run_circuit_file(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     circuit = parse_circuit_file(params["file"], params.get("wires"))
-    state = statevec._Machine.basis(circuit.n_wires, 0).run(circuit).freeze()
-    probs = statevec.distribution(state)
     return {
         "n_wires": circuit.n_wires,
         "ops": len(circuit),
-        "distribution": distribution_to_json(probs),
+        # the report writes the state as its outcome law (RunReport.chunks)
+        "distribution": statevec._Machine.basis(circuit.n_wires, 0).run(circuit).freeze(),
     }
 
 
@@ -416,8 +491,8 @@ def _read_text(path: str) -> str:
         raise OSError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write a file atomically (temp file in place, then rename).
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write text chunks to a file atomically (temp file in place, then rename).
 
     A failure is an OSError naming ``path`` and leaves no temp file behind.
     """
@@ -426,7 +501,7 @@ def _write_text(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror}") from None
@@ -451,7 +526,7 @@ def _default_seed() -> int:
         try:
             return int(env)
         except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {_echo(env)}") from None
     return DEFAULT_SEED
 
 
@@ -531,15 +606,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                     continue
                 if not _is_integer(text):
                     raise ValueError(f"{args.targets_path}, line {lineno}: target must "
-                                     f"be an integer, got {text!r}")
+                                     f"be an integer, got {_echo(text)}")
                 targets.append(int(text))
         if not targets:
             raise ValueError("grover needs --target or --targets-file")
     elif command == "simon":
         if not args.c or set(args.c) - {"0", "1"}:
-            raise ValueError(f"--c must be a bit string, got {args.c!r}")
+            raise ValueError(f"--c must be a bit string, got {_echo(args.c)}")
         if len(args.c) != args.n:
-            raise ValueError(f"--c must have exactly n={args.n} bits, got {args.c!r}")
+            raise ValueError(f"--c must have exactly n={args.n} bits, got {_echo(args.c)}")
     return RunConfig(command, seed, output, params)
 
 
@@ -550,12 +625,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         report = run(config)
-        _emit(config.output_path, report.to_json())
+        _emit(config.output_path, report.chunks())
     except (ValueError, OSError) as exc:
         kind = "resource" if isinstance(exc, statevec.CapacityError) else "domain"
         text = _dumps({"error": {"type": kind, "message": str(exc)}})
         try:
-            _emit(args.output, text)
+            _emit(args.output, [text])
         except OSError:  # an unwritable --output still gets its error on stdout
             sys.stdout.write(text)
         return 3 if kind == "resource" else 1
@@ -564,11 +639,11 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _emit(output_path: str | None, text: str) -> None:
+def _emit(output_path: str | None, chunks: Iterable[str]) -> None:
     if output_path:
-        _write_text(output_path, text)
+        _write_text(output_path, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -320,6 +321,18 @@ def distribution(state: StateVector) -> np.ndarray:
     return np.abs(state.amps) ** 2
 
 
+def probability_blocks(state: StateVector) -> Iterator[np.ndarray]:
+    """|amp|^2 one kernel block at a time, in index order.
+
+    Each block is a new array of 2^15 probabilities (the whole state when
+    it is smaller), so a caller may work in it; joined, the blocks are
+    :func:`distribution` bit for bit.
+    """
+    amps = state.amps
+    for block in amps.reshape(-1, min(amps.size, 1 << _BLOCK_BITS)):
+        yield np.abs(block) ** 2
+
+
 def marginal(state: StateVector, high_bits: int) -> np.ndarray:
     """Measurement distribution of the top ``high_bits`` wires alone.
 
@@ -342,14 +355,13 @@ def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     u = make_rng(rng_seed).random(shots)
-    blocks = state.amps.reshape(-1, min(state.amps.size, 1 << _BLOCK_BITS))
-    idx, carry = 0, 0.0
-    for i, block in enumerate(blocks):
-        cdf = np.abs(block) ** 2
+    idx, carry, end = 0, 0.0, 0
+    for cdf in probability_blocks(state):
         cdf[0] += carry
         np.cumsum(cdf, out=cdf)
         carry = cdf[-1]
-        if i == len(blocks) - 1:
+        end += cdf.size
+        if end == state.amps.size:
             cdf[-1] = 1.0  # guard the top bin against rounding
         idx += np.searchsorted(cdf, u, side="right")
     return [int(i) for i in np.minimum(idx, state.amps.size - 1)]

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from qdesk import statevec
+from qdesk import cli, statevec
 from qdesk.gates import Circuit
 
 
@@ -61,3 +63,26 @@ def qft_fidelity(circuit: Circuit) -> float:
             overlap = abs(np.vdot(exact, column)) ** 2
             worst = min(worst, overlap)
     return float(worst)
+
+
+def distribution_dict(probs: np.ndarray) -> dict[str, float]:
+    """Zero-padded n-bit strings mapped to the 2^n probabilities, zeros omitted."""
+    width = probs.size.bit_length() - 1
+    return {format(i, f"0{width}b"): float(p) for i, p in enumerate(probs) if p > 0.0}
+
+
+def report_json(report: cli.RunReport) -> str:
+    """The report text as the dict-building serializer wrote it.
+
+    The byte-identity referee for ``RunReport.to_json``: a state under
+    "distribution" becomes the dict of its nonzero outcome probabilities,
+    and the whole report goes through one ``json.dumps``.  It holds the
+    2^n-entry dict and its text at once (about 100 MB at 18 wires), which
+    is what the streamed report avoids.
+    """
+    result = dict(report.result)
+    if isinstance(result.get("distribution"), statevec.StateVector):
+        result["distribution"] = distribution_dict(statevec.distribution(result["distribution"]))
+    obj = {"command": report.command, "config": report.config,
+           "result": result, "version": report.version}
+    return json.dumps(cli._round_floats(obj), indent=2, sort_keys=True) + "\n"

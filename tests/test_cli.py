@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from qdesk.cli import (
     RunConfig,
     SEED_ENV_VAR,
     circuit_to_text,
-    distribution_to_json,
     get_report_schema,
     main,
     majority_amplify,
@@ -35,6 +35,8 @@ from qdesk.cli import (
     run,
 )
 from qdesk.gates import cnot_op, cphase_op, h_op
+
+from conftest import distribution_dict, random_state, report_json
 
 
 def bernoulli_trial(p):
@@ -152,10 +154,13 @@ class TestCircuitText:
         ("H # wire one\n", 2, "H needs wire indices"),
         ("CNOT 1,2\n  CNOT   \n", 7, "CNOT needs wire indices"),
         # more digits than int() converts by default (4,300)
-        pytest.param("H " + "1" * 4301 + "\n", 3, f"bad wire list {'1' * 4301!r}",
+        # a long token is echoed as its first 32 characters and its length
+        pytest.param("H " + "1" * 4301 + "\n", 3,
+                     f"bad wire list {'1' * 32!r}... (4301 characters)",
                      id="wire-of-4301-digits"),
         pytest.param("CPHASE 1,2 j=0 k=" + "1" * 4301 + "\n", 16,
-                     f"bad parameter {'k=' + '1' * 4301!r}", id="k-of-4301-digits"),
+                     f"bad parameter {'k=' + '1' * 30!r}... (4303 characters)",
+                     id="k-of-4301-digits"),
     ])
     def test_stray_parameters_and_bad_integers_are_named_at_their_token(self, text, column, message):
         line = text.count("\n")
@@ -176,7 +181,21 @@ class TestCircuitText:
         # 4,300 digits, the most int() converts by default, still read as a wire
         with pytest.raises(CircuitSyntaxError) as err:
             parse_circuit_text("H " + "9" * 4300 + "\n", n_wires=3)
-        assert str(err.value) == f"line 1, column 3: wire {'9' * 4300} exceeds n_wires=3"
+        assert str(err.value) == ("line 1, column 3: "
+                                  f"wire {'9' * 32}... (4300 characters) exceeds n_wires=3")
+
+    @pytest.mark.parametrize("text, column, length", [
+        ("H " + "x" * 2**20 + "\n", 3, 2**20),
+        ("X" * 2**20 + " 1\n", 1, 2**20),
+        ("H 1 " + "j" * 2**20 + "\n", 5, 2**20),
+        ("CPHASE 1,2 j=0 k=1" + "0" * 2**20 + "\n", 16, 2**20 + 3),
+    ], ids=["wire", "gate", "stray-parameter", "parameter"])
+    def test_a_megabyte_token_gives_a_short_message(self, text, column, length):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit_text(text)
+        assert err.value.column == column
+        assert f"... ({length} characters)" in str(err.value)
+        assert len(str(err.value)) < 200
 
     def test_empty_text_needs_wire_count(self):
         with pytest.raises(ValueError, match="--wires"):
@@ -226,7 +245,9 @@ class TestReports:
         path = tmp_path / "empty.qc"
         path.write_text("")
         report = self._run("circuit-run", {"file": str(path), "wires": 3})
-        assert report.result["distribution"] == {"000": 1.0}
+        assert np.array_equal(statevec.distribution(report.result["distribution"]),
+                              np.eye(8)[0])
+        assert json.loads(report.to_json())["result"]["distribution"] == {"000": 1.0}
 
     def test_reports_validate_against_schema(self, tmp_path):
         schema = get_report_schema()
@@ -411,16 +432,19 @@ class TestMainEntry:
         assert payload["result"]["targets"] == [3, 9, 12]
         assert payload["result"]["found"] in (3, 9, 12)
 
-    @pytest.mark.parametrize("bad", ["abc", "2.5", "1_0", "+3", "\u0663",
-                                     pytest.param("1" * 4301, id="4301-digits")])
-    def test_grover_targets_file_names_a_bad_line(self, bad, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("bad, shown", [
+        *((bad, repr(bad)) for bad in ["abc", "2.5", "1_0", "+3", "\u0663", "x" * 32]),
+        pytest.param("1" * 4301, f"{'1' * 32!r}... (4301 characters)", id="4301-digits"),
+    ])
+    def test_grover_targets_file_names_a_bad_line(self, bad, shown, tmp_path, monkeypatch,
+                                                  capsys):
         (tmp_path / "targets.txt").write_text(f"3\n\n{bad}\n9\n")
         monkeypatch.chdir(tmp_path)
         assert main(["grover", "--qubits", "4", "--targets-file", "targets.txt"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == {
             "type": "domain",
-            "message": f"targets.txt, line 3: target must be an integer, got {bad!r}",
+            "message": f"targets.txt, line 3: target must be an integer, got {shown}",
         }
 
     @pytest.mark.parametrize("rounds", ["0", "2"])
@@ -525,14 +549,96 @@ class TestMainEntry:
 
 
 class TestDistributionJson:
-    def test_zero_entries_omitted(self):
-        probs = np.array([0.5, 0.0, 0.0, 0.5])
-        assert distribution_to_json(probs) == {"00": 0.5, "11": 0.5}
+    """The streamed circuit-run report, byte for byte against the referee."""
 
-    def test_keys_zero_padded(self):
-        probs = np.zeros(8)
-        probs[1] = 1.0
-        assert list(distribution_to_json(probs)) == ["001"]
+    @staticmethod
+    def _circuit_report(tmp_path, text, wires=None):
+        path = tmp_path / "circuit.qc"
+        path.write_text(text)
+        return run(RunConfig("circuit-run", 1, None, {"file": str(path), "wires": wires}))
+
+    @pytest.mark.parametrize("text, wires", [
+        ("H 1\nCNOT 1,2\n", None),
+        ("", 3),
+        ("H 1\n", None),
+        # entries at 0 and 2^16: whole 2^15 blocks of zeros between and after
+        ("H 1\n", 17),
+        ((Path(__file__).parent / "data" / "golden_12wire.qc").read_text(), None),
+    ], ids=["bell", "empty-3-wires", "one-wire", "h1-on-17-wires", "golden-12wire"])
+    def test_circuit_reports_match_the_referee(self, text, wires, tmp_path):
+        report = self._circuit_report(tmp_path, text, wires)
+        assert report.to_json() == report_json(report)
+
+    def test_bell_and_empty_entries(self, tmp_path):
+        bell = json.loads(self._circuit_report(tmp_path, "H 1\nCNOT 1,2\n").to_json())
+        assert bell["result"]["distribution"] == {"00": 0.5, "11": 0.5}
+        assert '\n      "000": 1.0\n    },\n' in self._circuit_report(tmp_path, "", 3).to_json()
+
+    def test_edge_probabilities_match_the_referee(self):
+        # |amp|^2 is exactly 1 - 2^-45, which prints 1.0 at 12 digits, and
+        # 2^-1074 = 5e-324, the least subnormal; the rest are exact zeros
+        amps = np.zeros(8)
+        amps[1], amps[4] = 1 - 2.0**-46, 2.0**-537
+        state = statevec.StateVector(3, amps)
+        assert statevec.distribution(state)[[1, 4]].tolist() == [1 - 2.0**-45, 5e-324]
+        report = cli.RunReport("circuit-run", {"seed": 1},
+                               {"distribution": state, "n_wires": 3, "ops": 0}, "0")
+        text = report.to_json()
+        assert text == report_json(report)
+        assert '"001": 1.0,\n      "100": 5e-324\n' in text
+
+    def test_distinct_probabilities_over_several_blocks_match_the_referee(self, rng):
+        # 2^17 distinct values: four blocks, each over many written chunks
+        report = cli.RunReport("circuit-run", {"seed": 1},
+                               {"distribution": random_state(rng, 17)}, "0")
+        assert report.to_json() == report_json(report)
+
+    @pytest.mark.parametrize("probs", [
+        np.zeros(8),
+        np.array([0.5, 0.0, 0.0, 0.5]),
+        np.array([0.0] * 9 + [1 - 2.0**-45, 0.0, 5e-324, 0.0, 0.0, 0.0, 2.0**-45]),
+        np.array([0.0] * 4 + [0.25] * 4 + [0.0] * 4 + [0.25, 0.0, 0.25, 0.0]),
+    ], ids=["all-zero", "ends", "edge-values", "zero-blocks"])
+    def test_any_probability_array_renders_as_json_dumps(self, probs):
+        # blocks of four, so some blocks are all zero and one holds every entry
+        width = probs.size.bit_length() - 1
+        text = "".join(cli._distribution_chunks(probs.reshape(-1, 4), width, ""))
+        assert text == json.dumps(cli._round_floats(distribution_dict(probs)), indent=2)
+
+    @pytest.mark.parametrize("text, wires", [
+        ("H 1\n", 17),
+        ((Path(__file__).parent / "data" / "golden_12wire.qc").read_text(), None),
+    ], ids=["h1-on-17-wires", "golden-12wire"])
+    def test_stdout_and_output_file_get_the_same_bytes(self, text, wires, tmp_path,
+                                                       monkeypatch, capsys):
+        (tmp_path / "c.qc").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        argv = ["circuit-run", "--file", "c.qc"] + (["--wires", str(wires)] if wires else [])
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--output", "report.json"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == printed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.qc", "report.json"]
+
+    def test_rendering_holds_one_block_of_text(self, tmp_path):
+        # 2^18 entries, 8 MB of text; a dict and its text peaked at 101 MB
+        report = self._circuit_report(tmp_path, "".join(f"H {w}\n" for w in range(1, 19)))
+        tracemalloc.start()
+        try:
+            size = sum(len(chunk) for chunk in report.chunks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 2**18 * 30
+        assert peak < 10 * 2**20
+
+    def test_a_dense_20_wire_run_holds_about_one_state(self, tmp_path):
+        # a 16 MB state and 51 MB of report text; writing the text whole
+        # peaked at 520 MB
+        path = tmp_path / "h20.qc"
+        path.write_text("".join(f"H {w}\n" for w in range(1, 21)))
+        assert peak_rss_mb(["circuit-run", "--file", str(path)]) < 150
 
 
 # A multi-target search from a targets file; its report and --trace sidecar
@@ -957,14 +1063,31 @@ def test_simon_classical_arguments_keep_the_error_contract(n, trials):
         assert 2 <= queries["min"] <= queries["median"] <= queries["max"] <= (1 << (n - 1)) + 1
 
 
+# Waits for the command in its arguments and prints its exit code and peak
+# RSS in KB.  On Linux a child's ru_maxrss starts from the high-water RSS of
+# the process it was spawned from, so a child spawned straight from the test
+# process would report at least the test process's own peak.
+_PEAK_RSS_LAUNCHER = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def peak_rss_mb(argv):
-    """Peak RSS of one ``python -m qdesk`` process, from ``os.wait4``."""
+    """Peak RSS of one ``python -m qdesk`` process, from ``os.wait4``.
+
+    The process is spawned from a fresh interpreter (``_PEAK_RSS_LAUNCHER``),
+    so the reading is the command's own, above a floor of about 10 MB.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(qdesk.__file__).parents[1]))
-    child = subprocess.Popen([sys.executable, "-m", "qdesk", *argv], env=env,
-                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0, argv
-    return usage.ru_maxrss / 1024
+    launched = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-m", "qdesk", *argv],
+        env=env, capture_output=True, text=True, check=True)
+    code, kilobytes = map(int, launched.stdout.split())
+    assert code == 0, argv
+    return kilobytes / 1024
 
 
 def test_factoring_holds_one_state_end_to_end():

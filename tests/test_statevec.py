@@ -402,6 +402,14 @@ class TestDistribution:
             probs = distribution(random_state(rng, n))
             assert abs(probs.sum() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 15, 17])
+    def test_probability_blocks_join_to_the_distribution(self, n, rng):
+        state = random_state(rng, n)
+        blocks = list(statevec.probability_blocks(state))
+        assert [b.size for b in blocks] == [min(1 << n, 1 << 15)] * (1 << max(n - 15, 0))
+        assert np.array_equal(np.concatenate(blocks), distribution(state))
+        assert all(b.flags.writeable and not np.shares_memory(b, state.amps) for b in blocks)
+
 
 class TestMeasureAll:
     def test_deterministic_state(self):
