@@ -220,6 +220,12 @@ def _echo(token: str, show: Callable[[str], str] = repr) -> str:
     return f"{show(token[:_ECHO_CHARS])}... ({len(token)} characters)"
 
 
+# a run of digits longer than the echo bound: the library modules repeat an
+# integer argument whole ("target N out of range", "factoring N=..."), so
+# an error report clips each such run as it would clip a token
+_LONG_DIGITS = re.compile(rf"\d{{{_ECHO_CHARS + 1},}}")
+
+
 class CircuitSyntaxError(ValueError):
     """Parse failure carrying a line/column diagnostic."""
 
@@ -628,7 +634,8 @@ def main(argv: list[str] | None = None) -> int:
         _emit(config.output_path, report.chunks())
     except (ValueError, OSError) as exc:
         kind = "resource" if isinstance(exc, statevec.CapacityError) else "domain"
-        text = _dumps({"error": {"type": kind, "message": str(exc)}})
+        message = _LONG_DIGITS.sub(lambda digits: _echo(digits.group(), str), str(exc))
+        text = _dumps({"error": {"type": kind, "message": message}})
         try:
             _emit(args.output, [text])
         except OSError:  # an unwritable --output still gets its error on stdout

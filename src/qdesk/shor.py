@@ -10,8 +10,11 @@ multiplicative order of x.  Continued-fraction convergents of c/2^(2L)
 recover r, and gcd(x^(r/2) +- 1, N) splits N when r is even and
 x^(r/2) is not congruent to -1.
 
-The oracle is applied as a classical permutation of basis states; no
-gate-level modular arithmetic is simulated.
+No gate-level modular arithmetic is simulated: the state after the load
+and the oracle, amplitude 2^-L at each (a, x^a mod N), is written straight
+into the buffer, and the transform runs only on the r columns of the
+value register that the powers take; the other 2^L - r columns stay
+zero (see ``statevec._Machine.period_finding``).
 """
 
 from __future__ import annotations
@@ -167,9 +170,12 @@ def order_finding_state(inst: FactoringInstance) -> statevec.StateVector:
         _states.clear()
         statevec.require_qubits(inst.n_qubits, f"factoring N={inst.N}")
         two_l = 2 * inst.L
-        powers = _power_table(inst.x, inst.N, 1 << two_l)
         transform = build_qft_circuit(QftSpec(two_l))
-        _states[inst] = statevec._Machine.period_finding(transform, powers, inst.L).freeze()
+        # the table is handed over, not kept, so the machine frees it before
+        # the transform runs
+        machine = statevec._Machine.period_finding(
+            transform, _power_table(inst.x, inst.N, 1 << two_l), inst.L)
+        _states[inst] = machine.freeze()
     return _states[inst]
 
 

@@ -24,10 +24,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .gates import Circuit, GateOp, hadamard_layer
+from .gates import Circuit, GateOp, hadamard
 
 #: Hard cap on the simulated register: 2^24 complex doubles is 256 MB; one
-#: such state, 1 MB of scratch and ~35 MB of interpreter peak near 293 MB.
+#: such state, 1-2 MB of scratch and ~35 MB of interpreter peak near 295 MB.
 MAX_QUBITS = 24
 
 #: Tolerance on sum |amp|^2 = 1 and on unit-modulus diagonal factors.
@@ -147,14 +147,50 @@ class _Machine:
     def period_finding(cls, transform: Circuit, table: np.ndarray, out_bits: int) -> _Machine:
         """|0>, H on the input register, the XOR oracle, then ``transform``.
 
-        The input register is the top ``transform.n_wires`` wires, above the
-        ``out_bits`` the oracle writes.  H^n is the Fourier transform over
-        Z_2^n (Simon) and the QFT the one over Z_(2^2L) (order finding); a
-        measured outcome ``>> out_bits`` reads the input register.
+        The input register is the top m = ``transform.n_wires`` wires, above
+        the ``out_bits`` the oracle writes.  H^m is the Fourier transform
+        over Z_2^m (Simon) and the QFT the one over Z_(2^2L) (order
+        finding); a measured outcome ``>> out_bits`` reads the input register.
+
+        The state is built without the H layer or the oracle pass: the
+        amplitude (1/sqrt 2)^m, multiplied up as the H layer multiplies it,
+        goes at (a, table[a]) of a zeroed buffer.  Seen as a 2^m x 2^out_bits
+        matrix, the buffer's column w is then nonzero only when the table
+        takes the value w, and ``transform`` (U on the input register, the
+        identity on the output) maps each column to U times it, so a column
+        the table never takes stays zero.  The transform runs on the live
+        columns only: a power-of-two number of them at a time is gathered
+        into one block of at most 2^14 amplitudes (one column when a column
+        is larger), padded with dead columns, run as its own machine and
+        scattered back.  The kernel's product on a column does not depend on
+        the columns beside it, so the state is ``np.array_equal`` to the
+        full-width run's (the tests compare the two).
         """
         m = transform.n_wires
-        machine = cls.basis(m + out_bits, 0).run(hadamard_layer(m))
-        return machine.xor_oracle(table, out_bits).run(transform)
+        table = _oracle_table(table, 1 << m, out_bits)
+        h, amp = hadamard()[0, 0], np.complex128(1)
+        for _ in range(m):
+            amp = h * amp
+        amps = np.zeros(1 << (m + out_bits), dtype=np.complex128)
+        by_column = amps.reshape(1 << m, -1)
+        by_column[np.arange(1 << m), table] = amp
+        live = np.zeros(1 << out_bits, dtype=bool)
+        live[table] = True
+        del table  # freed here when the caller kept no reference
+        count = np.count_nonzero(live)
+        # half a kernel block, so a block and the kernel's two scratch
+        # arrays hold 768 KB; the 2^out_bits columns are a multiple of
+        # width, so a last block always has dead columns to pad with
+        width = min(max((1 << (_BLOCK_BITS - 1)) >> m, 1), by_column.shape[1])
+        order = np.concatenate((np.flatnonzero(live), np.flatnonzero(~live)))
+        block = np.empty((1 << m, width), dtype=amps.dtype)
+        for start in range(0, count, width):
+            columns = order[start:start + width]
+            # the default mode="raise" gathers into a hidden copy of block
+            np.take(by_column, columns, axis=1, out=block, mode="clip")
+            cls(block.reshape(-1)).run(transform)
+            by_column[:, columns] = block
+        return cls(amps)
 
     def run(self, circuit: Circuit) -> _Machine:
         """The gate kernel: apply a circuit's ops in order, in place.
@@ -233,12 +269,8 @@ class _Machine:
         """
         if not 0 <= out_bits <= self.n_qubits:
             raise ValueError(f"out_bits={out_bits} out of range [0, {self.n_qubits}]")
-        table = np.asarray(table, dtype=np.intp)
         rows = self.amps.size >> out_bits
-        if table.shape != (rows,):
-            raise ValueError(f"oracle table must have {rows} entries, got shape {table.shape}")
-        if np.any(table >> out_bits):
-            raise ValueError(f"oracle table entries must be {out_bits}-bit values")
+        table = _oracle_table(table, rows, out_bits)
         by_row = self.amps.reshape(rows, -1)
         w = np.arange(1 << out_bits, dtype=np.intp)
         step = min(max((1 << _BLOCK_BITS) >> out_bits, 1), rows)
@@ -253,6 +285,16 @@ class _Machine:
         """Validate the buffer once and return it as an immutable state."""
         amps, self.amps = self.amps, None
         return StateVector(self.n_qubits, amps, copy=False)
+
+
+def _oracle_table(table: np.ndarray, rows: int, out_bits: int) -> np.ndarray:
+    """An XOR-oracle table as intp, checked to hold one ``out_bits``-bit value per row."""
+    table = np.asarray(table, dtype=np.intp)
+    if table.shape != (rows,):
+        raise ValueError(f"oracle table must have {rows} entries, got shape {table.shape}")
+    if np.any(table >> out_bits):
+        raise ValueError(f"oracle table entries must be {out_bits}-bit values")
+    return table
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:

@@ -359,6 +359,25 @@ class TestMainEntry:
             "message": "search over 2^-1 items must use at least one qubit, got -1",
         }
 
+    # 4,300 digits, the most argparse's int() reads; the library repeats
+    # such an integer whole, and the report clips it as it clips a token
+    @pytest.mark.parametrize("argv, code, message", [
+        (["grover", "--qubits", "4", "--target", "1" * 4300], 1,
+         f"target {'1' * 32}... (4300 characters) out of range [0, 16)"),
+        (["factor", "--n", "9" * 4299 + "7"], 3,
+         f"factoring N={'9' * 32}... (4300 characters) needs "
+         f"{3 * int('9' * 4300).bit_length()} qubits (cap 24)"),
+        (["grover", "--qubits", "2" * 4300, "--target", "1"], 3,
+         f"search over 2^{'2' * 32}... (4300 characters) items needs "
+         f"{'2' * 32}... (4300 characters) qubits (cap 24)"),
+        (["factor", "--n", "15", "--max-attempts", "-" + "1" * 4300], 1,
+         f"max_attempts must be positive, got -{'1' * 32}... (4300 characters)"),
+    ], ids=["grover-target", "factor-n", "grover-qubits", "factor-max-attempts"])
+    def test_a_4300_digit_argument_is_clipped_in_the_error(self, argv, code, message, capsys):
+        assert main(argv) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["message"] == message
+
     @pytest.mark.parametrize("n", ["0", "9"])
     def test_simon_classical_range_checked_first(self, n, capsys):
         assert main(["simon-classical", "--n", n, "--trials", "3"]) == 1

@@ -160,32 +160,32 @@ class TestCircuit:
                            match=r"^factoring N=3855 needs 36 qubits \(cap 24\)$"):
             run_order_finding_circuit(inst, rng_seed=0)
 
-    def test_attempt_cost_is_2l_hadamards_one_oracle_and_the_qft(self, monkeypatch):
-        # the counterpart of Simon's round-cost test: the state is built on
-        # one machine, so the ops are counted where the machine applies them
-        inst = FactoringInstance(21, 2)
+    def test_attempt_cost_is_the_qft_once_per_block_of_live_columns(self, monkeypatch):
+        # the state is loaded straight into the post-oracle state, and the
+        # QFT runs on the value register's live columns only: 2^12-amplitude
+        # columns, 4 to a 2^14-amplitude block, and r = 10 live columns for
+        # N = 33, x = 2, so 3 blocks; the H layer and the oracle never run
+        inst = FactoringInstance(33, 2)
         two_l = 2 * inst.L
-        gate_calls = []
-        oracle_out_bits = []
+        runs = []
+        oracle_calls = []
         machine = statevec._Machine
         real_run = machine.run
-        real_oracle = machine.xor_oracle
 
         def counting_run(self, circuit):
-            gate_calls.extend((op.name, op.wires) for op in circuit.ops)
+            runs.append((self.n_qubits, [(op.name, op.wires) for op in circuit.ops]))
             return real_run(self, circuit)
 
-        def counting_oracle(self, table, out_bits):
-            oracle_out_bits.append(out_bits)
-            return real_oracle(self, table, out_bits)
-
         monkeypatch.setattr(machine, "run", counting_run)
-        monkeypatch.setattr(machine, "xor_oracle", counting_oracle)
+        monkeypatch.setattr(machine, "xor_oracle", lambda *args: oracle_calls.append(args))
         monkeypatch.setattr(shor, "_states", {})
         order_finding_state(inst)
         qft_ops = [(op.name, op.wires) for op in build_qft_circuit(QftSpec(two_l)).ops]
-        assert gate_calls == [("H", (w,)) for w in range(1, two_l + 1)] + qft_ops
-        assert oracle_out_bits == [inst.L]
+        width = (1 << 14) >> two_l
+        blocks = -(-multiplicative_order(2, 33) // width)
+        assert (width, blocks) == (4, 3)
+        assert runs == [(two_l + 2, qft_ops)] * blocks
+        assert oracle_calls == []
 
     def test_measured_c_is_the_extracted_exponent_register(self):
         inst = FactoringInstance(35, 3)
@@ -427,6 +427,25 @@ class TestFactorPipeline:
         finally:
             tracemalloc.stop()
         assert peak < nbytes + 2 * (16 << 15) + nbytes // 8
+
+    def test_21_qubit_state_holds_the_state_and_one_block(self):
+        # at 21 qubits the QFT runs one 2^14-amplitude column at a time: the
+        # peak is the 32 MB state, the 256 KB column block, the kernel's two
+        # scratch arrays of its size and the circuit; the power table is
+        # freed before the transform.  A first call fills the interpreter's
+        # tuple free lists (about 180 KB that tracemalloc counts as live),
+        # so the measured call is the second.
+        inst = FactoringInstance(119, 3)
+        nbytes = 16 << inst.n_qubits
+        order_finding_state(inst)
+        shor._states.clear()
+        tracemalloc.start()
+        try:
+            order_finding_state(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes + (1 << 20)
 
     def test_trivial_inputs_rejected(self):
         for bad in (16, 13, 27):

@@ -268,30 +268,31 @@ class TestCostAccounting:
             tracemalloc.stop()
         assert peak < nbytes + 2 * (16 << 15) + nbytes // 8
 
-    def test_round_cost_is_2n_hadamards_and_one_oracle(self, monkeypatch):
-        # the sampling state is built on one machine, so the ops are
-        # counted where the machine applies them
-        n = 4
-        oracle = make_oracle(n, 0b1100, rng_seed=1)
-        gate_calls = []
+    def test_round_cost_is_the_h_layer_once_per_block_of_live_columns(self, monkeypatch):
+        # the state is loaded straight into the post-oracle state, and H^n
+        # runs on the output register's live columns only: 2^8-amplitude
+        # columns, 64 to a 2^14-amplitude block, and 2^7 live columns for a
+        # 2-to-1 f, so 2 blocks; the H layer on the input and the oracle
+        # never run
+        n = 8
+        oracle = make_oracle(n, 0b11000101, rng_seed=1)
+        runs = []
         oracle_calls = []
         machine = statevec._Machine
         real_run = machine.run
-        real_oracle = machine.xor_oracle
 
         def counting_run(self, circuit):
-            gate_calls.extend(op.name for op in circuit.ops)
+            runs.append((self.n_qubits, [op.name for op in circuit.ops]))
             return real_run(self, circuit)
 
-        def counting_oracle(self, table, out_bits):
-            oracle_calls.append(1)
-            return real_oracle(self, table, out_bits)
-
         monkeypatch.setattr(machine, "run", counting_run)
-        monkeypatch.setattr(machine, "xor_oracle", counting_oracle)
+        monkeypatch.setattr(machine, "xor_oracle", lambda *args: oracle_calls.append(args))
         simon_sample(oracle, rng_seed=0)
-        assert gate_calls == ["H"] * (2 * n)
-        assert len(oracle_calls) == 1
+        width = (1 << 14) >> n
+        blocks = -(-(1 << (n - 1)) // width)
+        assert (width, blocks) == (64, 2)
+        assert runs == [(14, ["H"] * n)] * blocks
+        assert oracle_calls == []
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_run_builds_one_sampling_state_and_matches_per_round_samples(

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import qdesk
-from qdesk import gates, simon, statevec
+from qdesk import gates, shor, simon, statevec
+from qdesk.qft import QftSpec, build_qft_circuit
 from qdesk.statevec import (
     CapacityError,
     StateVector,
@@ -630,6 +631,52 @@ class TestRunCircuit:
     def test_circuit_wider_than_state_rejected(self):
         with pytest.raises(ValueError):
             run_circuit(init_basis(1, 0), gates.Circuit(2, (gates.h_op(2),)))
+
+
+def gate_by_gate_period_finding(transform, table, out_bits):
+    """The referee: |0>, H on each input wire, the XOR oracle, then the transform."""
+    m = transform.n_wires
+    state = run_circuit(init_basis(m + out_bits, 0), gates.hadamard_layer(m))
+    return run_circuit(apply_xor_oracle(state, table, out_bits), transform).amps
+
+
+def assert_period_finding_is_the_gate_by_gate_run(transform, table, out_bits):
+    amps = statevec._Machine.period_finding(transform, table, out_bits).freeze().amps
+    assert np.array_equal(amps, gate_by_gate_period_finding(transform, table, out_bits))
+    # a column the oracle never writes is untouched by U (x) I
+    dead = np.setdiff1d(np.arange(1 << out_bits), table)
+    assert not np.any(amps.reshape(-1, 1 << out_bits)[:, dead])
+
+
+# every factoring instance up to 18 qubits with x = 2..8, and two at 21
+FACTORING_CASES = [
+    (n, x) for n in range(15, 64) if shor.is_trivial_case(n) == "composite-ok"
+    for x in range(2, 9) if math.gcd(n, x) == 1
+] + [(65, 2), (119, 3)]
+
+
+class TestPeriodFinding:
+    @pytest.mark.parametrize("n, x", FACTORING_CASES)
+    def test_order_finding_state_is_the_gate_by_gate_state(self, n, x):
+        inst = shor.FactoringInstance(n, x)
+        powers = shor._power_table(x, n, 1 << (2 * inst.L))
+        transform = build_qft_circuit(QftSpec(2 * inst.L))
+        assert_period_finding_is_the_gate_by_gate_run(transform, powers, inst.L)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_simon_state_is_the_gate_by_gate_state_for_every_shift(self, n):
+        for c in range(1, 1 << n):
+            table = simon.make_oracle(n, c, rng_seed=c).table
+            assert_period_finding_is_the_gate_by_gate_run(gates.hadamard_layer(n), table, n)
+
+    @pytest.mark.parametrize("table, out_bits", [
+        ([0, 1, 2], 2), ([[0, 1], [2, 3]], 2), ([0] * 16, 2), ([0, 4, 0, 0], 2), ([0, -1, 0, 0], 2),
+    ])
+    def test_table_checks_are_the_xor_oracle_checks(self, table, out_bits):
+        with pytest.raises(ValueError) as oracle_error:
+            apply_xor_oracle(init_basis(2 + out_bits, 0), np.array(table), out_bits)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(oracle_error.value))}$"):
+            statevec._Machine.period_finding(gates.hadamard_layer(2), np.array(table), out_bits)
 
 
 class TestSeeding:
