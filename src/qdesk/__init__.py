@@ -3,8 +3,8 @@
 Modules
 -------
 statevec
-    Dense state vector, view-based gate kernel, XOR oracle, register
-    marginal, qubit budget, seeded measurement.
+    Dense state vector, view-based gate kernel, the period-finding state
+    build, register marginal, qubit budget, seeded measurement.
 gates
     Gate matrices, circuit IR, dense expansion oracle, linear routing.
 qft
@@ -14,7 +14,7 @@ simon
 shor
     Order finding, continued-fraction recovery and factor extraction.
 grover
-    Inversion about the mean, iteration schedule, analytic recurrence.
+    Search problem, in-place iteration, schedule, analytic recurrence.
 cli
     JSON-reporting command-line front end and majority-vote amplifier.
 """

@@ -23,7 +23,6 @@ import tempfile
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
-from importlib import resources
 from typing import Any, Callable
 
 import numpy as np
@@ -406,6 +405,8 @@ def _run_simon_classical(seed: int, params: dict[str, Any]) -> dict[str, Any]:
         raise ValueError(f"n must lie in [1, {simon.BASELINE_MAX_BITS}] for the baseline, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if trials > simon.BASELINE_MAX_TRIALS:
+        raise ValueError(f"trials={trials} is over the cap of {simon.BASELINE_MAX_TRIALS}")
     shift_rng = statevec.make_rng(statevec.derive_seed(seed, 0))
     queries = []
     for i in range(trials):
@@ -516,12 +517,6 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
             os.unlink(tmp)
 
 
-def get_report_schema() -> dict[str, Any]:
-    """Load the frozen JSON schema the reports validate against."""
-    text = resources.files("qdesk").joinpath("report_schema.json").read_text()
-    return json.loads(text)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -536,8 +531,33 @@ def _default_seed() -> int:
     return DEFAULT_SEED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors repeat no long input whole.
+
+    argparse repeats a rejected token in its message (an invalid value or
+    choice, an unrecognized argument), or the token's part after ``=`` or
+    after a one-dash flag; :meth:`error` shows each such piece over
+    ``_ECHO_CHARS`` characters as :func:`_echo` shows it.  The subcommand
+    parsers are of this class too: ``add_subparsers`` builds its parsers
+    with the class of the parser it is called on.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        pieces = {piece for token in self._tokens
+                  for piece in (token, token.partition("=")[2], token[2:])
+                  if len(piece) > _ECHO_CHARS}
+        for piece in sorted(pieces, key=len, reverse=True):
+            message = message.replace(repr(piece), _echo(piece))
+            message = message.replace(piece, _echo(piece, str))
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdesk",
         description="Desk-scale quantum algorithm simulator with JSON reports.",
     )

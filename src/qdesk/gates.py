@@ -219,15 +219,6 @@ def hadamard_layer(n_wires: int) -> Circuit:
 # diagonal phase oracles
 # ---------------------------------------------------------------------------
 
-def phase_flip_zero(n: int) -> np.ndarray:
-    """Diagonal transform sending index 0 to -1 times itself, others unchanged."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    signs = np.ones(1 << n, dtype=np.float64)
-    signs[0] = -1.0
-    return signs
-
-
 def phase_flip_target(n: int, predicate: Callable[[int], bool]) -> np.ndarray:
     """Diagonal transform negating exactly the indices the predicate marks.
 

@@ -3,9 +3,9 @@
 One search iteration applies the marking oracle (a diagonal sign flip on
 the target indices) followed by inversion about the mean, which replaces
 every amplitude a_i by 2m - a_i for the mean m.  The inversion is exactly
-the composed operator -(H^k) Z0 (H^k) where Z0 flips the sign of index 0;
-both forms are implemented and must agree, the mean formula being the fast
-path and the composition the cross-check.
+the composed operator -(H^k) Z0 (H^k) where Z0 flips the sign of index 0.
+The mean formula is the one implemented here; the composed form, built
+from gates, is its referee in ``tests/referees.py``.
 
 Sign bookkeeping: with the iteration fixed as (inversion about mean after
 the oracle flip), starting from the uniform state with single-target
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec
-from .gates import hadamard_layer, phase_flip_zero
+from .gates import hadamard_layer
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,16 +61,6 @@ class SearchProblem:
         return 1 << self.k
 
 
-def single_target(k: int, t: int) -> SearchProblem:
-    """Search problem marking exactly the index t."""
-    return SearchProblem(k, (t,))
-
-
-def uniform_state(k: int) -> statevec.StateVector:
-    """Equal superposition of all 2^k indices, built from Hadamards."""
-    return statevec._Machine.basis(k, 0).run(hadamard_layer(k)).freeze()
-
-
 def _reflect_inplace(amps: np.ndarray) -> None:
     """Replace each amplitude a_i by 2m - a_i (m the mean amplitude)."""
     m = amps.mean()
@@ -89,23 +79,6 @@ def _iterate_inplace(amps: np.ndarray, marked: np.ndarray) -> None:
 def _marked_mass(amps: np.ndarray, marked: np.ndarray) -> float:
     """Sum of |amp|^2 over the marked indices, added in ascending order."""
     return float(sum(np.abs(amps[marked]) ** 2))
-
-
-def inversion_about_mean(state: statevec.StateVector) -> statevec.StateVector:
-    """Replace each amplitude a_i by 2m - a_i (m the mean amplitude)."""
-    amps = state.amps.copy()
-    _reflect_inplace(amps)
-    return statevec.StateVector(state.n_qubits, amps, copy=False)
-
-
-def inversion_about_mean_composed(state: statevec.StateVector) -> statevec.StateVector:
-    """The same reflection as -(H^k) Z0 (H^k), built from the gates."""
-    n = state.n_qubits
-    layer = hadamard_layer(n)
-    state = statevec.run_circuit(state, layer)
-    state = statevec.apply_diagonal(state, phase_flip_zero(n))
-    state = statevec.run_circuit(state, layer)
-    return statevec.apply_diagonal(state, np.full(1 << n, -1.0))
 
 
 def grover_iterate(state: statevec.StateVector, problem: SearchProblem) -> statevec.StateVector:

@@ -27,10 +27,6 @@ import numpy as np
 from . import statevec
 from .gates import Circuit, cphase_op, h_op, swap_op
 
-#: dft_matrix builds a dense 2^k x 2^k array; keep it a test-scale oracle.
-DFT_MATRIX_MAX_QUBITS = 10
-
-
 @dataclass(frozen=True)
 class QftSpec:
     """Parameters of a transform circuit build."""
@@ -47,25 +43,12 @@ class QftSpec:
             )
 
 
-def dft_matrix(k: int) -> np.ndarray:
-    """Dense transform matrix with entry (b, a) = 2^(-k/2) exp(2 pi i a b / 2^k)."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > DFT_MATRIX_MAX_QUBITS:
-        raise ValueError(
-            f"dft_matrix refuses k={k} (> {DFT_MATRIX_MAX_QUBITS}; dense matrix only)"
-        )
-    dim = 1 << k
-    idx = np.arange(dim)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / dim) / np.sqrt(dim)
-
-
 def build_qft_circuit(spec: QftSpec) -> Circuit:
     """Build the transform circuit for ``spec``.
 
     With no cutoff the circuit holds exactly k Hadamards and k(k-1)/2
-    controlled phases; with swaps on, its expanded matrix equals
-    :func:`dft_matrix`.
+    controlled phases; with swaps on, its expanded matrix is the dense
+    transform with entry (b, a) = 2^(-k/2) exp(2 pi i a b / 2^k).
     """
     k = spec.k
     cutoff = spec.approx_cutoff

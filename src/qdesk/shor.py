@@ -190,62 +190,6 @@ def first_register_distribution(inst: FactoringInstance) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# analytic outcome law
-# ---------------------------------------------------------------------------
-
-def analytic_outcome_probability(inst: FactoringInstance, c: int, a0: int) -> float:
-    """Probability of measuring (c, x^a0 mod N), from the geometric sum.
-
-    The exponents contributing to the value x^a0 are a0, a0+r, a0+2r, ...;
-    there are floor(Q/r) + eta of them where Q = 2^(2L) and eta is 1
-    exactly when a0 < Q mod r.  Their phases exp(2 pi i b r c / Q) are
-    summed directly and the squared magnitude normalized by Q^2.
-    """
-    q_total = 1 << (2 * inst.L)
-    if not 0 <= c < q_total:
-        raise ValueError(f"c={c} out of range [0, {q_total})")
-    r = multiplicative_order(inst.x, inst.N)
-    if not 0 <= a0 < r:
-        raise ValueError(f"a0={a0} is not a least exponent for order r={r}")
-    eta = 1 if a0 < q_total % r else 0
-    count = q_total // r + eta
-    b = np.arange(count)
-    angles = (b * r % q_total) * c % q_total  # phase numerators reduced mod Q
-    amplitude = np.exp(2j * np.pi * angles / q_total).sum()
-    return float(abs(amplitude) ** 2) / q_total**2
-
-
-def analytic_distribution(inst: FactoringInstance) -> np.ndarray:
-    """Analytic joint outcome distribution over the full 3L-qubit register.
-
-    The closed form of :func:`analytic_outcome_probability` for every c at
-    once.  With t = r c mod Q, a sum of ``count`` phases exp(2 pi i b t / Q)
-    is a Dirichlet kernel: its squared magnitude is
-    sin^2(pi count t / Q) / sin^2(pi t / Q), and count^2 where t = 0.  Only
-    two counts occur, floor(Q/r) and floor(Q/r) + 1, so the law over c is
-    evaluated twice and written into the column of each value x^a0.
-    """
-    L = inst.L
-    q_total = 1 << (2 * L)
-    orbit = _orbit(inst.x, inst.N)
-    r = len(orbit)
-    t = np.arange(q_total, dtype=np.int64) * r % q_total
-    spread = t != 0
-    denominator = np.sin(np.pi * t[spread] / q_total) ** 2
-    laws = {}
-    for count in (q_total // r, q_total // r + 1):
-        law = np.full(q_total, float(count * count))
-        # count * t is reduced mod Q first: sin^2(pi x) has period 1 in x
-        law[spread] = np.sin(np.pi * (count * t[spread] % q_total) / q_total) ** 2 / denominator
-        laws[count] = law / q_total**2
-    probs = np.zeros(1 << inst.n_qubits)
-    by_value = probs.reshape(q_total, 1 << L)
-    for a0, value in enumerate(orbit):
-        by_value[:, value] = laws[q_total // r + (1 if a0 < q_total % r else 0)]
-    return probs
-
-
-# ---------------------------------------------------------------------------
 # continued fractions and order recovery
 # ---------------------------------------------------------------------------
 

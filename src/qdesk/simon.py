@@ -25,6 +25,9 @@ from .gates import hadamard_layer
 #: The classical collision baseline is tabulated for n up to this bound.
 BASELINE_MAX_BITS = 8
 
+#: The most baseline trials one request runs; at n = 8 they take about 18 s.
+BASELINE_MAX_TRIALS = 100_000
+
 
 @dataclass(frozen=True, eq=False)
 class SimonOracle:
@@ -71,24 +74,6 @@ def sampling_state(oracle: SimonOracle) -> statevec.StateVector:
     """
     transform = hadamard_layer(oracle.n)
     return statevec._Machine.period_finding(transform, oracle.table, oracle.n).freeze()
-
-
-def first_register_distribution(oracle: SimonOracle) -> np.ndarray:
-    """Exact measurement distribution of the input register (length 2^n)."""
-    return statevec.marginal(sampling_state(oracle), oracle.n)
-
-
-def simon_sample(oracle: SimonOracle, rng_seed: int) -> int:
-    """Run one quantum round and return the measured first-register value y.
-
-    Every returned y satisfies y . c = 0 (mod 2) with certainty.
-    """
-    return statevec.measure_all(sampling_state(oracle), rng_seed, 1)[0] >> oracle.n
-
-
-def dot_mod2(a: int, b: int) -> int:
-    """Binary inner product of two bit vectors."""
-    return bin(a & b).count("1") & 1
 
 
 def _echelon(rows: list[int]) -> dict[int, int]:
@@ -160,8 +145,8 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
     candidate c = 1 is returned after zero rounds.
 
     Every round prepares the same state, so it is built once and measured
-    each round with that round's sub-seed: the samples equal those of
-    ``simon_sample(oracle, derive_seed(rng_seed, round))``.
+    each round with that round's sub-seed ``derive_seed(rng_seed, round)``:
+    the samples are those of one fresh state measured per round.
     """
     n = oracle.n
     if max_rounds < n:

@@ -34,10 +34,10 @@ MAX_QUBITS = 24
 NORM_TOL = 1e-10
 
 # The gate kernel works on blocks of 2^15 amplitudes (512 KB, so its two
-# scratch arrays fit a 2 MB L2 cache) and the XOR oracle moves rows in
-# chunks of the same size.  Over 2^12..2^17 on a 21-qubit QFT, 2^14..2^16
-# came out fastest: smaller blocks pay more per-block Python overhead
-# (1.5x the QFT time at 2^12), larger ones spill out of the cache.
+# scratch arrays fit a 2 MB L2 cache).  Over 2^12..2^17 on a 21-qubit
+# QFT, 2^14..2^16 came out fastest: smaller blocks pay more per-block
+# Python overhead (1.5x the QFT time at 2^12), larger ones spill out of
+# the cache.
 _BLOCK_BITS = 15
 
 
@@ -260,27 +260,6 @@ class _Machine:
                     view[...] = product.reshape(shape)
         return self
 
-    def xor_oracle(self, table: np.ndarray, out_bits: int) -> _Machine:
-        """Map (a, w) -> (a, w XOR table[a]) (see :func:`apply_xor_oracle`).
-
-        XOR permutes each row of fixed a, so no bijection check is needed.
-        Each chunk of rows, about one kernel block, is copied into one
-        scratch array and put back permuted.
-        """
-        if not 0 <= out_bits <= self.n_qubits:
-            raise ValueError(f"out_bits={out_bits} out of range [0, {self.n_qubits}]")
-        rows = self.amps.size >> out_bits
-        table = _oracle_table(table, rows, out_bits)
-        by_row = self.amps.reshape(rows, -1)
-        w = np.arange(1 << out_bits, dtype=np.intp)
-        step = min(max((1 << _BLOCK_BITS) >> out_bits, 1), rows)
-        scratch = np.empty((step, 1 << out_bits), dtype=self.amps.dtype)
-        for start in range(0, rows, step):
-            chunk = slice(start, start + step)
-            np.copyto(scratch, by_row[chunk])
-            np.put_along_axis(by_row[chunk], w ^ table[chunk, np.newaxis], scratch, axis=1)
-        return self
-
     def freeze(self) -> StateVector:
         """Validate the buffer once and return it as an immutable state."""
         amps, self.amps = self.amps, None
@@ -349,15 +328,6 @@ def apply_permutation(state: StateVector, perm: np.ndarray) -> StateVector:
     return StateVector(state.n_qubits, amps, copy=False)
 
 
-def apply_xor_oracle(state: StateVector, table: np.ndarray, out_bits: int) -> StateVector:
-    """Apply the reversible oracle (a, w) -> (a, w XOR table[a]).
-
-    The low ``out_bits`` wires hold w and the wires above them hold a, so
-    ``table`` has one entry per value of a, each an ``out_bits``-bit value.
-    """
-    return _Machine(state.amps.copy()).xor_oracle(table, out_bits).freeze()
-
-
 def distribution(state: StateVector) -> np.ndarray:
     """Measurement probabilities |amp|^2 for every basis index."""
     return np.abs(state.amps) ** 2
@@ -408,21 +378,3 @@ def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:
         idx += np.searchsorted(cdf, u, side="right")
     return [int(i) for i in np.minimum(idx, state.amps.size - 1)]
 
-
-def extract_register(index: int, n_qubits: int, first_wire: int, last_wire: int) -> int:
-    """Read the integer carried by a contiguous wire span of a basis index.
-
-    The span is inclusive and MSB-first: wires (1, 2) of index 0b1011 on
-    four qubits give 0b10 = 2.
-    """
-    if first_wire > last_wire:
-        raise ValueError(f"empty wire span ({first_wire}, {last_wire})")
-    if first_wire < 1 or last_wire > n_qubits:
-        raise ValueError(
-            f"wire span ({first_wire}, {last_wire}) outside [1, {n_qubits}]"
-        )
-    index = int(index)
-    if not 0 <= index < (1 << n_qubits):
-        raise ValueError(f"index {index} is not a {n_qubits}-qubit basis index")
-    width = last_wire - first_wire + 1
-    return (index >> (n_qubits - last_wire)) & ((1 << width) - 1)

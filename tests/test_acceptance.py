@@ -17,9 +17,10 @@ import pytest
 
 from qdesk import grover, shor, simon, statevec
 from qdesk.gates import Circuit, GateOp, expand_to_matrix
-from qdesk.qft import QftSpec, build_qft_circuit, dft_matrix, gate_counts
+from qdesk.qft import QftSpec, build_qft_circuit, gate_counts
 
-from conftest import qft_fidelity, random_unitary
+from conftest import random_unitary
+from referees import analytic_distribution, dft_matrix, dot_mod2, qft_fidelity, uniform_state
 
 
 def _report(number, description, ok, detail=""):
@@ -104,9 +105,9 @@ def test_criterion_4_hidden_shift_exactness_and_recovery():
     for n in range(1, 6):
         for c in range(1, 1 << n):
             oracle = simon.make_oracle(n, c, rng_seed=statevec.derive_seed(41, n, c))
-            dist = simon.first_register_distribution(oracle)
+            dist = statevec.marginal(simon.sampling_state(oracle), oracle.n)
             for y in range(1 << n):
-                expected = 2.0 ** -(n - 1) if simon.dot_mod2(y, c) == 0 else 0.0
+                expected = 2.0 ** -(n - 1) if dot_mod2(y, c) == 0 else 0.0
                 if abs(dist[y] - expected) > 1e-10:
                     distribution_ok = False
             for seed in range(50):
@@ -170,7 +171,7 @@ def test_criterion_6_measured_distribution_matches_analytic_law():
     for n, x in cases:
         inst = shor.FactoringInstance(n, x)
         simulated = statevec.distribution(shor.order_finding_state(inst))
-        analytic = shor.analytic_distribution(inst)
+        analytic = analytic_distribution(inst)
         worst = max(worst, float(np.max(np.abs(simulated - analytic))))
     elapsed = time.perf_counter() - start
     _report(
@@ -234,11 +235,11 @@ def test_criterion_8_continued_fraction_window():
 
 def test_criterion_9_search_exact_small_and_analytic_track():
     # N = 4: certainty after exactly one iteration
-    state = grover.grover_iterate(grover.uniform_state(2), grover.single_target(2, 3))
+    state = grover.grover_iterate(uniform_state(2), grover.SearchProblem(2, (3,)))
     p4 = float(np.abs(state.amps[3]) ** 2)
     ok4 = abs(p4 - 1.0) <= 1e-10 and grover.iteration_schedule(4, 1) == 1
     # N = 1024: scheduled count reaches 0.99
-    result = grover.run_grover(grover.single_target(10, 777), rng_seed=90)
+    result = grover.run_grover(grover.SearchProblem(10, (777,)), rng_seed=90)
     ok1024 = result.success_probability >= 0.99
     # analytic track equals simulation at every step
     track_ok = True
@@ -246,8 +247,8 @@ def test_criterion_9_search_exact_small_and_analytic_track():
         n_items = 1 << k
         steps = grover.iteration_schedule(n_items, 1)
         track = grover.analytic_recurrence(n_items, steps)
-        problem = grover.single_target(k, n_items - 1)
-        state = grover.uniform_state(k)
+        problem = grover.SearchProblem(k, (n_items - 1,))
+        state = uniform_state(k)
         for i in range(1, steps + 1):
             state = grover.grover_iterate(state, problem)
             pair = track[i]
@@ -269,7 +270,7 @@ def test_criterion_9_search_exact_small_and_analytic_track():
 def test_criterion_10_oracle_call_scaling():
     calls = {}
     for k in (4, 8, 12):
-        result = grover.run_grover(grover.single_target(k, 1), rng_seed=17)
+        result = grover.run_grover(grover.SearchProblem(k, (1,)), rng_seed=17)
         calls[k] = result.oracle_calls
     roots = {k: math.sqrt(1 << k) for k in calls}
     coeff = sum(calls[k] * roots[k] for k in calls) / sum(r * r for r in roots.values())

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import importlib.util
@@ -21,14 +22,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qdesk
-from qdesk import cli, shor, statevec
+from qdesk import cli, shor, simon, statevec
 from qdesk.cli import (
     CircuitSyntaxError,
     DEFAULT_SEED,
     RunConfig,
     SEED_ENV_VAR,
     circuit_to_text,
-    get_report_schema,
     main,
     majority_amplify,
     parse_circuit_text,
@@ -36,7 +36,8 @@ from qdesk.cli import (
 )
 from qdesk.gates import cnot_op, cphase_op, h_op
 
-from conftest import distribution_dict, random_state, report_json
+from conftest import random_state
+from referees import distribution_dict, get_report_schema, report_json
 
 
 def bernoulli_trial(p):
@@ -372,7 +373,10 @@ class TestMainEntry:
          f"{'2' * 32}... (4300 characters) qubits (cap 24)"),
         (["factor", "--n", "15", "--max-attempts", "-" + "1" * 4300], 1,
          f"max_attempts must be positive, got -{'1' * 32}... (4300 characters)"),
-    ], ids=["grover-target", "factor-n", "grover-qubits", "factor-max-attempts"])
+        (["simon-classical", "--n", "3", "--trials", "1" * 4300], 1,
+         f"trials={'1' * 32}... (4300 characters) is over the cap of 100000"),
+    ], ids=["grover-target", "factor-n", "grover-qubits", "factor-max-attempts",
+            "simon-classical-trials"])
     def test_a_4300_digit_argument_is_clipped_in_the_error(self, argv, code, message, capsys):
         assert main(argv) == code
         payload = json.loads(capsys.readouterr().out)
@@ -822,6 +826,55 @@ def test_help_text_digest(command, monkeypatch, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
 
 
+def usage_error(argv, monkeypatch, capsys, stock=False):
+    """The stderr text of a usage error, with the stock ``error`` if asked."""
+    if stock:
+        monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+# each token argparse repeats, and the length the clipped message names
+@pytest.mark.parametrize("argv, length", [
+    (["factor", "--n", "9" * 4301], 4301),
+    (["factor", "--n", "abc" + "9" * 4301], 4304),
+    (["factor", "--n=abc" + "9" * 4301], 4304),
+    (["x" * 4307], 4307),
+    (["factor", "--n", "15", "y" * 4307], 4307),
+    (["grover", "--qubits", "4", "--t=" + "5" * 4000], 4004),
+    (["factor", "-h" + "z" * 4300], 4300),
+], ids=["invalid-int", "invalid-text", "invalid-after-equals", "invalid-choice",
+        "unrecognized", "ambiguous", "ignored-after-one-dash-flag"])
+def test_usage_errors_clip_a_long_token(argv, length, monkeypatch, capsys):
+    clipped = usage_error(argv, monkeypatch, capsys)
+    stock = usage_error(argv, monkeypatch, capsys, stock=True)
+    assert len(stock.encode()) > 4000
+    assert len(clipped.encode()) < 1024
+    assert f"... ({length} characters)" in clipped
+    # the usage text and the message's own words stay
+    *usage, message = clipped.splitlines()
+    assert stock.splitlines()[:-1] == usage
+    assert message.split(": ")[:3] == stock.splitlines()[-1].split(": ")[:3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--n", "abc"],
+    ["factor", "--n", "a" * 32],
+    ["bogus"],
+    ["factor", "--n", "15", "extra"],
+    ["grover", "--qubits", "4", "--t=5"],
+    ["factor"],
+])
+def test_usage_errors_with_short_tokens_read_as_stock_argparse(argv, monkeypatch, capsys):
+    assert (usage_error(argv, monkeypatch, capsys)
+            == usage_error(argv, monkeypatch, capsys, stock=True))
+
+
 def test_golden_grover_trace_sidecar_digest(tmp_path, monkeypatch, capsys):
     (tmp_path / "targets3.txt").write_text("1234\n7\n3000\n")
     monkeypatch.chdir(tmp_path)
@@ -1072,10 +1125,16 @@ def test_factor_arguments_keep_the_error_contract(n, max_attempts):
 @example(n=9, trials=5)
 @example(n=1, trials=1)
 @example(n=8, trials=0)
+@example(n=8, trials=simon.BASELINE_MAX_TRIALS + 1)
+@example(n=3, trials=int("9" * 4300))
 def test_simon_classical_arguments_keep_the_error_contract(n, trials):
+    start = time.perf_counter()
     code, payload = run_main(["simon-classical", f"--n={n}", f"--trials={trials}", "--seed=1"])
-    expected = 0 if 1 <= n <= 8 and trials >= 1 else 1
+    expected = 0 if 1 <= n <= 8 and 1 <= trials <= simon.BASELINE_MAX_TRIALS else 1
     expect_error_or_report(code, expected, payload)
+    if code != 0:
+        # refused before the first trial runs
+        assert time.perf_counter() - start < 1.0
     if code == 0:
         queries = payload["result"]["queries"]
         # a collision needs two queries and is forced after 2^(n-1) + 1

@@ -14,17 +14,17 @@ from qdesk.gates import (
     hadamard,
     hadamard_layer,
     phase_flip_target,
-    phase_flip_zero,
     route_linear,
     swap_gate,
     toffoli,
     toffoli_op,
 )
 
-from qdesk import grover, shor, simon, statevec
+from qdesk import shor, simon, statevec
 from qdesk.qft import QftSpec, build_qft_circuit
 
 from conftest import random_state, random_unitary
+from referees import apply_xor_oracle, inversion_about_mean_composed, phase_flip_zero, uniform_state
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -238,12 +238,12 @@ class TestHadamardLayer:
 
     def _uniform(self, k):
         expected = self._h_gate_by_gate(statevec.init_basis(k, 0), k)
-        return grover.uniform_state(k), expected
+        return uniform_state(k), expected
 
     def _sampling(self, n):
         oracle = simon.make_oracle(n, (1 << n) - 1 - (n > 1), rng_seed=n)
         state = self._h_gate_by_gate(statevec.init_basis(2 * n, 0), n)
-        state = statevec.apply_xor_oracle(state, oracle.table, n)
+        state = apply_xor_oracle(state, oracle.table, n)
         return simon.sampling_state(oracle), self._h_gate_by_gate(state, n)
 
     def _order_finding(self, nx):
@@ -252,7 +252,7 @@ class TestHadamardLayer:
         two_l = 2 * inst.L
         state = self._h_gate_by_gate(statevec.init_basis(inst.n_qubits, 0), two_l)
         powers = [pow(x, a, n) for a in range(1 << two_l)]
-        state = statevec.apply_xor_oracle(state, powers, inst.L)
+        state = apply_xor_oracle(state, powers, inst.L)
         expected = statevec.run_circuit(state, build_qft_circuit(QftSpec(two_l)))
         return shor.order_finding_state(inst), expected
 
@@ -262,7 +262,7 @@ class TestHadamardLayer:
         expected = statevec.apply_diagonal(expected, phase_flip_zero(k))
         expected = self._h_gate_by_gate(expected, k)
         expected = statevec.apply_diagonal(expected, np.full(1 << k, -1.0))
-        return grover.inversion_about_mean_composed(state), expected
+        return inversion_about_mean_composed(state), expected
 
     @pytest.mark.parametrize(
         "builder,size",

@@ -11,21 +11,18 @@ from qdesk.grover import (
     SearchProblem,
     analytic_recurrence,
     grover_iterate,
-    inversion_about_mean,
-    inversion_about_mean_composed,
     iteration_schedule,
     marked_probability,
     run_grover,
-    single_target,
-    uniform_state,
 )
 
 from conftest import random_state
+from referees import inversion_about_mean, inversion_about_mean_composed, uniform_state
 
 
 def simulate_success(k, target, iterations):
     """Marked probability after a given iteration count (sweep oracle)."""
-    problem = single_target(k, target)
+    problem = SearchProblem(k, (target,))
     state = uniform_state(k)
     for _ in range(iterations):
         state = grover_iterate(state, problem)
@@ -68,7 +65,7 @@ class TestInversionAboutMean:
 
 class TestIterate:
     def test_four_items_one_step_exact(self):
-        problem = single_target(2, 3)
+        problem = SearchProblem(2, (3,))
         state = grover_iterate(uniform_state(2), problem)
         assert abs(state.amps[3] - 1.0) < 1e-12
         assert np.max(np.abs(state.amps[:3])) < 1e-12
@@ -77,7 +74,7 @@ class TestIterate:
         # one step sends (alpha, beta) to (2m - alpha, 2m + beta) with the
         # oracle sign folded into the mean
         k, t = 3, 5
-        problem = single_target(k, t)
+        problem = SearchProblem(k, (t,))
         state = uniform_state(k)
         n_items = 1 << k
         alpha = beta = 1 / math.sqrt(n_items)
@@ -93,7 +90,7 @@ class TestIterate:
         assert np.allclose(out.amps, state.amps, atol=1e-12)
 
     def test_norm_preserved(self, rng):
-        problem = single_target(5, 17)
+        problem = SearchProblem(5, (17,))
         state = random_state(rng, 5)
         out = grover_iterate(state, problem)
         assert abs(np.vdot(out.amps, out.amps).real - 1) < 1e-10
@@ -128,29 +125,29 @@ class TestSchedule:
 class TestRunGrover:
     def test_four_items_deterministic(self):
         for seed in range(5):
-            result = run_grover(single_target(2, 3), rng_seed=seed)
+            result = run_grover(SearchProblem(2, (3,)), rng_seed=seed)
             assert result.found == 3 and result.success
             assert result.success_probability == pytest.approx(1.0, abs=1e-10)
 
     def test_large_search_high_success(self):
-        result = run_grover(single_target(10, 123), rng_seed=4)
+        result = run_grover(SearchProblem(10, (123,)), rng_seed=4)
         assert result.success_probability >= 0.99
         assert result.iterations == 25
 
     def test_trace_unimodal_to_schedule(self):
-        result = run_grover(single_target(10, 777), rng_seed=3)
+        result = run_grover(SearchProblem(10, (777,)), rng_seed=3)
         diffs = np.diff(result.trace)
         assert np.all(diffs > 0)  # rises all the way to the scheduled stop
 
     def test_oracle_call_counter(self):
         for k in (4, 6, 8):
-            result = run_grover(single_target(k, 1), rng_seed=0)
+            result = run_grover(SearchProblem(k, (1,)), rng_seed=0)
             assert result.oracle_calls == result.iterations
             assert result.oracle_calls == iteration_schedule(1 << k, 1)
 
     def test_call_growth_tracks_square_root(self):
         calls = {
-            k: run_grover(single_target(k, 0), rng_seed=1).oracle_calls
+            k: run_grover(SearchProblem(k, (0,)), rng_seed=1).oracle_calls
             for k in (4, 8, 12)
         }
         # least-squares fit of calls = c * sqrt(N)
@@ -201,7 +198,7 @@ class TestInPlaceLoop:
             return measure_all(state, rng_seed, shots)
 
         monkeypatch.setattr(statevec, "measure_all", record)
-        result = run_grover(single_target(k, target), rng_seed=7)
+        result = run_grover(SearchProblem(k, (target,)), rng_seed=7)
         assert result.iterations == 804
         track = analytic_recurrence(1 << k, result.iterations)
         assert len(result.trace) == len(track)
@@ -222,14 +219,14 @@ class TestInPlaceLoop:
 
         monkeypatch.setattr(grover, "_iterate_inplace", leaky_step)
         with pytest.raises(ValueError, match="not normalized"):
-            run_grover(single_target(6, 17), rng_seed=0)
+            run_grover(SearchProblem(6, (17,)), rng_seed=0)
 
     def test_search_holds_one_state(self):
         # the loop runs on the uniform state's own buffer, so the peak is
         # that state and the Hadamard layer's 1 MB of block scratch; a copy
         # of the uniform state would double it
         k = 18
-        problem = single_target(k, 5)
+        problem = SearchProblem(k, (5,))
         tracemalloc.start()
         try:
             run_grover(problem, rng_seed=0)
@@ -261,7 +258,7 @@ class TestAnalyticRecurrence:
             target = n_items - 2
             steps = iteration_schedule(n_items, 1) + 3
             track = analytic_recurrence(n_items, steps)
-            problem = single_target(k, target)
+            problem = SearchProblem(k, (target,))
             state = uniform_state(k)
             for i in range(1, steps + 1):
                 state = grover_iterate(state, problem)
@@ -275,7 +272,7 @@ class TestAnalyticRecurrence:
 class TestSearchProblem:
     def test_single_target_out_of_range(self):
         with pytest.raises(ValueError):
-            single_target(2, 4)
+            SearchProblem(2, (4,))
 
     def test_marked_indices_are_one_read_only_index_array(self):
         problem = SearchProblem(4, [9, 3, 9, np.int64(3), 0])
@@ -295,5 +292,5 @@ class TestSearchProblem:
             SearchProblem(4, [3, bad])
 
     def test_marked_probability(self):
-        problem = single_target(2, 1)
+        problem = SearchProblem(2, (1,))
         assert marked_probability(uniform_state(2), problem) == pytest.approx(0.25)

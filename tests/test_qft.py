@@ -10,12 +10,11 @@ from qdesk.gates import Circuit, GateOp, cnot_op, cphase_op, expand_to_matrix, h
 from qdesk.qft import (
     QftSpec,
     build_qft_circuit,
-    dft_matrix,
     gate_counts,
     phase_form_fidelity,
 )
 
-from conftest import qft_fidelity
+from referees import dft_matrix, qft_fidelity
 
 
 class TestDftMatrix:

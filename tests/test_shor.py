@@ -12,8 +12,6 @@ from qdesk.shor import (
     FAILURE_MINUS_ONE,
     FAILURE_ODD_R,
     FactoringInstance,
-    analytic_distribution,
-    analytic_outcome_probability,
     continued_fraction_candidates,
     extract_factors,
     factor,
@@ -24,6 +22,13 @@ from qdesk.shor import (
     order_finding_state,
     recover_order,
     run_order_finding_circuit,
+)
+
+from referees import (
+    analytic_distribution,
+    analytic_outcome_probability,
+    apply_xor_oracle,
+    extract_register,
 )
 
 
@@ -128,7 +133,7 @@ class TestCircuit:
         for w in range(1, 2 * inst.L + 1):
             state = statevec.apply_gate(state, h_op(w))
         powers = shor._power_table(x, n, 1 << (2 * inst.L))
-        expected = statevec.apply_xor_oracle(state, powers, inst.L)
+        expected = apply_xor_oracle(state, powers, inst.L)
         # an empty transform leaves the loaded state
         loaded = statevec._Machine.period_finding(Circuit(2 * inst.L), powers, inst.L)
         assert np.array_equal(loaded.freeze().amps, expected.amps)
@@ -140,7 +145,7 @@ class TestCircuit:
         state = statevec._Machine.period_finding(Circuit(2 * inst.L), powers, inst.L).freeze()
         probs = statevec.distribution(state)
         values = {
-            statevec.extract_register(s, inst.n_qubits, 2 * inst.L + 1, inst.n_qubits)
+            extract_register(s, inst.n_qubits, 2 * inst.L + 1, inst.n_qubits)
             for s in np.flatnonzero(probs > 1e-15)
         }
         assert values == {1, 7, 4, 13}
@@ -164,11 +169,10 @@ class TestCircuit:
         # the state is loaded straight into the post-oracle state, and the
         # QFT runs on the value register's live columns only: 2^12-amplitude
         # columns, 4 to a 2^14-amplitude block, and r = 10 live columns for
-        # N = 33, x = 2, so 3 blocks; the H layer and the oracle never run
+        # N = 33, x = 2, so 3 blocks; only the QFT runs, never an H layer
         inst = FactoringInstance(33, 2)
         two_l = 2 * inst.L
         runs = []
-        oracle_calls = []
         machine = statevec._Machine
         real_run = machine.run
 
@@ -177,7 +181,6 @@ class TestCircuit:
             return real_run(self, circuit)
 
         monkeypatch.setattr(machine, "run", counting_run)
-        monkeypatch.setattr(machine, "xor_oracle", lambda *args: oracle_calls.append(args))
         monkeypatch.setattr(shor, "_states", {})
         order_finding_state(inst)
         qft_ops = [(op.name, op.wires) for op in build_qft_circuit(QftSpec(two_l)).ops]
@@ -185,14 +188,13 @@ class TestCircuit:
         blocks = -(-multiplicative_order(2, 33) // width)
         assert (width, blocks) == (4, 3)
         assert runs == [(two_l + 2, qft_ops)] * blocks
-        assert oracle_calls == []
 
     def test_measured_c_is_the_extracted_exponent_register(self):
         inst = FactoringInstance(35, 3)
         state = order_finding_state(inst)
         for seed in range(20):
             outcome = statevec.measure_all(state, seed, 1)[0]
-            expected = statevec.extract_register(outcome, inst.n_qubits, 1, 2 * inst.L)
+            expected = extract_register(outcome, inst.n_qubits, 1, 2 * inst.L)
             assert run_order_finding_circuit(inst, seed) == expected
 
 

@@ -6,15 +6,14 @@ import pytest
 from qdesk import statevec
 from qdesk.simon import (
     classical_query_baseline,
-    dot_mod2,
-    first_register_distribution,
     gf2_rank,
     make_oracle,
     recover_shift,
     run_simon,
     sampling_state,
-    simon_sample,
 )
+
+from referees import dot_mod2, extract_register, simon_sample
 
 
 class TestMakeOracle:
@@ -71,7 +70,7 @@ class TestSampling:
     def test_two_bit_distribution(self):
         # amplitudes interfere so only y with y.c = 0 survive, equally
         oracle = make_oracle(2, 0b11, rng_seed=3)
-        dist = first_register_distribution(oracle)
+        dist = statevec.marginal(sampling_state(oracle), oracle.n)
         assert np.allclose(dist, [0.5, 0, 0, 0.5], atol=1e-12)
 
     def test_joint_outcome_probability(self):
@@ -93,7 +92,7 @@ class TestSampling:
         state = sampling_state(oracle)
         for seed in range(20):
             outcome = statevec.measure_all(state, seed, 1)[0]
-            assert simon_sample(oracle, seed) == statevec.extract_register(outcome, 10, 1, 5)
+            assert simon_sample(oracle, seed) == extract_register(outcome, 10, 1, 5)
 
     def test_single_bit_always_zero(self):
         oracle = make_oracle(1, 1, rng_seed=0)
@@ -103,7 +102,7 @@ class TestSampling:
         for n in (2, 3, 4):
             for c in (1, (1 << n) - 1):
                 oracle = make_oracle(n, c, rng_seed=c + n)
-                dist = first_register_distribution(oracle)
+                dist = statevec.marginal(sampling_state(oracle), oracle.n)
                 for y in range(1 << n):
                     expected = 2.0 ** -(n - 1) if dot_mod2(y, c) == 0 else 0.0
                     assert abs(dist[y] - expected) < 1e-10
@@ -113,7 +112,7 @@ class TestSampling:
         # the GF(2) sampling law as referee for the blocked gate kernel:
         # 2n = 22 qubits run 64 column blocks per gate
         n, c = 11, 0b10110011101
-        dist = first_register_distribution(make_oracle(n, c, rng_seed=11))
+        dist = statevec.marginal(sampling_state(make_oracle(n, c, rng_seed=11)), n)
         orthogonal = [dot_mod2(y, c) == 0 for y in range(1 << n)]
         expected = np.where(orthogonal, 2.0 ** -(n - 1), 0.0)
         assert np.max(np.abs(dist - expected)) < 1e-12
@@ -272,12 +271,10 @@ class TestCostAccounting:
         # the state is loaded straight into the post-oracle state, and H^n
         # runs on the output register's live columns only: 2^8-amplitude
         # columns, 64 to a 2^14-amplitude block, and 2^7 live columns for a
-        # 2-to-1 f, so 2 blocks; the H layer on the input and the oracle
-        # never run
+        # 2-to-1 f, so 2 blocks; the H layer on the input never runs
         n = 8
         oracle = make_oracle(n, 0b11000101, rng_seed=1)
         runs = []
-        oracle_calls = []
         machine = statevec._Machine
         real_run = machine.run
 
@@ -286,13 +283,11 @@ class TestCostAccounting:
             return real_run(self, circuit)
 
         monkeypatch.setattr(machine, "run", counting_run)
-        monkeypatch.setattr(machine, "xor_oracle", lambda *args: oracle_calls.append(args))
         simon_sample(oracle, rng_seed=0)
         width = (1 << 14) >> n
         blocks = -(-(1 << (n - 1)) // width)
         assert (width, blocks) == (64, 2)
         assert runs == [(14, ["H"] * n)] * blocks
-        assert oracle_calls == []
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_run_builds_one_sampling_state_and_matches_per_round_samples(

@@ -19,10 +19,8 @@ from qdesk.statevec import (
     apply_diagonal,
     apply_gate,
     apply_permutation,
-    apply_xor_oracle,
     derive_seed,
     distribution,
-    extract_register,
     init_basis,
     marginal,
     measure_all,
@@ -31,6 +29,7 @@ from qdesk.statevec import (
 )
 
 from conftest import random_state, random_unitary
+from referees import apply_xor_oracle, extract_register
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
