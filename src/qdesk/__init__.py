@@ -17,6 +17,10 @@ grover
     Search problem, in-place iteration, schedule, analytic recurrence.
 cli
     JSON-reporting command-line front end and majority-vote amplifier.
+
+Importing the package loads none of these; ``from qdesk import shor`` (or
+``import qdesk.shor``) loads a module and the ones it imports, so a
+command starts with only the code it runs.
 """
 
 __version__ = "0.1.0"
@@ -30,5 +34,3 @@ import os
 # caller chose a count; this only takes effect if numpy is not loaded yet.
 if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-from . import gates, grover, qft, shor, simon, statevec  # noqa: E402,F401

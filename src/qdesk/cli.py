@@ -10,11 +10,14 @@ The master seed comes from ``--seed``, else the ``QDESK_SEED`` environment
 variable, else the documented default.  Sub-seeds for independent streams
 are derived from the master seed and a position index, never by sharing
 generator state.
+Each command's handler imports the module that runs it, so a process loads
+only ``cli``, ``gates``, ``statevec`` and the one command's modules.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -27,7 +30,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import __version__, grover, qft, shor, simon, statevec
+from . import __version__, statevec
 from .gates import Circuit, GateOp, cnot_op, cphase_op, h_op, swap_op, toffoli_op
 
 DEFAULT_SEED = 1729
@@ -330,6 +333,7 @@ def circuit_to_text(circuit: Circuit) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
+    from . import shor
     n = params["n"]
     report = shor.factor(n, params["max_attempts"], seed)
     final = report.final
@@ -363,6 +367,7 @@ def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
+    from . import grover
     k = params["qubits"]
     problem = grover.SearchProblem(k, params["targets"])
     result_obj = grover.run_grover(problem, seed)
@@ -382,6 +387,7 @@ def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_simon(seed: int, params: dict[str, Any]) -> dict[str, Any]:
+    from . import simon
     n = params["n"]
     c = int(params["c"], 2)
     max_rounds = params.get("max_rounds")
@@ -399,6 +405,7 @@ def _run_simon(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_simon_classical(seed: int, params: dict[str, Any]) -> dict[str, Any]:
+    from . import simon
     n = params["n"]
     trials = params["trials"]
     if not 1 <= n <= simon.BASELINE_MAX_BITS:
@@ -430,6 +437,7 @@ def _run_simon_classical(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_qft(seed: int, params: dict[str, Any]) -> dict[str, Any]:
+    from . import qft
     spec = qft.QftSpec(
         k=params["qubits"],
         approx_cutoff=params.get("cutoff"),
@@ -674,4 +682,5 @@ def _emit(output_path: str | None, chunks: Iterable[str]) -> None:
 
 
 if __name__ == "__main__":
+    gc.freeze()  # see __main__.py
     sys.exit(main())

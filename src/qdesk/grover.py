@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec
-from .gates import hadamard_layer
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +124,7 @@ def run_grover(problem: SearchProblem, rng_seed: int) -> GroverResult:
     iteration - which is the quantity that scales like sqrt(N).
     """
     marked = problem.marked
-    machine = statevec._Machine.basis(problem.k, 0).run(hadamard_layer(problem.k))
+    machine = statevec._Machine.uniform(problem.k)
     iterations = iteration_schedule(problem.N, marked.size)
     trace = [_marked_mass(machine.amps, marked)]
     for _ in range(iterations):

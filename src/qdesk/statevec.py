@@ -144,6 +144,11 @@ class _Machine:
         return cls(amps)
 
     @classmethod
+    def uniform(cls, n_qubits: int) -> _Machine:
+        """A machine holding H^n|0>, filled directly: byte for byte the H layer's run."""
+        return cls(np.full(1 << n_qubits, _hadamard_amplitude(n_qubits)))
+
+    @classmethod
     def period_finding(cls, transform: Circuit, table: np.ndarray, out_bits: int) -> _Machine:
         """|0>, H on the input register, the XOR oracle, then ``transform``.
 
@@ -168,12 +173,9 @@ class _Machine:
         """
         m = transform.n_wires
         table = _oracle_table(table, 1 << m, out_bits)
-        h, amp = hadamard()[0, 0], np.complex128(1)
-        for _ in range(m):
-            amp = h * amp
         amps = np.zeros(1 << (m + out_bits), dtype=np.complex128)
         by_column = amps.reshape(1 << m, -1)
-        by_column[np.arange(1 << m), table] = amp
+        by_column[np.arange(1 << m), table] = _hadamard_amplitude(m)
         live = np.zeros(1 << out_bits, dtype=bool)
         live[table] = True
         del table  # freed here when the caller kept no reference
@@ -264,6 +266,14 @@ class _Machine:
         """Validate the buffer once and return it as an immutable state."""
         amps, self.amps = self.amps, None
         return StateVector(self.n_qubits, amps, copy=False)
+
+
+def _hadamard_amplitude(m: int) -> np.complex128:
+    """Each amplitude of H^m|0>, (1/sqrt 2)^m multiplied up as the H layer multiplies it."""
+    h, amp = hadamard()[0, 0], np.complex128(1)
+    for _ in range(m):
+        amp = h * amp
+    return amp
 
 
 def _oracle_table(table: np.ndarray, rows: int, out_bits: int) -> np.ndarray:

@@ -179,6 +179,11 @@ class TestInPlaceLoop:
                 stepped.append(marked_probability(state, problem))
             assert result.trace == tuple(stepped), (k, t)
 
+    def test_direct_fill_is_the_hadamard_layer_run_byte_for_byte(self):
+        # the signs of zero included: tobytes, not array_equal
+        for k in range(1, 21):
+            assert statevec._Machine.uniform(k).amps.tobytes() == uniform_state(k).amps.tobytes(), k
+
     def test_step_equals_the_diagonal_product_it_replaced(self, rng):
         # the old step: multiply by the +-1 oracle diagonal, then 2m - a
         for k, marked in ((1, {1}), (3, {0, 5}), (6, {17, 40, 63}), (9, {1, 2, 3, 500})):
@@ -223,8 +228,7 @@ class TestInPlaceLoop:
 
     def test_search_holds_one_state(self):
         # the loop runs on the uniform state's own buffer, so the peak is
-        # that state and the Hadamard layer's 1 MB of block scratch; a copy
-        # of the uniform state would double it
+        # that state; a copy of the uniform state would double it
         k = 18
         problem = SearchProblem(k, (5,))
         tracemalloc.start()
