@@ -10,14 +10,20 @@ The master seed comes from ``--seed``, else the ``QDESK_SEED`` environment
 variable, else the documented default.  Sub-seeds for independent streams
 are derived from the master seed and a position index, never by sharing
 generator state.
-Each command's handler imports the module that runs it, so a process loads
-only ``cli``, ``gates``, ``statevec`` and the one command's modules.
+The front end (argument parsing, the checks of ``config_from_args``, error
+reports) runs on the standard library alone: ``--version``, ``--help`` and
+every usage or argument error are answered without loading numpy.  Only an
+accepted request loads what its command runs (``statevec``, ``gates``,
+numpy and the command's own modules), and the process entry freezes the
+collector after that load.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
+import importlib
 import json
 import os
 import re
@@ -25,20 +31,20 @@ import sys
 import tempfile
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-import numpy as np
+from . import __version__
 
-from . import __version__, statevec
-from .gates import Circuit, GateOp, cnot_op, cphase_op, h_op, swap_op, toffoli_op
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .gates import Circuit, GateOp
 
 DEFAULT_SEED = 1729
 SEED_ENV_VAR = "QDESK_SEED"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """A parsed command invocation."""
 
     command: str
@@ -47,8 +53,7 @@ class RunConfig:
     params: dict[str, Any]
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """A finished run: config echo, result payload, version tag.
 
     A ``circuit-run`` result holds its final state under "distribution";
@@ -69,6 +74,7 @@ class RunReport:
         result (only the config echo, before it, holds user text).  The
         outcome law goes in between, one block at a time.
         """
+        from . import statevec
         state = self.result.get("distribution")
         streamed = isinstance(state, statevec.StateVector)
         text = _dumps({
@@ -98,12 +104,17 @@ def _round_floats(obj: Any) -> Any:
         return {str(k): _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    # a numpy scalar can only be here once numpy is loaded: look it up, so
+    # that an error report written before the command loads does not load it
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
     return obj
 
 
@@ -133,6 +144,8 @@ def _distribution_chunks(blocks: Iterable[np.ndarray], width: int, indent: str) 
     out ``_LINES_PER_CHUNK`` at a time, each distinct probability of a
     chunk formatted once.
     """
+    import numpy as np
+
     separator = ",\n" + indent + "  "
     opening = "{\n" + indent + "  "
     key = f"0{width}b"
@@ -155,8 +168,7 @@ def _distribution_chunks(blocks: Iterable[np.ndarray], width: int, indent: str) 
 # majority-vote amplifier
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MajorityVote:
+class MajorityVote(NamedTuple):
     """Outcome of repeated trials decided by majority."""
 
     outcome: bool
@@ -174,6 +186,7 @@ def majority_amplify(
     """
     if trials < 1 or trials % 2 == 0:
         raise ValueError(f"trials must be an odd positive integer, got {trials}")
+    from . import statevec
     successes = 0
     for i in range(trials):
         if trial(statevec.derive_seed(rng_seed, i)):
@@ -185,11 +198,15 @@ def majority_amplify(
 # circuit text format
 # ---------------------------------------------------------------------------
 
-# name -> (wire count, builder); CPHASE's builder takes j and k before the wires
-_GATES: dict[str, tuple[int, Callable[..., GateOp]]] = {
-    "H": (1, h_op), "CNOT": (2, cnot_op), "SWAP": (2, swap_op),
-    "TOFFOLI": (3, toffoli_op), "CPHASE": (2, cphase_op),
-}
+def _gates() -> dict[str, tuple[int, Callable[..., GateOp]]]:
+    """The format's gates: name -> (wire count, builder).
+
+    CPHASE's builder takes j and k before the wires.  Built per call, so
+    that ``gates`` (and numpy) load only once a circuit is read or written.
+    """
+    from .gates import cnot_op, cphase_op, h_op, swap_op, toffoli_op
+    return {"H": (1, h_op), "CNOT": (2, cnot_op), "SWAP": (2, swap_op),
+            "TOFFOLI": (3, toffoli_op), "CPHASE": (2, cphase_op)}
 
 
 def _is_integer(text: str) -> bool:
@@ -253,6 +270,8 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
     that token, and so is a wire above ``n_wires`` when it is given.  When
     ``n_wires`` is omitted it defaults to the largest wire mentioned.
     """
+    from .gates import Circuit
+    known = _gates()
     ops: list[GateOp] = []
     max_wire = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -262,14 +281,14 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
         if not tokens:
             continue
         (column, name), *rest = tokens
-        if name not in _GATES:
+        if name not in known:
             raise CircuitSyntaxError(
                 lineno, column,
-                f"unknown gate {_echo(name)}; valid names: {', '.join(sorted(_GATES))}",
+                f"unknown gate {_echo(name)}; valid names: {', '.join(sorted(known))}",
             )
         if not rest:
             raise CircuitSyntaxError(lineno, column + len(name), f"{name} needs wire indices")
-        arity, build = _GATES[name]
+        arity, build = known[name]
         (wire_col, wire_token), *param_tokens = rest
         wire_texts = wire_token.split(",")
         if not all(_is_integer(w) for w in wire_texts):
@@ -319,9 +338,10 @@ def parse_circuit_file(path: str, n_wires: int | None = None) -> Circuit:
 
 def circuit_to_text(circuit: Circuit) -> str:
     """Emit a circuit in the line-oriented text format."""
+    known = _gates()
     lines = []
     for op in circuit.ops:
-        if op.name not in _GATES:
+        if op.name not in known:
             raise ValueError(f"gate {op.name!r} has no text form")
         params = "".join(f" {key}={value}" for key, value in zip("jk", op.params))
         lines.append(f"{op.name} {','.join(map(str, op.wires))}{params}")
@@ -333,6 +353,8 @@ def circuit_to_text(circuit: Circuit) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
+    from dataclasses import asdict
+
     from . import shor
     n = params["n"]
     report = shor.factor(n, params["max_attempts"], seed)
@@ -387,7 +409,7 @@ def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_simon(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    from . import simon
+    from . import simon, statevec
     n = params["n"]
     c = int(params["c"], 2)
     max_rounds = params.get("max_rounds")
@@ -405,7 +427,9 @@ def _run_simon(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_simon_classical(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    from . import simon
+    import numpy as np
+
+    from . import simon, statevec
     n = params["n"]
     trials = params["trials"]
     if not 1 <= n <= simon.BASELINE_MAX_BITS:
@@ -459,6 +483,7 @@ def _run_qft(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_circuit_file(seed: int, params: dict[str, Any]) -> dict[str, Any]:
+    from . import statevec
     circuit = parse_circuit_file(params["file"], params.get("wires"))
     return {
         "n_wires": circuit.n_wires,
@@ -468,13 +493,17 @@ def _run_circuit_file(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-_HANDLERS: dict[str, Callable[[int, dict[str, Any]], dict[str, Any]]] = {
-    "factor": _run_factor,
-    "grover": _run_grover,
-    "simon": _run_simon,
-    "simon-classical": _run_simon_classical,
-    "qft": _run_qft,
-    "circuit-run": _run_circuit_file,
+# command -> (the module its handler runs, handler); :func:`_load` imports
+# the module, and with it numpy, statevec and gates.  Each entry must name
+# the module its handler imports: a wrong name moves the process entry's
+# freeze before that import (tests/test_startup.py checks the freeze).
+_HANDLERS: dict[str, tuple[str, Callable[[int, dict[str, Any]], dict[str, Any]]]] = {
+    "factor": ("shor", _run_factor),
+    "grover": ("grover", _run_grover),
+    "simon": ("simon", _run_simon),
+    "simon-classical": ("simon", _run_simon_classical),
+    "qft": ("qft", _run_qft),
+    "circuit-run": ("statevec", _run_circuit_file),
 }
 
 
@@ -482,7 +511,7 @@ def run(config: RunConfig) -> RunReport:
     """Dispatch a validated config to its command handler."""
     if config.command not in _HANDLERS:
         raise ValueError(f"unknown command {config.command!r}")
-    result = _HANDLERS[config.command](config.seed, config.params)
+    result = _HANDLERS[config.command][1](config.seed, config.params)
     config_echo = {"seed": config.seed}
     config_echo.update(
         {k: v for k, v in config.params.items() if not k.endswith("_path")}
@@ -653,25 +682,70 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command in this process and return its exit status.
+
+    ``--help``, ``--version`` and usage errors leave through argparse's
+    ``SystemExit``.  The collector is left as it is (see :func:`_entry`).
+    """
+    return _load(argv)()
+
+
+def _load(argv: list[str] | None) -> Callable[[], int]:
+    """Parse and check the arguments, then load what the command runs.
+
+    Returns the step that runs the command and writes its report, so that
+    the process entry can freeze between the load and the run.  A request
+    the front end refuses loads nothing; its step writes the error report.
+    """
     start = time.perf_counter()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
+    except (ValueError, OSError) as exc:
+        return functools.partial(_fail, exc, args.output)
+    importlib.import_module(f".{_HANDLERS[config.command][0]}", __package__)
+    return functools.partial(_run, config, start)
+
+
+def _run(config: RunConfig, start: float) -> int:
+    """Run a loaded command and write its report; the exit status."""
+    try:
         report = run(config)
         _emit(config.output_path, report.chunks())
     except (ValueError, OSError) as exc:
-        kind = "resource" if isinstance(exc, statevec.CapacityError) else "domain"
-        message = _LONG_DIGITS.sub(lambda digits: _echo(digits.group(), str), str(exc))
-        text = _dumps({"error": {"type": kind, "message": message}})
-        try:
-            _emit(args.output, [text])
-        except OSError:  # an unwritable --output still gets its error on stdout
-            sys.stdout.write(text)
-        return 3 if kind == "resource" else 1
+        return _fail(exc, config.output_path)
     print(f"qdesk: {config.command} finished in {time.perf_counter() - start:.3f}s",
           file=sys.stderr)
     return 0
+
+
+def _fail(exc: ValueError | OSError, output_path: str | None) -> int:
+    """Write the error report for ``exc``; the exit status, 3 for capacity, else 1."""
+    # a CapacityError can only have been raised once statevec is loaded
+    statevec = sys.modules.get(f"{__package__}.statevec")
+    resource = statevec is not None and isinstance(exc, statevec.CapacityError)
+    message = _LONG_DIGITS.sub(lambda digits: _echo(digits.group(), str), str(exc))
+    text = _dumps({"error": {"type": "resource" if resource else "domain",
+                             "message": message}})
+    try:
+        _emit(output_path, [text])
+    except OSError:  # an unwritable --output still gets its error on stdout
+        sys.stdout.write(text)
+    return 3 if resource else 1
+
+
+def _entry() -> int:
+    """The process entry of ``python -m qdesk``, ``python -m qdesk.cli`` and ``qdesk``.
+
+    What the front end and the command's imports made lives until exit:
+    frozen once the command is loaded, the collector skips it in every
+    later full collection and in the one at shutdown.  An in-process
+    :func:`main` never freezes, so callers that run it many times keep
+    normal collection.
+    """
+    step = _load(sys.argv[1:])
+    gc.freeze()
+    return step()
 
 
 def _emit(output_path: str | None, chunks: Iterable[str]) -> None:
@@ -682,5 +756,4 @@ def _emit(output_path: str | None, chunks: Iterable[str]) -> None:
 
 
 if __name__ == "__main__":
-    gc.freeze()  # see __main__.py
-    sys.exit(main())
+    sys.exit(_entry())

@@ -146,18 +146,21 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
 
     Every round prepares the same state, so it is built once and measured
     each round with that round's sub-seed ``derive_seed(rng_seed, round)``:
-    the samples are those of one fresh state measured per round.
+    the samples are those of one fresh state measured per round.  Only the
+    input register is kept, so the state's CDF is read once, at the end of
+    each input value's run of outputs, and each round places its variate
+    in those 2^n entries.
     """
     n = oracle.n
     if max_rounds < n:
         raise ValueError(f"max_rounds must be at least n={n}, got {max_rounds}")
-    state = sampling_state(oracle)
+    rows = statevec._row_cdf(sampling_state(oracle), n)
     samples: list[int] = []
     while (c := recover_shift(samples, n)) is None:
         if len(samples) >= max_rounds:
             return SimonResult(None, len(samples), tuple(samples))
-        seed = statevec.derive_seed(rng_seed, len(samples))
-        samples.append(statevec.measure_all(state, seed, 1)[0] >> n)
+        u = statevec.make_rng(statevec.derive_seed(rng_seed, len(samples))).random()
+        samples.append(int(np.searchsorted(rows, u, side="right")))
     if oracle.f(0) != oracle.f(c):
         raise ValueError("recovered shift fails the oracle spot check f(0) = f(c)")
     return SimonResult(c, len(samples), tuple(samples))

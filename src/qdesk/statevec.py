@@ -366,6 +366,24 @@ def marginal(state: StateVector, high_bits: int) -> np.ndarray:
     return distribution(state).reshape(1 << high_bits, -1).sum(axis=1)
 
 
+def _cdf_blocks(state: StateVector) -> Iterator[np.ndarray]:
+    """The outcome CDF one kernel block at a time, in index order.
+
+    Joined, the blocks are the whole-array ``cumsum`` of the probabilities
+    bit for bit, except that the last entry is 1.0: the top bin is guarded
+    against rounding.
+    """
+    carry, end = 0.0, 0
+    for cdf in probability_blocks(state):
+        cdf[0] += carry
+        np.cumsum(cdf, out=cdf)
+        carry = cdf[-1]
+        end += cdf.size
+        if end == state.amps.size:
+            cdf[-1] = 1.0
+        yield cdf
+
+
 def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:
     """Draw ``shots`` independent basis-index samples from the state.
 
@@ -377,14 +395,22 @@ def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     u = make_rng(rng_seed).random(shots)
-    idx, carry, end = 0, 0.0, 0
-    for cdf in probability_blocks(state):
-        cdf[0] += carry
-        np.cumsum(cdf, out=cdf)
-        carry = cdf[-1]
-        end += cdf.size
-        if end == state.amps.size:
-            cdf[-1] = 1.0  # guard the top bin against rounding
+    idx = 0
+    for cdf in _cdf_blocks(state):
         idx += np.searchsorted(cdf, u, side="right")
     return [int(i) for i in np.minimum(idx, state.amps.size - 1)]
 
+
+def _row_cdf(state: StateVector, low_bits: int) -> np.ndarray:
+    """:func:`measure_all`'s CDF at the last index of each run of 2^low_bits.
+
+    Entry y is the CDF at index (y + 1) 2^low_bits - 1, so for a variate u,
+    ``searchsorted(_row_cdf(state, b), u, side="right")`` is the index
+    :func:`measure_all` draws for u, shifted right by b: the top wires'
+    outcome, without building the CDF again.
+    """
+    row, start, ends = 1 << low_bits, 0, []
+    for cdf in _cdf_blocks(state):
+        ends.append(cdf[(row - 1 - start) % row::row].copy())
+        start += cdf.size
+    return np.concatenate(ends)

@@ -289,6 +289,34 @@ class TestCostAccounting:
         assert (width, blocks) == (64, 2)
         assert runs == [(14, ["H"] * n)] * blocks
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_row_cdf_draws_the_rows_measure_all_draws(self, n):
+        # 8 oracles and 50 variates each: the row found in the CDF at row
+        # ends is the outcome of measure_all on the same variate, >> n
+        for c in range(1, 9):
+            c = c % (1 << n) or 1
+            state = sampling_state(make_oracle(n, c, rng_seed=100 * n + c))
+            rows = statevec._row_cdf(state, n)
+            u = statevec.make_rng(c).random(50)
+            assert np.searchsorted(rows, u, side="right").tolist() == [
+                outcome >> n for outcome in statevec.measure_all(state, c, 50)
+            ]
+
+    def test_run_reads_the_state_once(self, monkeypatch):
+        # the rounds search the row ends; the state's probabilities are
+        # read in one pass however many rounds run
+        passes = []
+        real_blocks = statevec.probability_blocks
+
+        def counting_blocks(state):
+            passes.append(state.n_qubits)
+            return real_blocks(state)
+
+        monkeypatch.setattr(statevec, "probability_blocks", counting_blocks)
+        result = run_simon(make_oracle(8, 0b10110011, rng_seed=4), max_rounds=32, rng_seed=5)
+        assert result.succeeded and result.rounds >= 8
+        assert passes == [16]
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_run_builds_one_sampling_state_and_matches_per_round_samples(
         self, n, monkeypatch

@@ -1,10 +1,12 @@
-"""What a ``python -m qdesk`` process loads and freezes at start-up.
+"""What a ``python -m qdesk`` process loads, and when it freezes the collector.
 
-Each command's handler imports its own module, so a process loads only
-``cli``, ``gates``, ``statevec`` and the command's modules.  The process
-entry freezes what the imports made (``gc.freeze``); an in-process
-``cli.main`` never does, so callers that run it many times keep normal
-collection.
+The front end (argument parsing, the checks of ``config_from_args``, error
+reports) runs on the standard library: ``--version``, ``--help``, usage
+errors and the errors it finds itself load no numpy and no qdesk module
+but ``cli``.  An accepted request loads ``cli``, ``gates``, ``statevec``
+and the command's modules.  The process entry freezes what the imports
+made (``gc.freeze``) after that load; an in-process ``cli.main`` never
+does, so callers that run it many times keep normal collection.
 """
 
 import gc
@@ -19,20 +21,29 @@ import pytest
 import qdesk
 from qdesk import cli
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # Runs ``python -m <module> <argv>`` through runpy and, at exit, writes the
-# qdesk submodules loaded and the collector's freeze count to the file named
-# by its first argument.
+# modules loaded, the modules loaded when the collector was frozen and the
+# freeze count to the file named by its first argument.
 _LAUNCHER = """\
 import atexit, gc, json, runpy, sys
 out = sys.argv.pop(1)
 module = sys.argv.pop(1)
+record = {"frozen_with": None}
+freeze = gc.freeze
 
-def record():
-    loaded = sorted(m.removeprefix("qdesk.") for m in sys.modules if m.startswith("qdesk."))
+def recording_freeze():
+    record["frozen_with"] = sorted(sys.modules)
+    freeze()
+
+def dump():
+    record.update(modules=sorted(sys.modules), frozen=gc.get_freeze_count())
     with open(out, "w") as fh:
-        json.dump({"modules": loaded, "frozen": gc.get_freeze_count()}, fh)
+        json.dump(record, fh)
 
-atexit.register(record)
+gc.freeze = recording_freeze
+atexit.register(dump)
 runpy.run_module(module, run_name="__main__", alter_sys=True)
 """
 
@@ -49,6 +60,31 @@ COMMANDS = [
 
 COMMAND_IDS = [argv[0] for argv, _ in COMMANDS]
 
+# requests the front end answers: (argv, exit status)
+FRONT_END = [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["qft", "--help"], 0),
+    (["grover", "--qubits", "three"], 2),
+    (["qft"], 2),
+    (["teleport"], 2),
+    (["grover", "--qubits", "3"], 1),
+    (["simon", "--n", "3", "--c", "12"], 1),
+    (["simon", "--n", "3", "--c", "1010"], 1),
+    (["grover", "--qubits", "3", "--targets-file", "{missing}"], 1),
+    (["grover", "--qubits", "3", "--targets-file", "{circuit}"], 1),
+]
+
+ERRORS = [argv for argv, status in FRONT_END if status == 1]
+
+
+def case_id(argv):
+    return "-".join(argv).replace("{", "").replace("}", "")
+
+
+FRONT_END_IDS = [case_id(argv) for argv, _ in FRONT_END]
+ERROR_IDS = [case_id(argv) for argv in ERRORS]
+
 
 @pytest.fixture
 def circuit(tmp_path):
@@ -57,27 +93,78 @@ def circuit(tmp_path):
     return str(path)
 
 
-def launch(module, argv, tmp_path):
-    """The loaded qdesk submodules and the freeze count at exit of one process."""
+def fill(argv, circuit, tmp_path):
+    return [arg.format(circuit=circuit, missing=tmp_path / "missing.txt") for arg in argv]
+
+
+def launch(module, argv, tmp_path, **env):
+    """One process's exit status, stdout and start-up record (see ``_LAUNCHER``)."""
     out = tmp_path / "startup.json"
-    env = dict(os.environ, PYTHONPATH=str(Path(qdesk.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", _LAUNCHER, str(out), module, *argv],
-                   env=env, capture_output=True, check=True)
-    return json.loads(out.read_text(encoding="utf-8"))
+    env = dict(os.environ, PYTHONPATH=str(Path(qdesk.__file__).parents[1]), **env)
+    done = subprocess.run([sys.executable, "-c", _LAUNCHER, str(out), module, *argv],
+                          env=env, capture_output=True)
+    return done.returncode, done.stdout, json.loads(out.read_text(encoding="utf-8"))
+
+
+def qdesk_modules(names):
+    """The qdesk submodules among ``names``, without the package prefix."""
+    return {m.removeprefix("qdesk.") for m in names if m.startswith("qdesk.")} - {"__main__"}
 
 
 @pytest.mark.parametrize("argv, modules", COMMANDS, ids=COMMAND_IDS)
 def test_a_command_loads_only_its_own_modules(argv, modules, circuit, tmp_path):
-    argv = [arg.format(circuit=circuit) for arg in argv]
-    assert set(launch("qdesk", argv, tmp_path)["modules"]) - {"__main__"} == modules
+    code, _, record = launch("qdesk", fill(argv, circuit, tmp_path), tmp_path)
+    assert code == 0
+    assert qdesk_modules(record["modules"]) == modules
 
 
 @pytest.mark.parametrize("module", ["qdesk", "qdesk.cli"])
-def test_the_process_entry_freezes_the_collector(module, tmp_path):
-    assert launch(module, ["qft", "--qubits", "3"], tmp_path)["frozen"] > 0
+@pytest.mark.parametrize("argv, status", FRONT_END, ids=FRONT_END_IDS)
+def test_the_front_end_loads_no_numpy(module, argv, status, circuit, tmp_path):
+    code, _, record = launch(module, fill(argv, circuit, tmp_path), tmp_path)
+    assert code == status
+    assert "numpy" not in record["modules"]
+    assert qdesk_modules(record["modules"]) <= {"cli"}
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS], ids=COMMAND_IDS)
-def test_main_in_process_leaves_the_collector_unfrozen(argv, circuit, capsys):
-    assert cli.main([arg.format(circuit=circuit) for arg in argv]) == 0
+def test_a_bad_seed_variable_loads_no_numpy(tmp_path):
+    code, stdout, record = launch("qdesk", ["qft", "--qubits", "3"], tmp_path,
+                                  QDESK_SEED="seven")
+    assert code == 1
+    assert b"QDESK_SEED must be an integer" in stdout
+    assert "numpy" not in record["modules"]
+
+
+@pytest.mark.parametrize("argv", ERRORS, ids=ERROR_IDS)
+def test_a_front_end_error_report_is_the_in_process_one(argv, circuit, tmp_path, capsys):
+    argv = fill(argv, circuit, tmp_path)
+    code, stdout, _ = launch("qdesk", argv, tmp_path)
+    assert (code, stdout.decode()) == (cli.main(argv), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("module", ["qdesk", "qdesk.cli"])
+@pytest.mark.parametrize("argv, modules", COMMANDS, ids=COMMAND_IDS)
+def test_the_entry_freezes_once_the_command_is_loaded(module, argv, modules, circuit,
+                                                     tmp_path):
+    code, _, record = launch(module, fill(argv, circuit, tmp_path), tmp_path)
+    assert code == 0
+    assert "numpy" in record["frozen_with"]
+    assert qdesk_modules(record["frozen_with"]) >= modules - {"cli"}
+    assert record["frozen"] > 0
+
+
+def test_the_installed_script_runs_the_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["qdesk"]
+    module, _, name = target.partition(":")
+    assert (module, name) == ("qdesk.cli", cli._entry.__name__)
+
+
+@pytest.mark.parametrize("argv, status", [(argv, 0) for argv, _ in COMMANDS]
+                         + [(argv, 1) for argv in ERRORS], ids=COMMAND_IDS + ERROR_IDS)
+def test_main_in_process_leaves_the_collector_unfrozen(argv, status, circuit, tmp_path,
+                                                       capsys):
+    assert cli.main(fill(argv, circuit, tmp_path)) == status
+    assert gc.isenabled()
     assert gc.get_freeze_count() == 0

@@ -509,6 +509,53 @@ class TestBlockedSampling:
         assert peak < nbytes // 8
 
 
+class TestRowCdf:
+    """The CDF at row ends places a variate in the row measure_all's index falls in."""
+
+    # one block (n = 8), and 2 and 32 blocks of 2^15 amplitudes
+    @pytest.mark.parametrize("n", [8, 16, 20])
+    def test_rows_are_measure_all_outcomes_shifted(self, n, rng):
+        state = random_state(rng, n)
+        for low_bits in sorted({0, 1, n // 2, n - 1, n}):
+            rows = statevec._row_cdf(state, low_bits)
+            assert rows.size == 1 << (n - low_bits)
+            for seed in (0, 7, 2**40 + 3):
+                u = statevec.make_rng(seed).random(512)
+                got = np.searchsorted(rows, u, side="right").tolist()
+                assert got == [i >> low_bits for i in measure_all(state, seed, 512)]
+
+    def test_top_bin_guard_and_block_edges(self, monkeypatch):
+        # the state of TestBlockedSampling's guard test: rows of 2^15 end
+        # at the block edge, so variates at and next to it and past the
+        # unguarded total test the carry and the 1.0 guard on the top row
+        n = 16
+        amps = np.full(1 << n, math.sqrt((1 - 4e-11) / ((1 << n) - 1)), dtype=np.complex128)
+        amps[-1] = 0
+        state = StateVector(n, amps)
+        cdf = np.cumsum(np.abs(state.amps) ** 2)
+        edge = (1 << 15) - 1
+        u = [0.0, cdf[edge - 1], cdf[edge], np.nextafter(cdf[edge], 1.0), cdf[-2],
+             np.nextafter(cdf[-1], 1.0), np.nextafter(1.0, 0.0)]
+        for low_bits in (14, 15):
+            rows = statevec._row_cdf(state, low_bits)
+            with monkeypatch.context() as m:
+                m.setattr(statevec, "make_rng", lambda seed: FixedVariates(u))
+                expected = [i >> low_bits for i in measure_all(state, 0, len(u))]
+            assert np.searchsorted(rows, u, side="right").tolist() == expected
+            assert rows[-1] == 1.0
+
+    def test_holds_no_state_sized_float_array(self, rng):
+        # one block of the CDF at a time, and the 2^10 row ends it keeps
+        state = random_state(rng, 20)
+        tracemalloc.start()
+        try:
+            statevec._row_cdf(state, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.amps.nbytes // 8
+
+
 class TestExtractRegister:
     def test_top_span(self):
         assert extract_register(0b1011, 4, 1, 2) == 2
