@@ -144,11 +144,6 @@ class _Machine:
         return cls(amps)
 
     @classmethod
-    def uniform(cls, n_qubits: int) -> _Machine:
-        """A machine holding H^n|0>, filled directly: byte for byte the H layer's run."""
-        return cls(np.full(1 << n_qubits, _hadamard_amplitude(n_qubits)))
-
-    @classmethod
     def period_finding(cls, transform: Circuit, table: np.ndarray, out_bits: int) -> _Machine:
         """|0>, H on the input register, the XOR oracle, then ``transform``.
 

@@ -4,8 +4,9 @@ No command runs any of these, so they live beside the tests rather than in
 the package (``tests/test_src_reachability.py`` keeps it that way):
 
 * Shor: the outcome law of order finding, term by term and in closed form;
-* Grover: the uniform state, and the reflection about the mean both from
-  the mean formula and as -(H^k) Z0 (H^k) built from gates;
+* Grover: the uniform state, the reflection about the mean both from the
+  mean formula and as -(H^k) Z0 (H^k) built from gates, and the search
+  run over the whole state;
 * Simon: one measured round, and the binary inner product of its law;
 * state vector: the XOR oracle as an in-place row permutation, and the
   integer on a span of wires;
@@ -82,7 +83,7 @@ def analytic_distribution(inst: shor.FactoringInstance) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# grover: the uniform state and the reflection about the mean
+# grover: the uniform state, the reflection about the mean and the full-state run
 # ---------------------------------------------------------------------------
 
 
@@ -91,14 +92,46 @@ def uniform_state(k: int) -> statevec.StateVector:
     return statevec._Machine.basis(k, 0).run(hadamard_layer(k)).freeze()
 
 
-def inversion_about_mean(state: statevec.StateVector) -> statevec.StateVector:
-    """Replace each amplitude a_i by 2m - a_i (m the mean amplitude).
+def _reflect_inplace(amps: np.ndarray) -> None:
+    """Replace each amplitude a_i by 2m - a_i (m the mean amplitude)."""
+    np.subtract(2.0 * amps.mean(), amps, out=amps)
 
-    The reflection ``run_grover`` applies in place, on a copy of the state.
-    """
+
+def inversion_about_mean(state: statevec.StateVector) -> statevec.StateVector:
+    """The reflection ``grover_iterate`` applies after its oracle flip, on a copy of the state."""
     amps = state.amps.copy()
-    grover._reflect_inplace(amps)
+    _reflect_inplace(amps)
     return statevec.StateVector(state.n_qubits, amps, copy=False)
+
+
+def run_grover_full_state(problem: grover.SearchProblem,
+                          rng_seed: int) -> tuple[grover.GroverResult, statevec.StateVector]:
+    """``run_grover`` as two passes over all 2^k amplitudes per iteration, and its measured state.
+
+    The uniform state's buffer is iterated in place: negate the marked
+    amplitudes, then reflect every amplitude about the mean.  The
+    marked probability is summed from a gather of the marked amplitudes.
+    """
+    marked = problem.marked
+    machine = statevec._Machine(np.full(problem.N, statevec._hadamard_amplitude(problem.k)))
+    amps = machine.amps
+    iterations = grover.iteration_schedule(problem.N, marked.size)
+    trace = [float(sum(np.abs(amps[marked]) ** 2))]
+    for _ in range(iterations):
+        amps[marked] *= -1
+        _reflect_inplace(amps)
+        trace.append(float(sum(np.abs(amps[marked]) ** 2)))
+    state = machine.freeze()
+    outcome = statevec.measure_all(state, rng_seed, 1)[0]
+    result = grover.GroverResult(
+        found=outcome,
+        success=outcome in marked,
+        success_probability=trace[-1],
+        iterations=iterations,
+        oracle_calls=iterations,
+        trace=tuple(trace),
+    )
+    return result, state
 
 
 def phase_flip_zero(n: int) -> np.ndarray:

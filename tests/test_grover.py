@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdesk import grover, statevec
+from qdesk.cli import main
 from qdesk.gates import phase_flip_target
 from qdesk.grover import (
     AmplitudePair,
@@ -17,7 +19,37 @@ from qdesk.grover import (
 )
 
 from conftest import random_state
-from referees import inversion_about_mean, inversion_about_mean_composed, uniform_state
+from referees import (
+    inversion_about_mean,
+    inversion_about_mean_composed,
+    run_grover_full_state,
+    uniform_state,
+)
+
+
+def run_and_capture(problem, rng_seed, monkeypatch):
+    """``run_grover``'s result and the frozen state it measured."""
+    measured = []
+    measure_all = statevec.measure_all
+
+    def record(state, seed, shots):
+        measured.append(state)
+        return measure_all(state, seed, shots)
+
+    monkeypatch.setattr(statevec, "measure_all", record)
+    result = run_grover(problem, rng_seed)
+    (state,) = measured
+    return result, state
+
+
+def assert_runs_equal(problem, rng_seed, monkeypatch):
+    """``run_grover`` gives the full-state loop's trace and final state, bit for bit."""
+    result, state = run_and_capture(problem, rng_seed, monkeypatch)
+    expected, expected_state = run_grover_full_state(problem, rng_seed)
+    label = (problem.k, problem.marked.size, problem.marked[:4].tolist())
+    assert np.array(result.trace).tobytes() == np.array(expected.trace).tobytes(), label
+    assert state.amps.tobytes() == expected_state.amps.tobytes(), label
+    assert result == expected, label
 
 
 def simulate_success(k, target, iterations):
@@ -180,9 +212,11 @@ class TestInPlaceLoop:
             assert result.trace == tuple(stepped), (k, t)
 
     def test_direct_fill_is_the_hadamard_layer_run_byte_for_byte(self):
-        # the signs of zero included: tobytes, not array_equal
+        # the amplitude the search starts from; the signs of zero included:
+        # tobytes, not array_equal
         for k in range(1, 21):
-            assert statevec._Machine.uniform(k).amps.tobytes() == uniform_state(k).amps.tobytes(), k
+            fill = np.full(1 << k, statevec._hadamard_amplitude(k))
+            assert fill.tobytes() == uniform_state(k).amps.tobytes(), k
 
     def test_step_equals_the_diagonal_product_it_replaced(self, rng):
         # the old step: multiply by the +-1 oracle diagonal, then 2m - a
@@ -193,42 +227,69 @@ class TestInPlaceLoop:
             expected = 2.0 * flipped.mean() - flipped
             assert np.array_equal(grover_iterate(state, problem).amps, expected), k
 
-    def test_long_run_tracks_the_recurrence_without_drift(self, monkeypatch):
-        k, target = 20, 0x5A5A5
-        measured = []
-        measure_all = statevec.measure_all
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_run_equals_the_full_state_loop_bit_for_bit(self, k, monkeypatch):
+        n_items = 1 << k
+        rng = np.random.default_rng(1000 + k)
+        sets = [rng.choice(n_items, t, replace=False) for t in range(1, min(4, n_items - 1) + 1)]
+        sets += [[0], [n_items - 1]]
+        if k >= 2:
+            sets.append([1, n_items // 2 + 1])  # one in each half
+        if k >= 3:
+            sets.append([i for i in (2, 3, 5, 40, 63) if i < n_items][:n_items - 1])  # one leaf
+        for i, marked in enumerate(sets):
+            assert_runs_equal(SearchProblem(k, marked), i, monkeypatch)
 
-        def record(state, rng_seed, shots):
-            measured.append(state)
-            return measure_all(state, rng_seed, shots)
+    @pytest.mark.parametrize("k, count", [(12, 1 << 10), (16, (1 << 15) - 1)])
+    def test_large_marked_sets_equal_the_full_state_loop(self, k, count, monkeypatch):
+        marked = np.random.default_rng(count).choice(1 << k, count, replace=False)
+        assert_runs_equal(SearchProblem(k, marked), 5, monkeypatch)
 
-        monkeypatch.setattr(statevec, "measure_all", record)
-        result = run_grover(SearchProblem(k, (target,)), rng_seed=7)
-        assert result.iterations == 804
+    @pytest.mark.parametrize("marked", [
+        pytest.param(range(0, 1 << 20, 4), id="2^18-targets"),
+        pytest.param(range(17, 1 << 20, 64), id="one-per-leaf"),
+    ])
+    def test_large_targets_file_reports_the_full_state_loops_bytes(self, marked, tmp_path,
+                                                                   monkeypatch):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("".join(f"{t}\n" for t in marked))
+        argv = ["grover", "--qubits", "20", "--targets-file", str(targets), "--seed", "9",
+                "--trace", str(tmp_path / "trace.json")]
+        reports = []
+        for _ in range(2):
+            assert main(argv + ["--output", str(tmp_path / "report.json")]) == 0
+            reports.append([(tmp_path / f).read_bytes() for f in ("report.json", "trace.json")])
+            monkeypatch.setattr(grover, "run_grover",
+                                lambda problem, seed: run_grover_full_state(problem, seed)[0])
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("k, target, iterations", [(20, 0x5A5A5, 804), (24, 0xA5A5A5, 3216)])
+    def test_long_run_tracks_the_recurrence_without_drift(self, k, target, iterations, monkeypatch):
+        result, state = run_and_capture(SearchProblem(k, (target,)), 7, monkeypatch)
+        assert result.iterations == iterations
         track = analytic_recurrence(1 << k, result.iterations)
         assert len(result.trace) == len(track)
         for i, (p, pair) in enumerate(zip(result.trace, track)):
             assert abs(p - pair.beta**2) <= 1e-12, i
-        (state,) = measured
         assert abs(np.vdot(state.amps, state.amps).real - 1.0) <= statevec.NORM_TOL
-        unmarked = np.delete(state.amps.real, target)
-        assert np.max(np.abs(unmarked - track[-1].alpha)) <= 1e-12
+        unmarked = np.abs(state.amps.real - track[-1].alpha)  # one real array beside the state
+        unmarked[target] = 0.0
+        assert np.max(unmarked) <= 1e-12
         assert abs(state.amps[target] - track[-1].beta) <= 1e-12
 
     def test_final_state_is_still_validated(self, monkeypatch):
-        step = grover._iterate_inplace
+        step = grover._iterate_pair
 
-        def leaky_step(amps, marked):
-            step(amps, marked)
-            amps *= 1 + 1e-6
+        def leaky_step(*args):
+            return tuple(amp * (1 + 1e-6) for amp in step(*args))
 
-        monkeypatch.setattr(grover, "_iterate_inplace", leaky_step)
+        monkeypatch.setattr(grover, "_iterate_pair", leaky_step)
         with pytest.raises(ValueError, match="not normalized"):
             run_grover(SearchProblem(6, (17,)), rng_seed=0)
 
     def test_search_holds_one_state(self):
-        # the loop runs on the uniform state's own buffer, so the peak is
-        # that state; a copy of the uniform state would double it
+        # the loop runs on two amplitudes and the state is filled once,
+        # after it; a second state-sized array would double the peak
         k = 18
         problem = SearchProblem(k, (5,))
         tracemalloc.start()
@@ -238,6 +299,30 @@ class TestInPlaceLoop:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * (16 << k)
+
+
+class TestTwoValueSum:
+    @pytest.mark.parametrize("k", range(21))
+    def test_sum_and_mean_are_numpys_bit_for_bit(self, k):
+        n_items = 1 << k
+        rng = np.random.default_rng(2000 + k)
+        counts = sorted({c for c in (1, 2, 3, 70, n_items // 3, n_items) if 1 <= c <= n_items})
+        sets = [np.sort(rng.choice(n_items, count, replace=False)) for count in counts]
+        sets.append(np.arange(k % 5, n_items, 1 << (k // 2)))  # leaves that share a pattern
+        for marked, real in itertools.product(sets, (False, True)):
+            (ar, ai), (br, bi) = rng.standard_normal((2, 2)) * 10.0 ** rng.integers(-9, 3)
+            if real:  # as in a search: zero imaginary parts, here of both signs
+                ai, bi = -0.0, 0.0
+            a, b = np.complex128(complex(ar, ai)), np.complex128(complex(br, bi))
+            amps = np.full(n_items, a)
+            amps[marked] = b
+            total = grover._two_value_sum(k, marked)(a, b)
+            broke = (f"numpy's complex add.reduce no longer matches grover._two_value_sum "
+                     f"(k={k}, {marked.size} marked): the assumed pairwise summation, a leaf of "
+                     f"64 complex entries (PW_BLOCKSIZE = 128 doubles) and two halves above "
+                     f"it, added to a zero start, does not hold for this numpy")
+            assert total.tobytes() == np.add.reduce(amps).tobytes(), broke
+            assert (total / np.intp(n_items)).tobytes() == amps.mean().tobytes(), broke
 
 
 class TestAnalyticRecurrence:
