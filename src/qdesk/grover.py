@@ -30,6 +30,8 @@ after the loop, then validated and measured.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from collections.abc import Callable
@@ -66,9 +68,15 @@ class SearchProblem:
         return 1 << self.k
 
 
-def _marked_mass(values: np.ndarray) -> float:
-    """Sum of |v|^2 over a gather of the marked amplitudes, added in order."""
-    return float(sum(np.abs(values) ** 2))
+def _marked_mass(b: np.complex128, count: int) -> float:
+    """|b|^2 added ``count`` times in order: :func:`marked_probability` of ``count`` marked b's.
+
+    Through ``np.abs``, whose last bit a numpy scalar's ``abs`` can miss,
+    and ``reduce``, which adds in order where ``sum`` of Python floats
+    compensates its rounding from Python 3.12 on.
+    """
+    v = float(np.abs(b))
+    return functools.reduce(operator.add, itertools.repeat(v * v, count))
 
 
 def grover_iterate(state: statevec.StateVector, problem: SearchProblem) -> statevec.StateVector:
@@ -94,7 +102,7 @@ def iteration_schedule(n_items: int, target_count: int) -> int:
 
 def marked_probability(state: statevec.StateVector, problem: SearchProblem) -> float:
     """Total probability mass on the marked indices."""
-    return _marked_mass(state.amps[problem.marked])
+    return float(sum(np.abs(state.amps[problem.marked]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -205,10 +213,10 @@ def run_grover(problem: SearchProblem, rng_seed: int) -> GroverResult:
     iterations = iteration_schedule(problem.N, count)
     total = _two_value_sum(problem.k, marked)
     a = b = statevec._hadamard_amplitude(problem.k)
-    trace = [_marked_mass(np.full(count, b))]
+    trace = [_marked_mass(b, count)]
     for _ in range(iterations):
         a, b = _iterate_pair(a, b, problem, total)
-        trace.append(_marked_mass(np.full(count, b)))
+        trace.append(_marked_mass(b, count))
     del total  # its leaf rows go before the state is filled
     amps = np.full(problem.N, a)
     amps[marked] = b

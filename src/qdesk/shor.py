@@ -12,9 +12,9 @@ x^(r/2) is not congruent to -1.
 
 No gate-level modular arithmetic is simulated: the state after the load
 and the oracle, amplitude 2^-L at each (a, x^a mod N), is written straight
-into the buffer, and the transform runs only on the r columns of the
-value register that the powers take; the other 2^L - r columns stay
-zero (see ``statevec._Machine.period_finding``).
+into a buffer that keeps only the r values the powers take (padded to a
+power of two), and the transform runs on it once (see
+``statevec._Machine.period_finding``).
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _power_table(x: int, n: int, length: int) -> np.ndarray:
     return np.tile(np.asarray(orbit, dtype=np.int64), reps)[:length]
 
 
-# One entry: at the cap a state is 256 MB, and the only reuse is the
+# One entry: at the cap a state is up to 128 MB, and the only reuse is the
 # distribution dump for the last attempt's x right after the run.  A miss
 # clears it before building, so two states never coexist.
 _states: dict[FactoringInstance, statevec.StateVector] = {}
@@ -181,12 +181,28 @@ def order_finding_state(inst: FactoringInstance) -> statevec.StateVector:
 
 def run_order_finding_circuit(inst: FactoringInstance, rng_seed: int) -> int:
     """Run the full circuit once and return the measured exponent-register c."""
-    return statevec.measure_all(order_finding_state(inst), rng_seed, 1)[0] >> inst.L
+    state = order_finding_state(inst)
+    return statevec.measure_all(state, rng_seed, 1)[0] >> (state.n_qubits - 2 * inst.L)
 
 
 def first_register_distribution(inst: FactoringInstance) -> np.ndarray:
-    """Exact measurement distribution of c (marginal over the value register)."""
-    return statevec.marginal(order_finding_state(inst), 2 * inst.L)
+    """Exact measurement distribution of c (marginal over the value register).
+
+    The state's first r columns are the orbit's values in ascending order.
+    Each row's probabilities go back at those values in a zeroed block of
+    2^15 >> L full rows before the rows are summed: numpy sums a row
+    pairwise, so where its zeros lie moves the result's last bits.
+    """
+    state = order_finding_state(inst)
+    values = sorted(_orbit(inst.x, inst.N))
+    rows = 1 << (2 * inst.L)
+    step = min((1 << statevec._BLOCK_BITS) >> inst.L, rows)
+    block = np.zeros((step, 1 << inst.L))
+    dist = np.empty(rows)
+    for start, amps in zip(range(0, rows, step), state.amps.reshape(rows // step, step, -1)):
+        block[:, values] = (np.abs(amps) ** 2)[:, :len(values)]
+        dist[start:start + step] = block.sum(axis=1)
+    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,11 @@ def make_oracle(n: int, c: int, rng_seed: int) -> SimonOracle:
 
 
 def sampling_state(oracle: SimonOracle) -> statevec.StateVector:
-    """State of the 2n-qubit machine just before measurement.
+    """State of the machine just before measurement.
 
-    Wires 1..n hold the input register, wires n+1..2n the output register.
-    The oracle enters as the reversible basis map (x, w) -> (x, w XOR f(x)).
+    Wires 1..n hold the input register.  The oracle enters as the
+    reversible basis map (x, w) -> (x, w XOR f(x)) on n output wires, of
+    which the state keeps the 2^(n-1) values f takes, padded to at least 2.
     """
     transform = hadamard_layer(oracle.n)
     return statevec._Machine.period_finding(transform, oracle.table, oracle.n).freeze()
@@ -154,7 +155,8 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
     n = oracle.n
     if max_rounds < n:
         raise ValueError(f"max_rounds must be at least n={n}, got {max_rounds}")
-    rows = statevec._row_cdf(sampling_state(oracle), n)
+    state = sampling_state(oracle)
+    rows = statevec._row_cdf(state, state.n_qubits - n)
     samples: list[int] = []
     while (c := recover_shift(samples, n)) is None:
         if len(samples) >= max_rounds:

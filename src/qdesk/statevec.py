@@ -150,44 +150,26 @@ class _Machine:
         The input register is the top m = ``transform.n_wires`` wires, above
         the ``out_bits`` the oracle writes.  H^m is the Fourier transform
         over Z_2^m (Simon) and the QFT the one over Z_(2^2L) (order
-        finding); a measured outcome ``>> out_bits`` reads the input register.
+        finding).  Neither algorithm reads the output register, so the
+        machine keeps only the values the table takes: row a is the input
+        value a, and the columns are the distinct table values in ascending
+        order, padded with zero columns to a power of two and never fewer
+        than 2 (with one, numpy's matrix-vector product rounds differently).
+        A measured outcome ``>> (n_qubits - m)`` reads the input register.
 
-        The state is built without the H layer or the oracle pass: the
-        amplitude (1/sqrt 2)^m, multiplied up as the H layer multiplies it,
-        goes at (a, table[a]) of a zeroed buffer.  Seen as a 2^m x 2^out_bits
-        matrix, the buffer's column w is then nonzero only when the table
-        takes the value w, and ``transform`` (U on the input register, the
-        identity on the output) maps each column to U times it, so a column
-        the table never takes stays zero.  The transform runs on the live
-        columns only: a power-of-two number of them at a time is gathered
-        into one block of at most 2^14 amplitudes (one column when a column
-        is larger), padded with dead columns, run as its own machine and
-        scattered back.  The kernel's product on a column does not depend on
-        the columns beside it, so the state is ``np.array_equal`` to the
-        full-width run's (the tests compare the two).
+        The amplitude (1/sqrt 2)^m, multiplied up as the H layer multiplies
+        it, goes at (a, column of table[a]), and ``transform`` runs once.
+        Its product on a column does not depend on the columns beside it, so
+        each column is bit for bit the full run's column at that value, and
+        the full run's other columns are exactly zero (the tests compare them).
         """
         m = transform.n_wires
-        table = _oracle_table(table, 1 << m, out_bits)
-        amps = np.zeros(1 << (m + out_bits), dtype=np.complex128)
-        by_column = amps.reshape(1 << m, -1)
-        by_column[np.arange(1 << m), table] = _hadamard_amplitude(m)
-        live = np.zeros(1 << out_bits, dtype=bool)
-        live[table] = True
-        del table  # freed here when the caller kept no reference
-        count = np.count_nonzero(live)
-        # half a kernel block, so a block and the kernel's two scratch
-        # arrays hold 768 KB; the 2^out_bits columns are a multiple of
-        # width, so a last block always has dead columns to pad with
-        width = min(max((1 << (_BLOCK_BITS - 1)) >> m, 1), by_column.shape[1])
-        order = np.concatenate((np.flatnonzero(live), np.flatnonzero(~live)))
-        block = np.empty((1 << m, width), dtype=amps.dtype)
-        for start in range(0, count, width):
-            columns = order[start:start + width]
-            # the default mode="raise" gathers into a hidden copy of block
-            np.take(by_column, columns, axis=1, out=block, mode="clip")
-            cls(block.reshape(-1)).run(transform)
-            by_column[:, columns] = block
-        return cls(amps)
+        values, column = np.unique(_oracle_table(table, 1 << m, out_bits), return_inverse=True)
+        width = max(1 << (values.size - 1).bit_length(), 2)
+        amps = np.zeros(width << m, dtype=np.complex128)
+        amps.reshape(-1, width)[np.arange(1 << m), column] = _hadamard_amplitude(m)
+        del table, column  # the table is freed here when the caller kept no reference
+        return cls(amps).run(transform)
 
     def run(self, circuit: Circuit) -> _Machine:
         """The gate kernel: apply a circuit's ops in order, in place.
@@ -348,17 +330,6 @@ def probability_blocks(state: StateVector) -> Iterator[np.ndarray]:
     amps = state.amps
     for block in amps.reshape(-1, min(amps.size, 1 << _BLOCK_BITS)):
         yield np.abs(block) ** 2
-
-
-def marginal(state: StateVector, high_bits: int) -> np.ndarray:
-    """Measurement distribution of the top ``high_bits`` wires alone.
-
-    Sums the outcome probabilities over the remaining low wires; entry i
-    is the probability that wires 1..high_bits read the integer i.
-    """
-    if not 1 <= high_bits <= state.n_qubits:
-        raise ValueError(f"high_bits={high_bits} out of range [1, {state.n_qubits}]")
-    return distribution(state).reshape(1 << high_bits, -1).sum(axis=1)
 
 
 def _cdf_blocks(state: StateVector) -> Iterator[np.ndarray]:

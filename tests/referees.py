@@ -7,9 +7,12 @@ the package (``tests/test_src_reachability.py`` keeps it that way):
 * Grover: the uniform state, the reflection about the mean both from the
   mean formula and as -(H^k) Z0 (H^k) built from gates, and the search
   run over the whole state;
-* Simon: one measured round, and the binary inner product of its law;
-* state vector: the XOR oracle as an in-place row permutation, and the
-  integer on a span of wires;
+* Simon: one measured round of the gate-by-gate state, and the binary
+  inner product of its law;
+* state vector: the XOR oracle as an in-place row permutation, period
+  finding gate by gate, the full-width state a period-finding state keeps
+  the live columns of, the marginal of the top wires, and the integer on a
+  span of wires;
 * QFT: the dense transform matrix, and the worst-case fidelity from
   running a circuit on every basis input;
 * CLI: the report schema, and the dict-building report serializer that
@@ -161,9 +164,12 @@ def inversion_about_mean_composed(state: statevec.StateVector) -> statevec.State
 def simon_sample(oracle: simon.SimonOracle, rng_seed: int) -> int:
     """Run one quantum round and return the measured first-register value y.
 
-    Every returned y satisfies y . c = 0 (mod 2) with certainty.
+    The round measures the whole 2n-qubit state, built gate by gate (see
+    :func:`gate_by_gate_period_finding`).  Every returned y satisfies
+    y . c = 0 (mod 2) with certainty.
     """
-    return statevec.measure_all(simon.sampling_state(oracle), rng_seed, 1)[0] >> oracle.n
+    state = gate_by_gate_period_finding(hadamard_layer(oracle.n), oracle.table, oracle.n)
+    return statevec.measure_all(state, rng_seed, 1)[0] >> oracle.n
 
 
 def dot_mod2(a: int, b: int) -> int:
@@ -202,6 +208,45 @@ def apply_xor_oracle(state: statevec.StateVector, table: np.ndarray,
         np.copyto(scratch, by_row[chunk])
         np.put_along_axis(by_row[chunk], w ^ table[chunk, np.newaxis], scratch, axis=1)
     return statevec.StateVector(n, amps, copy=False)
+
+
+def gate_by_gate_period_finding(transform: Circuit, table: np.ndarray,
+                                out_bits: int) -> statevec.StateVector:
+    """|0>, H on each input wire, the XOR oracle, then the transform, on all m + out_bits wires."""
+    m = transform.n_wires
+    state = statevec.run_circuit(statevec.init_basis(m + out_bits, 0), hadamard_layer(m))
+    return statevec.run_circuit(apply_xor_oracle(state, table, out_bits), transform)
+
+
+def expand_live_columns(state: statevec.StateVector, table: np.ndarray,
+                        out_bits: int) -> statevec.StateVector:
+    """The full-width state that a ``_Machine.period_finding`` state stands for.
+
+    Row a of ``state`` is the input value a, and its columns are the
+    distinct ``table`` values in ascending order, then zero pad columns up
+    to a power of two (at least 2).  Asserts that layout and that every pad
+    column is exactly 0, then puts each kept column back at its output
+    value of a 2^out_bits-column state whose other columns are 0.
+    """
+    table = np.asarray(table)
+    values = np.unique(table)
+    by_row = state.amps.reshape(table.size, -1)
+    assert by_row.shape[1] == max(1 << (values.size - 1).bit_length(), 2)
+    assert not np.any(by_row[:, values.size:])
+    full = np.zeros((table.size, 1 << out_bits), dtype=np.complex128)
+    full[:, values] = by_row[:, :values.size]
+    return statevec.StateVector(table.size.bit_length() - 1 + out_bits, full.reshape(-1), copy=False)
+
+
+def marginal(state: statevec.StateVector, high_bits: int) -> np.ndarray:
+    """Measurement distribution of the top ``high_bits`` wires alone.
+
+    Sums the outcome probabilities over the remaining low wires; entry i
+    is the probability that wires 1..high_bits read the integer i.
+    """
+    if not 1 <= high_bits <= state.n_qubits:
+        raise ValueError(f"high_bits={high_bits} out of range [1, {state.n_qubits}]")
+    return statevec.distribution(state).reshape(1 << high_bits, -1).sum(axis=1)
 
 
 def extract_register(index: int, n_qubits: int, first_wire: int, last_wire: int) -> int:

@@ -20,7 +20,15 @@ from qdesk.gates import Circuit, GateOp, expand_to_matrix
 from qdesk.qft import QftSpec, build_qft_circuit, gate_counts
 
 from conftest import random_unitary
-from referees import analytic_distribution, dft_matrix, dot_mod2, qft_fidelity, uniform_state
+from referees import (
+    analytic_distribution,
+    dft_matrix,
+    dot_mod2,
+    expand_live_columns,
+    marginal,
+    qft_fidelity,
+    uniform_state,
+)
 
 
 def _report(number, description, ok, detail=""):
@@ -105,7 +113,7 @@ def test_criterion_4_hidden_shift_exactness_and_recovery():
     for n in range(1, 6):
         for c in range(1, 1 << n):
             oracle = simon.make_oracle(n, c, rng_seed=statevec.derive_seed(41, n, c))
-            dist = statevec.marginal(simon.sampling_state(oracle), oracle.n)
+            dist = marginal(simon.sampling_state(oracle), oracle.n)
             for y in range(1 << n):
                 expected = 2.0 ** -(n - 1) if dot_mod2(y, c) == 0 else 0.0
                 if abs(dist[y] - expected) > 1e-10:
@@ -170,7 +178,9 @@ def test_criterion_6_measured_distribution_matches_analytic_law():
     cases = [(15, x) for x in (1, 2, 4, 7, 8, 11, 13, 14)] + [(21, 2), (21, 5), (119, 3)]
     for n, x in cases:
         inst = shor.FactoringInstance(n, x)
-        simulated = statevec.distribution(shor.order_finding_state(inst))
+        powers = shor._power_table(x, n, 1 << (2 * inst.L))
+        full = expand_live_columns(shor.order_finding_state(inst), powers, inst.L)
+        simulated = statevec.distribution(full)
         analytic = analytic_distribution(inst)
         worst = max(worst, float(np.max(np.abs(simulated - analytic))))
     elapsed = time.perf_counter() - start

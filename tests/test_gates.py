@@ -24,7 +24,13 @@ from qdesk import shor, simon, statevec
 from qdesk.qft import QftSpec, build_qft_circuit
 
 from conftest import random_state, random_unitary
-from referees import apply_xor_oracle, inversion_about_mean_composed, phase_flip_zero, uniform_state
+from referees import (
+    apply_xor_oracle,
+    expand_live_columns,
+    inversion_about_mean_composed,
+    phase_flip_zero,
+    uniform_state,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -243,8 +249,8 @@ class TestHadamardLayer:
     def _sampling(self, n):
         oracle = simon.make_oracle(n, (1 << n) - 1 - (n > 1), rng_seed=n)
         state = self._h_gate_by_gate(statevec.init_basis(2 * n, 0), n)
-        state = apply_xor_oracle(state, oracle.table, n)
-        return simon.sampling_state(oracle), self._h_gate_by_gate(state, n)
+        expected = self._h_gate_by_gate(apply_xor_oracle(state, oracle.table, n), n)
+        return expand_live_columns(simon.sampling_state(oracle), oracle.table, n), expected
 
     def _order_finding(self, nx):
         n, x = nx
@@ -254,7 +260,7 @@ class TestHadamardLayer:
         powers = [pow(x, a, n) for a in range(1 << two_l)]
         state = apply_xor_oracle(state, powers, inst.L)
         expected = statevec.run_circuit(state, build_qft_circuit(QftSpec(two_l)))
-        return shor.order_finding_state(inst), expected
+        return expand_live_columns(shor.order_finding_state(inst), powers, inst.L), expected
 
     def _composed(self, k):
         state = random_state(np.random.default_rng(k), k)

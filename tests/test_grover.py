@@ -325,6 +325,18 @@ class TestTwoValueSum:
             assert (total / np.intp(n_items)).tobytes() == amps.mean().tobytes(), broke
 
 
+class TestMarkedMass:
+    @pytest.mark.parametrize("count, cases", [(1, 50), (2, 50), (3, 50), (100, 50), (4097, 20),
+                                              (1 << 18, 2)])
+    def test_is_the_sum_over_a_gather_bit_for_bit(self, count, cases):
+        # complex b's as well: there a numpy scalar's abs and the ufunc's can differ
+        rng = np.random.default_rng(count)
+        for _ in range(cases):
+            b = np.complex128(complex(*rng.standard_normal(2))) * 10.0 ** rng.integers(-9, 3)
+            gathered = float(sum(np.abs(np.full(count, b)) ** 2))
+            assert grover._marked_mass(b, count) == gathered, b
+
+
 class TestAnalyticRecurrence:
     def test_first_step_four_items(self):
         track = analytic_recurrence(4, 1)

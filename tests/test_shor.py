@@ -28,7 +28,10 @@ from referees import (
     analytic_distribution,
     analytic_outcome_probability,
     apply_xor_oracle,
+    expand_live_columns,
     extract_register,
+    gate_by_gate_period_finding,
+    marginal,
 )
 
 
@@ -112,7 +115,21 @@ class TestNumberTheoryHelpers:
         assert inst.L == 4 and inst.n_qubits == 12
 
 
+# every odd composite N < 128 with two distinct prime factors, x = 2..11
+DUMP_CASES = [(n, x) for n in range(15, 128) if is_trivial_case(n) == "composite-ok"
+              for x in range(2, 12) if math.gcd(n, x) == 1]
+
+
 class TestCircuit:
+    @pytest.mark.parametrize("n", sorted({n for n, _ in DUMP_CASES}))
+    def test_dump_is_the_full_state_marginal_bit_for_bit(self, n):
+        # the rows are summed with their zeros where the full register has them
+        for x in [x for m, x in DUMP_CASES if m == n]:
+            inst = FactoringInstance(n, x)
+            powers = shor._power_table(x, n, 1 << (2 * inst.L))
+            full = expand_live_columns(order_finding_state(inst), powers, inst.L)
+            assert np.array_equal(first_register_distribution(inst), marginal(full, 2 * inst.L)), x
+
     def test_measured_distribution_n15_x7(self):
         # order 4 divides 2^8, so c concentrates exactly on multiples of 64
         dist = first_register_distribution(FactoringInstance(15, 7))
@@ -135,15 +152,15 @@ class TestCircuit:
         powers = shor._power_table(x, n, 1 << (2 * inst.L))
         expected = apply_xor_oracle(state, powers, inst.L)
         # an empty transform leaves the loaded state
-        loaded = statevec._Machine.period_finding(Circuit(2 * inst.L), powers, inst.L)
-        assert np.array_equal(loaded.freeze().amps, expected.amps)
+        loaded = statevec._Machine.period_finding(Circuit(2 * inst.L), powers, inst.L).freeze()
+        assert np.array_equal(expand_live_columns(loaded, powers, inst.L).amps, expected.amps)
 
     def test_second_register_holds_orbit(self):
         # before the transform the value register carries exactly the powers
         inst = FactoringInstance(15, 7)
         powers = shor._power_table(7, 15, 1 << (2 * inst.L))
         state = statevec._Machine.period_finding(Circuit(2 * inst.L), powers, inst.L).freeze()
-        probs = statevec.distribution(state)
+        probs = statevec.distribution(expand_live_columns(state, powers, inst.L))
         values = {
             extract_register(s, inst.n_qubits, 2 * inst.L + 1, inst.n_qubits)
             for s in np.flatnonzero(probs > 1e-15)
@@ -165,11 +182,10 @@ class TestCircuit:
                            match=r"^factoring N=3855 needs 36 qubits \(cap 24\)$"):
             run_order_finding_circuit(inst, rng_seed=0)
 
-    def test_attempt_cost_is_the_qft_once_per_block_of_live_columns(self, monkeypatch):
-        # the state is loaded straight into the post-oracle state, and the
-        # QFT runs on the value register's live columns only: 2^12-amplitude
-        # columns, 4 to a 2^14-amplitude block, and r = 10 live columns for
-        # N = 33, x = 2, so 3 blocks; only the QFT runs, never an H layer
+    def test_attempt_cost_is_the_qft_once_on_the_live_columns(self, monkeypatch):
+        # the state is loaded straight into the post-oracle state, which
+        # keeps the r = 10 values the powers of 2 mod 33 take, padded to 16
+        # columns, and the QFT runs once on all of it; never an H layer
         inst = FactoringInstance(33, 2)
         two_l = 2 * inst.L
         runs = []
@@ -184,14 +200,15 @@ class TestCircuit:
         monkeypatch.setattr(shor, "_states", {})
         order_finding_state(inst)
         qft_ops = [(op.name, op.wires) for op in build_qft_circuit(QftSpec(two_l)).ops]
-        width = (1 << 14) >> two_l
-        blocks = -(-multiplicative_order(2, 33) // width)
-        assert (width, blocks) == (4, 3)
-        assert runs == [(two_l + 2, qft_ops)] * blocks
+        assert multiplicative_order(2, 33) == 10
+        assert runs == [(two_l + 4, qft_ops)]
 
     def test_measured_c_is_the_extracted_exponent_register(self):
+        # the full 3L-qubit state, built gate by gate, measured on the same seeds
         inst = FactoringInstance(35, 3)
-        state = order_finding_state(inst)
+        two_l = 2 * inst.L
+        powers = shor._power_table(3, 35, 1 << two_l)
+        state = gate_by_gate_period_finding(build_qft_circuit(QftSpec(two_l)), powers, inst.L)
         for seed in range(20):
             outcome = statevec.measure_all(state, seed, 1)[0]
             expected = extract_register(outcome, inst.n_qubits, 1, 2 * inst.L)
@@ -236,7 +253,9 @@ class TestAnalyticLaw:
 
     def test_joint_matches_simulation(self):
         inst = FactoringInstance(15, 7)
-        simulated = statevec.distribution(order_finding_state(inst))
+        powers = shor._power_table(7, 15, 1 << (2 * inst.L))
+        simulated = statevec.distribution(
+            expand_live_columns(order_finding_state(inst), powers, inst.L))
         assert np.max(np.abs(analytic_distribution(inst) - simulated)) < 1e-9
 
     def test_likely_outcomes_satisfy_peak_condition(self):
@@ -397,57 +416,60 @@ class TestFactorPipeline:
         assert lucky > 0
 
     def test_a_second_attempt_frees_the_first_state_before_building(self):
-        # seed 0 runs the circuit for x = 17 and then for x = 13 (15 qubits);
-        # two attempts may peak no higher than the first one alone; an
-        # untraced first run fills the caches that outlive a run
-        factor(21, max_attempts=1, rng_seed=0)
+        # seed 9 runs the circuit for x = 14 and then for x = 28, both of
+        # order 10, so both states keep 16 columns (16 qubits, 1 MB); two
+        # attempts may peak no higher than the first one alone; an untraced
+        # first run fills the caches that outlive a run
+        factor(33, max_attempts=1, rng_seed=9)
         peaks, reports = [], []
         for max_attempts in (1, 2):
             shor._states.clear()
             tracemalloc.start()
             try:
-                reports.append(factor(21, max_attempts, rng_seed=0))
+                reports.append(factor(33, max_attempts, rng_seed=9))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert [(a.x, a.measured_c is not None) for a in reports[1].attempts] == [(17, True), (13, True)]
-        state_bytes = 16 << 15
+        assert [(a.x, a.measured_c is not None) for a in reports[1].attempts] == [(14, True), (28, True)]
+        state_bytes = 16 << 16
+        assert shor._states[FactoringInstance(33, 28)].amps.nbytes == state_bytes
         assert peaks[1] < peaks[0] + state_bytes // 2
 
     def test_order_finding_state_holds_one_state(self):
-        # load, oracle and transform run on one buffer: the peak is that
-        # state, the kernel's two 512 KB block scratch arrays (a quarter of
-        # this 18-qubit state) and small tables; a second state-sized array
-        # would double it
+        # load, oracle and transform run on one buffer of the r = 10 live
+        # columns padded to 16 (16 qubits, 1 MB, where the full register
+        # has 18): the peak is that state, the kernel's two 512 KB block
+        # scratch arrays and small tables; a second array of its size, or
+        # the full register, would exceed it
         inst = FactoringInstance(33, 5)
-        nbytes = 16 << inst.n_qubits
         shor._states.clear()
         tracemalloc.start()
         try:
-            order_finding_state(inst)
+            state = order_finding_state(inst)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < nbytes + 2 * (16 << 15) + nbytes // 8
+        assert state.n_qubits == 2 * inst.L + 4
+        assert peak < state.amps.nbytes + 2 * (16 << 15) + (1 << 18)
 
     def test_21_qubit_state_holds_the_state_and_one_block(self):
-        # at 21 qubits the QFT runs one 2^14-amplitude column at a time: the
-        # peak is the 32 MB state, the 256 KB column block, the kernel's two
-        # scratch arrays of its size and the circuit; the power table is
+        # the 21-qubit instance keeps its r = 48 live columns padded to 64
+        # (20 qubits, 16 MB): the peak is that state, the kernel's two
+        # 512 KB block scratch arrays and the circuit; the power table is
         # freed before the transform.  A first call fills the interpreter's
         # tuple free lists (about 180 KB that tracemalloc counts as live),
         # so the measured call is the second.
         inst = FactoringInstance(119, 3)
-        nbytes = 16 << inst.n_qubits
         order_finding_state(inst)
         shor._states.clear()
         tracemalloc.start()
         try:
-            order_finding_state(inst)
+            state = order_finding_state(inst)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < nbytes + (1 << 20)
+        assert state.n_qubits == 2 * inst.L + 6
+        assert peak < state.amps.nbytes + 2 * (16 << 15) + (1 << 18)
 
     def test_trivial_inputs_rejected(self):
         for bad in (16, 13, 27):

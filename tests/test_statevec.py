@@ -22,14 +22,19 @@ from qdesk.statevec import (
     derive_seed,
     distribution,
     init_basis,
-    marginal,
     measure_all,
     require_qubits,
     run_circuit,
 )
 
 from conftest import random_state, random_unitary
-from referees import apply_xor_oracle, extract_register
+from referees import (
+    apply_xor_oracle,
+    expand_live_columns,
+    extract_register,
+    gate_by_gate_period_finding,
+    marginal,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -679,19 +684,15 @@ class TestRunCircuit:
             run_circuit(init_basis(1, 0), gates.Circuit(2, (gates.h_op(2),)))
 
 
-def gate_by_gate_period_finding(transform, table, out_bits):
-    """The referee: |0>, H on each input wire, the XOR oracle, then the transform."""
-    m = transform.n_wires
-    state = run_circuit(init_basis(m + out_bits, 0), gates.hadamard_layer(m))
-    return run_circuit(apply_xor_oracle(state, table, out_bits), transform).amps
-
-
 def assert_period_finding_is_the_gate_by_gate_run(transform, table, out_bits):
-    amps = statevec._Machine.period_finding(transform, table, out_bits).freeze().amps
-    assert np.array_equal(amps, gate_by_gate_period_finding(transform, table, out_bits))
+    # expand_live_columns asserts the layout and that the pad columns are 0
+    state = statevec._Machine.period_finding(transform, table, out_bits).freeze()
+    amps = expand_live_columns(state, table, out_bits).amps
+    full = gate_by_gate_period_finding(transform, table, out_bits).amps
+    assert np.array_equal(amps, full)
     # a column the oracle never writes is untouched by U (x) I
     dead = np.setdiff1d(np.arange(1 << out_bits), table)
-    assert not np.any(amps.reshape(-1, 1 << out_bits)[:, dead])
+    assert not np.any(full.reshape(-1, 1 << out_bits)[:, dead])
 
 
 # every factoring instance up to 18 qubits with x = 2..8, and two at 21
@@ -714,6 +715,21 @@ class TestPeriodFinding:
         for c in range(1, 1 << n):
             table = simon.make_oracle(n, c, rng_seed=c).table
             assert_period_finding_is_the_gate_by_gate_run(gates.hadamard_layer(n), table, n)
+
+    def test_the_state_keeps_the_values_the_table_takes_in_ascending_order(self):
+        # rows are the input values; the columns are the values 1, 5 and 9,
+        # then one pad column
+        state = statevec._Machine.period_finding(gates.Circuit(2), np.array([9, 1, 5, 1]), 4)
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[[0, 1, 2, 3], [2, 0, 1, 0]] = statevec._hadamard_amplitude(2)
+        assert state.n_qubits == 4
+        assert np.array_equal(state.amps.reshape(4, 4), expected)
+
+    @pytest.mark.parametrize("distinct, width", [(1, 2), (2, 2), (3, 4), (4, 4), (5, 8), (16, 16)])
+    def test_the_columns_are_a_power_of_two_and_at_least_two(self, distinct, width):
+        table = np.arange(16) % distinct * 3 % 16
+        state = statevec._Machine.period_finding(gates.hadamard_layer(4), table, 4)
+        assert state.n_qubits == 4 + width.bit_length() - 1
 
     @pytest.mark.parametrize("table, out_bits", [
         ([0, 1, 2], 2), ([[0, 1], [2, 3]], 2), ([0] * 16, 2), ([0, 4, 0, 0], 2), ([0, -1, 0, 0], 2),
