@@ -4,9 +4,9 @@ Modules
 -------
 statevec
     Dense state vector, view-based gate kernel, the period-finding state
-    build, register marginal, qubit budget, seeded measurement.
+    build, qubit budget, seeded measurement.
 gates
-    Gate matrices, circuit IR, dense expansion oracle, linear routing.
+    Gate matrices, circuit IR, dense expansion oracle.
 qft
     Exact and approximate Fourier circuits and their fidelity check.
 simon
@@ -14,9 +14,9 @@ simon
 shor
     Order finding, continued-fraction recovery and factor extraction.
 grover
-    Search problem, in-place iteration, schedule, analytic recurrence.
+    Search problem, the run on two amplitudes, schedule, analytic recurrence.
 cli
-    JSON-reporting command-line front end and majority-vote amplifier.
+    JSON-reporting command-line front end.
 
 Importing the package loads none of these; ``from qdesk import shor`` (or
 ``import qdesk.shor``) loads a module and the ones it imports, so a

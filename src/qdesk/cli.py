@@ -1,4 +1,4 @@
-"""Command-line front end: JSON reports, seeding, majority-vote amplifier.
+"""Command-line front end: argument checks, seeding and JSON reports.
 
 Every command emits a single JSON report, either to stdout or to the file
 given with ``--output``.  Reports are byte-reproducible for a fixed seed:
@@ -162,36 +162,6 @@ def _distribution_chunks(blocks: Iterable[np.ndarray], width: int, indent: str) 
             opening = separator
         start += block.size
     yield "{}" if opening != separator else "\n" + indent + "}"
-
-
-# ---------------------------------------------------------------------------
-# majority-vote amplifier
-# ---------------------------------------------------------------------------
-
-class MajorityVote(NamedTuple):
-    """Outcome of repeated trials decided by majority."""
-
-    outcome: bool
-    successes: int
-
-
-def majority_amplify(
-    trial: Callable[[int], bool], trials: int, rng_seed: int
-) -> MajorityVote:
-    """Run a boolean-outcome procedure repeatedly and take the majority.
-
-    Each trial receives its own sub-seed derived from (rng_seed, index).
-    ``trials`` must be odd so there is never a tie.  Amplification only
-    helps when the per-trial success probability exceeds one half.
-    """
-    if trials < 1 or trials % 2 == 0:
-        raise ValueError(f"trials must be an odd positive integer, got {trials}")
-    from . import statevec
-    successes = 0
-    for i in range(trials):
-        if trial(statevec.derive_seed(rng_seed, i)):
-            successes += 1
-    return MajorityVote(successes > trials // 2, successes)
 
 
 # ---------------------------------------------------------------------------

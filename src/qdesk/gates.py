@@ -1,4 +1,4 @@
-"""Gate library, circuit IR, matrix expansion and nearest-neighbour routing.
+"""Gate library, circuit IR and dense matrix expansion.
 
 Matrices are plain complex numpy arrays.  A ``GateOp`` binds a small unitary
 (1 to 3 qubits) to an ordered list of distinct wires; the first wire in the
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -216,26 +216,7 @@ def hadamard_layer(n_wires: int) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# diagonal phase oracles
-# ---------------------------------------------------------------------------
-
-def phase_flip_target(n: int, predicate: Callable[[int], bool]) -> np.ndarray:
-    """Diagonal transform negating exactly the indices the predicate marks.
-
-    The predicate must be total over [0, 2^n); it is evaluated once per
-    basis index when the diagonal is built.
-    """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    signs = np.ones(1 << n, dtype=np.float64)
-    for i in range(1 << n):
-        if predicate(i):
-            signs[i] = -1.0
-    return signs
-
-
-# ---------------------------------------------------------------------------
-# dense expansion (test oracle) and routing
+# dense expansion (test oracle)
 # ---------------------------------------------------------------------------
 
 def embed_in_full_matrix(matrix: np.ndarray, wires: Sequence[int], n: int) -> np.ndarray:
@@ -276,34 +257,3 @@ def expand_to_matrix(circuit: Circuit) -> np.ndarray:
     for op in circuit.ops:
         total = embed_in_full_matrix(op.matrix, op.wires, circuit.n_wires) @ total
     return total
-
-
-def route_linear(circuit: Circuit) -> Circuit:
-    """Rewrite a circuit so two-qubit gates touch only adjacent wires.
-
-    A non-adjacent pair (i, j) is handled by swapping wire i step by step
-    next to j, applying the gate there, and mirroring the swaps back, so
-    the overall unitary is unchanged.  Adds 2*(|i-j|-1) swaps per gate,
-    at most 2*(n-1).
-    """
-    routed: list[GateOp] = []
-    for op in circuit.ops:
-        if op.arity == 3:
-            raise ValueError(
-                f"route_linear handles gates on at most 2 wires, got {op.name}"
-            )
-        if op.arity == 1:
-            routed.append(op)
-            continue
-        i, j = op.wires
-        if abs(i - j) == 1:
-            routed.append(op)
-            continue
-        step = 1 if i < j else -1
-        # carry wire i's qubit to the slot adjacent to j: i, i+step, ..., j-2*step
-        swaps = [swap_op(a, a + step) for a in range(i, j - step, step)]
-        routed.extend(swaps)
-        moved = j - step
-        routed.append(GateOp(op.matrix, (moved, j), op.name, op.params))
-        routed.extend(reversed(swaps))
-    return Circuit(circuit.n_wires, tuple(routed))

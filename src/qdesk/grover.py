@@ -69,7 +69,7 @@ class SearchProblem:
 
 
 def _marked_mass(b: np.complex128, count: int) -> float:
-    """|b|^2 added ``count`` times in order: :func:`marked_probability` of ``count`` marked b's.
+    """|b|^2 added ``count`` times in order: the full state's marked probability at ``count`` b's.
 
     Through ``np.abs``, whose last bit a numpy scalar's ``abs`` can miss,
     and ``reduce``, which adds in order where ``sum`` of Python floats
@@ -77,14 +77,6 @@ def _marked_mass(b: np.complex128, count: int) -> float:
     """
     v = float(np.abs(b))
     return functools.reduce(operator.add, itertools.repeat(v * v, count))
-
-
-def grover_iterate(state: statevec.StateVector, problem: SearchProblem) -> statevec.StateVector:
-    """One full search iteration: oracle sign flip, then inversion about mean."""
-    amps = state.amps.copy()
-    amps[problem.marked] *= -1
-    np.subtract(2.0 * amps.mean(), amps, out=amps)
-    return statevec.StateVector(state.n_qubits, amps, copy=False)
 
 
 def iteration_schedule(n_items: int, target_count: int) -> int:
@@ -98,11 +90,6 @@ def iteration_schedule(n_items: int, target_count: int) -> int:
             f"target_count must lie in [1, {n_items}), got {target_count}"
         )
     return round(math.pi / 4 * math.sqrt(n_items / target_count) - 0.5)
-
-
-def marked_probability(state: statevec.StateVector, problem: SearchProblem) -> float:
-    """Total probability mass on the marked indices."""
-    return float(sum(np.abs(state.amps[problem.marked]) ** 2))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Order finding on the simulator plus the classical factoring pipeline.
 
-The machine uses 3L qubits for an L-bit modulus N: a 2L-qubit exponent
-register (wires 1..2L) and an L-qubit value register (wires 2L+1..3L).
+The circuit has 3L qubits for an L-bit modulus N, and the capacity check
+counts all of them: a 2L-qubit exponent register (wires 1..2L) and an
+L-qubit value register (wires 2L+1..3L).  The simulated state holds
+2L + b qubits, b bits indexing the r values the powers take (see below).
 After loading the uniform superposition of exponents, the oracle
 (a, w) -> (a, w XOR x^a mod N) writes the modular powers, the Fourier
 transform is applied to the exponent register, and measuring yields an

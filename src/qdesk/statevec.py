@@ -285,18 +285,6 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return _Machine(state.amps.copy()).run(circuit).freeze()
 
 
-def apply_diagonal(state: StateVector, phases: np.ndarray) -> StateVector:
-    """Multiply amplitudes entrywise by unit-modulus diagonal factors."""
-    phases = np.asarray(phases)
-    if phases.shape != state.amps.shape:
-        raise ValueError(
-            f"diagonal has shape {phases.shape}, state needs {state.amps.shape}"
-        )
-    if np.max(np.abs(np.abs(phases.astype(np.complex128)) - 1.0)) > NORM_TOL:
-        raise ValueError("diagonal factors must have unit modulus")
-    return StateVector(state.n_qubits, state.amps * phases, copy=False)
-
-
 def apply_permutation(state: StateVector, perm: np.ndarray) -> StateVector:
     """Apply a classical reversible map on basis states: new[perm[s]] = old[s].
 
@@ -315,17 +303,12 @@ def apply_permutation(state: StateVector, perm: np.ndarray) -> StateVector:
     return StateVector(state.n_qubits, amps, copy=False)
 
 
-def distribution(state: StateVector) -> np.ndarray:
-    """Measurement probabilities |amp|^2 for every basis index."""
-    return np.abs(state.amps) ** 2
-
-
 def probability_blocks(state: StateVector) -> Iterator[np.ndarray]:
     """|amp|^2 one kernel block at a time, in index order.
 
     Each block is a new array of 2^15 probabilities (the whole state when
     it is smaller), so a caller may work in it; joined, the blocks are
-    :func:`distribution` bit for bit.
+    ``np.abs(state.amps) ** 2`` bit for bit.
     """
     amps = state.amps
     for block in amps.reshape(-1, min(amps.size, 1 << _BLOCK_BITS)):

@@ -5,8 +5,8 @@ the package (``tests/test_src_reachability.py`` keeps it that way):
 
 * Shor: the outcome law of order finding, term by term and in closed form;
 * Grover: the uniform state, the reflection about the mean both from the
-  mean formula and as -(H^k) Z0 (H^k) built from gates, and the search
-  run over the whole state;
+  mean formula and as -(H^k) Z0 (H^k) built from gates, one iteration and
+  the marked probability on the whole state, and the search run over it;
 * Simon: one measured round of the gate-by-gate state, and the binary
   inner product of its law;
 * state vector: the XOR oracle as an in-place row permutation, period
@@ -101,10 +101,24 @@ def _reflect_inplace(amps: np.ndarray) -> None:
 
 
 def inversion_about_mean(state: statevec.StateVector) -> statevec.StateVector:
-    """The reflection ``grover_iterate`` applies after its oracle flip, on a copy of the state."""
+    """The reflection :func:`grover_iterate` applies after its oracle flip, on a copy of the state."""
     amps = state.amps.copy()
     _reflect_inplace(amps)
     return statevec.StateVector(state.n_qubits, amps, copy=False)
+
+
+def grover_iterate(state: statevec.StateVector,
+                   problem: grover.SearchProblem) -> statevec.StateVector:
+    """One full search iteration: oracle sign flip, then inversion about mean."""
+    amps = state.amps.copy()
+    amps[problem.marked] *= -1
+    _reflect_inplace(amps)
+    return statevec.StateVector(state.n_qubits, amps, copy=False)
+
+
+def marked_probability(state: statevec.StateVector, problem: grover.SearchProblem) -> float:
+    """Total probability mass on the marked indices."""
+    return float(sum(np.abs(state.amps[problem.marked]) ** 2))
 
 
 def run_grover_full_state(problem: grover.SearchProblem,
@@ -151,9 +165,9 @@ def inversion_about_mean_composed(state: statevec.StateVector) -> statevec.State
     n = state.n_qubits
     layer = hadamard_layer(n)
     state = statevec.run_circuit(state, layer)
-    state = statevec.apply_diagonal(state, phase_flip_zero(n))
+    state = statevec.StateVector(n, state.amps * phase_flip_zero(n), copy=False)
     state = statevec.run_circuit(state, layer)
-    return statevec.apply_diagonal(state, np.full(1 << n, -1.0))
+    return statevec.StateVector(n, state.amps * np.full(1 << n, -1.0), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +260,7 @@ def marginal(state: statevec.StateVector, high_bits: int) -> np.ndarray:
     """
     if not 1 <= high_bits <= state.n_qubits:
         raise ValueError(f"high_bits={high_bits} out of range [1, {state.n_qubits}]")
-    return statevec.distribution(state).reshape(1 << high_bits, -1).sum(axis=1)
+    return (np.abs(state.amps) ** 2).reshape(1 << high_bits, -1).sum(axis=1)
 
 
 def extract_register(index: int, n_qubits: int, first_wire: int, last_wire: int) -> int:
@@ -355,7 +369,7 @@ def report_json(report: cli.RunReport) -> str:
     """
     result = dict(report.result)
     if isinstance(result.get("distribution"), statevec.StateVector):
-        result["distribution"] = distribution_dict(statevec.distribution(result["distribution"]))
+        result["distribution"] = distribution_dict(np.abs(result["distribution"].amps) ** 2)
     obj = {"command": report.command, "config": report.config,
            "result": result, "version": report.version}
     return json.dumps(cli._round_floats(obj), indent=2, sort_keys=True) + "\n"

@@ -30,7 +30,6 @@ from qdesk.cli import (
     SEED_ENV_VAR,
     circuit_to_text,
     main,
-    majority_amplify,
     parse_circuit_text,
     run,
 )
@@ -38,58 +37,6 @@ from qdesk.gates import cnot_op, cphase_op, h_op
 
 from conftest import random_state
 from referees import distribution_dict, get_report_schema, report_json
-
-
-def bernoulli_trial(p):
-    return lambda seed: statevec.make_rng(seed).random() < p
-
-
-class TestMajorityAmplify:
-    def test_certain_trial_always_wins(self):
-        vote = majority_amplify(lambda seed: True, trials=15, rng_seed=0)
-        assert vote.outcome and vote.successes == 15
-
-    def test_even_trials_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            majority_amplify(lambda seed: True, trials=4, rng_seed=0)
-
-    def test_two_thirds_amplified(self):
-        # binomial tail: 15 trials at p = 2/3 give majority >= 8 with
-        # probability 4360960/4782969 ~ 0.912, comfortably above 0.85
-        wins = sum(
-            majority_amplify(bernoulli_trial(2 / 3), 15, rng_seed=meta).outcome
-            for meta in range(500)
-        )
-        assert wins / 500 >= 0.85
-
-    def test_amplification_beats_single_trial(self):
-        # 3-sigma separation between majority-of-15 and one-shot success
-        meta = 500
-        p = 2 / 3
-        amplified = sum(
-            majority_amplify(bernoulli_trial(p), 15, rng_seed=m).outcome
-            for m in range(meta)
-        ) / meta
-        single = sum(
-            bernoulli_trial(p)(statevec.derive_seed(m, 999)) for m in range(meta)
-        ) / meta
-        sigma = math.sqrt(
-            amplified * (1 - amplified) / meta + single * (1 - single) / meta
-        )
-        assert amplified - single > 3 * sigma
-
-    def test_fair_coin_negative_control(self):
-        # p = 1/2 has nothing to amplify; the majority stays near a coin flip
-        wins = sum(
-            majority_amplify(bernoulli_trial(0.5), 15, rng_seed=m).outcome
-            for m in range(400)
-        )
-        assert 0.35 <= wins / 400 <= 0.65
-
-    def test_votes_are_seed_deterministic(self):
-        a = majority_amplify(bernoulli_trial(0.6), 15, rng_seed=5)
-        b = majority_amplify(bernoulli_trial(0.6), 15, rng_seed=5)
-        assert a == b
 
 
 class TestCircuitText:
@@ -246,8 +193,7 @@ class TestReports:
         path = tmp_path / "empty.qc"
         path.write_text("")
         report = self._run("circuit-run", {"file": str(path), "wires": 3})
-        assert np.array_equal(statevec.distribution(report.result["distribution"]),
-                              np.eye(8)[0])
+        assert np.array_equal(np.abs(report.result["distribution"].amps) ** 2, np.eye(8)[0])
         assert json.loads(report.to_json())["result"]["distribution"] == {"000": 1.0}
 
     def test_reports_validate_against_schema(self, tmp_path):
@@ -603,7 +549,7 @@ class TestDistributionJson:
         amps = np.zeros(8)
         amps[1], amps[4] = 1 - 2.0**-46, 2.0**-537
         state = statevec.StateVector(3, amps)
-        assert statevec.distribution(state)[[1, 4]].tolist() == [1 - 2.0**-45, 5e-324]
+        assert (np.abs(state.amps) ** 2)[[1, 4]].tolist() == [1 - 2.0**-45, 5e-324]
         report = cli.RunReport("circuit-run", {"seed": 1},
                                {"distribution": state, "n_wires": 3, "ops": 0}, "0")
         text = report.to_json()

@@ -13,11 +13,8 @@ from qdesk.gates import (
     h_op,
     hadamard,
     hadamard_layer,
-    phase_flip_target,
-    route_linear,
     swap_gate,
     toffoli,
-    toffoli_op,
 )
 
 from qdesk import shor, simon, statevec
@@ -106,20 +103,6 @@ class TestPhaseFlips:
         signs = phase_flip_zero(3)
         assert np.all(signs * signs == 1)
 
-    def test_target_flip_single(self):
-        signs = phase_flip_target(2, lambda i: i == 3)
-        assert signs[3] == -1 and np.sum(signs < 0) == 1
-
-    def test_target_flip_always_false(self):
-        assert np.all(phase_flip_target(3, lambda i: False) == 1)
-
-    def test_target_flip_two_solutions(self):
-        # oracle: build the diagonal matrix explicitly and compare
-        marked = {1, 6}
-        signs = phase_flip_target(3, lambda i: i in marked)
-        dense = np.diag([-1.0 if i in marked else 1.0 for i in range(8)])
-        assert np.allclose(np.diag(signs), dense)
-
 
 class TestGateOpAndCircuit:
     def test_wire_count_must_match_arity(self):
@@ -173,62 +156,6 @@ class TestExpandToMatrix:
             assert unitarity_defect(full) < 1e-9
 
 
-class TestRouteLinear:
-    def test_adjacent_untouched(self):
-        circ = Circuit(4, (cnot_op(1, 2),))
-        routed = route_linear(circ)
-        assert len(routed) == 1 and routed.ops[0].wires == (1, 2)
-
-    def test_distant_pair_gets_mirror_swaps(self):
-        circ = Circuit(4, (cnot_op(1, 4),))
-        routed = route_linear(circ)
-        names = [op.name for op in routed.ops]
-        assert names == ["SWAP", "SWAP", "CNOT", "SWAP", "SWAP"]
-        assert np.max(np.abs(expand_to_matrix(routed) - expand_to_matrix(circ))) < 1e-9
-
-    def test_descending_pair(self):
-        circ = Circuit(5, (cnot_op(5, 2),))
-        routed = route_linear(circ)
-        assert all(abs(op.wires[0] - op.wires[1]) == 1 for op in routed.ops)
-        assert np.max(np.abs(expand_to_matrix(routed) - expand_to_matrix(circ))) < 1e-9
-
-    def test_chain_of_adjacent_gates_unchanged(self):
-        ops = tuple(cnot_op(w, w + 1) for w in range(1, 4))
-        circ = Circuit(4, ops)
-        assert route_linear(circ).ops == ops
-
-    def test_rejects_three_qubit_gates(self):
-        with pytest.raises(ValueError, match="at most 2"):
-            route_linear(Circuit(3, (toffoli_op(1, 2, 3),)))
-
-    def test_swap_budget(self, rng):
-        # at most 2*(n-1) swaps added per two-qubit gate
-        n = 8
-        for _ in range(10):
-            wires = tuple(int(w) + 1 for w in rng.choice(n, 2, replace=False))
-            circ = Circuit(n, (cnot_op(*wires),))
-            routed = route_linear(circ)
-            assert len(routed) <= 1 + 2 * (n - 1)
-
-    def test_random_circuits_preserve_unitary(self, rng):
-        for _ in range(8):
-            n = int(rng.integers(2, 9))
-            ops = []
-            for _ in range(int(rng.integers(1, 6))):
-                if rng.random() < 0.4:
-                    ops.append(h_op(int(rng.integers(1, n + 1))))
-                else:
-                    wires = tuple(int(w) + 1 for w in rng.choice(n, 2, replace=False))
-                    ops.append(GateOp(random_unitary(rng, 4), wires))
-            circ = Circuit(n, tuple(ops))
-            routed = route_linear(circ)
-            for op in routed.ops:
-                if op.arity == 2:
-                    assert abs(op.wires[0] - op.wires[1]) == 1
-            dev = np.max(np.abs(expand_to_matrix(routed) - expand_to_matrix(circ)))
-            assert dev < 1e-9
-
-
 class TestHadamardLayer:
     def test_layer_is_h_on_each_wire_in_order(self):
         layer = hadamard_layer(4)
@@ -265,9 +192,9 @@ class TestHadamardLayer:
     def _composed(self, k):
         state = random_state(np.random.default_rng(k), k)
         expected = self._h_gate_by_gate(state, k)
-        expected = statevec.apply_diagonal(expected, phase_flip_zero(k))
+        expected = statevec.StateVector(k, expected.amps * phase_flip_zero(k), copy=False)
         expected = self._h_gate_by_gate(expected, k)
-        expected = statevec.apply_diagonal(expected, np.full(1 << k, -1.0))
+        expected = statevec.StateVector(k, expected.amps * np.full(1 << k, -1.0), copy=False)
         return inversion_about_mean_composed(state), expected
 
     @pytest.mark.parametrize(

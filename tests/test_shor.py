@@ -160,7 +160,7 @@ class TestCircuit:
         inst = FactoringInstance(15, 7)
         powers = shor._power_table(7, 15, 1 << (2 * inst.L))
         state = statevec._Machine.period_finding(Circuit(2 * inst.L), powers, inst.L).freeze()
-        probs = statevec.distribution(expand_live_columns(state, powers, inst.L))
+        probs = np.abs(expand_live_columns(state, powers, inst.L).amps) ** 2
         values = {
             extract_register(s, inst.n_qubits, 2 * inst.L + 1, inst.n_qubits)
             for s in np.flatnonzero(probs > 1e-15)
@@ -254,8 +254,7 @@ class TestAnalyticLaw:
     def test_joint_matches_simulation(self):
         inst = FactoringInstance(15, 7)
         powers = shor._power_table(7, 15, 1 << (2 * inst.L))
-        simulated = statevec.distribution(
-            expand_live_columns(order_finding_state(inst), powers, inst.L))
+        simulated = np.abs(expand_live_columns(order_finding_state(inst), powers, inst.L).amps) ** 2
         assert np.max(np.abs(analytic_distribution(inst) - simulated)) < 1e-9
 
     def test_likely_outcomes_satisfy_peak_condition(self):

@@ -77,7 +77,7 @@ class TestSampling:
         # each surviving (y, value) pair carries exactly 2^-(2n-2)
         n, c = 3, 0b110
         oracle = make_oracle(n, c, rng_seed=9)
-        probs = statevec.distribution(sampling_state(oracle))
+        probs = np.abs(sampling_state(oracle).amps) ** 2
         nonzero = probs[probs > 1e-15]
         assert np.allclose(nonzero, 2.0 ** -(2 * n - 2), atol=1e-12)
 

@@ -1,24 +1,24 @@
 """Every public name in ``src/qdesk`` is product, not test code.
 
 A top-level public name passes when other ``src/`` code refers to it, when
-the benchmark names it (it imports or reads the name, or a ``per_layer``
-metric in ``BENCHMARK.json`` is named after it), or when it is one of the
-library features the README documents that no command calls.  Referees and
-test helpers live in ``tests/referees.py`` instead.  The sources are read
-with ``ast``; nothing under ``src/`` is run to find the references.
+the benchmark's code imports or reads it, or when it is one of the library
+features the README documents that no command calls.  A metric named after
+a function keeps nothing: it reads 0 once nothing runs the function.
+Referees and test helpers live in ``tests/referees.py`` instead.  The
+sources are read with ``ast``; nothing under ``src/`` is run to find the
+references.
 """
 
 import ast
-import json
 from pathlib import Path
 
-from test_perfbench_api import REFERENCES, resolve
+from test_perfbench_api import REFERENCES, qdesk_references, resolve
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qdesk"
 
 #: Library features the README documents that no command calls.
-FEATURES = {"cli.majority_amplify", "gates.route_linear", "statevec.init_basis"}
+FEATURES = {"statevec.init_basis"}
 
 
 def defined_names(tree: ast.Module) -> list[str]:
@@ -75,20 +75,9 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def benchmark_names() -> set[tuple[str, str]]:
-    """qdesk names the benchmark imports or reads, or times as a ``per_layer`` metric."""
-    names = {tuple(ref.split(".")[1:3]) for ref in REFERENCES if ref.count(".") >= 2}
-    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
-    for metric in per_layer:
-        parts = metric["name"].split(".")
-        if len(parts) < 3:
-            continue
-        try:
-            resolve(f"qdesk.{parts[0]}.{parts[1]}")
-        except (ModuleNotFoundError, AttributeError):
-            continue  # a metric of a name that is gone, or of no name at all
-        names.add((parts[0], parts[1]))
-    return names
+def benchmark_names(references: list[str]) -> set[tuple[str, str]]:
+    """(module, name) of each dotted ``qdesk.module.name`` the benchmark imports or reads."""
+    return {tuple(ref.split(".")[1:3]) for ref in references if ref.count(".") >= 2}
 
 
 def unreached(src: Path, allowed: set[tuple[str, str]]) -> list[str]:
@@ -102,7 +91,7 @@ def unreached(src: Path, allowed: set[tuple[str, str]]) -> list[str]:
 
 
 def test_every_public_name_in_src_is_reached():
-    allowed = benchmark_names() | {tuple(name.split(".")) for name in FEATURES}
+    allowed = benchmark_names(REFERENCES) | {tuple(name.split(".")) for name in FEATURES}
     assert unreached(SRC, allowed) == []
 
 
@@ -128,3 +117,13 @@ def test_a_name_only_its_own_body_uses_is_not_reached(tmp_path):
     assert unreached(tmp_path, set()) == ["a.kept", "a.recursive", "a.documented", "b.orphan"]
     assert unreached(tmp_path, {("a", "kept"), ("b", "orphan")}) == ["a.recursive",
                                                                       "a.documented"]
+
+
+def test_a_name_only_a_metric_string_mentions_is_not_reached(tmp_path):
+    (tmp_path / "a.py").write_text("def imported():\n    pass\ndef metered():\n    pass\n")
+    bench = ast.parse("from qdesk.a import imported\n"
+                      "def metrics(c, s):\n"
+                      "    return {'a.metered.calls': c('a.metered'), 'a.imported.self_s': s('a.imported')}\n")
+    allowed = benchmark_names(sorted(qdesk_references(bench)))
+    assert allowed == {("a", "imported")}
+    assert unreached(tmp_path, allowed) == ["a.metered"]

@@ -16,11 +16,9 @@ from qdesk.qft import QftSpec, build_qft_circuit
 from qdesk.statevec import (
     CapacityError,
     StateVector,
-    apply_diagonal,
     apply_gate,
     apply_permutation,
     derive_seed,
-    distribution,
     init_basis,
     measure_all,
     require_qubits,
@@ -385,11 +383,11 @@ class TestBlasThreads:
 class TestDistribution:
     def test_bell_pair(self):
         amps = np.array([INV_SQRT2, 0, 0, INV_SQRT2])
-        probs = distribution(StateVector(2, amps))
+        probs = np.abs(StateVector(2, amps).amps) ** 2
         assert np.allclose(probs, [0.5, 0, 0, 0.5])
 
     def test_basis_state(self):
-        probs = distribution(init_basis(3, 5))
+        probs = np.abs(init_basis(3, 5).amps) ** 2
         assert probs[5] == 1.0 and probs.sum() == 1.0
 
     def test_double_hadamard_uniform(self):
@@ -399,12 +397,12 @@ class TestDistribution:
         state = init_basis(2, 0)
         for w in (1, 2):
             state = apply_gate(state, gates.h_op(w))
-        assert np.allclose(distribution(state), expected, atol=1e-12)
-        assert np.allclose(distribution(state), 0.25, atol=1e-12)
+        assert np.allclose(np.abs(state.amps) ** 2, expected, atol=1e-12)
+        assert np.allclose(np.abs(state.amps) ** 2, 0.25, atol=1e-12)
 
     def test_sums_to_one(self, rng):
         for n in (1, 3, 5):
-            probs = distribution(random_state(rng, n))
+            probs = np.abs(random_state(rng, n).amps) ** 2
             assert abs(probs.sum() - 1.0) < 1e-10
 
     @pytest.mark.parametrize("n", [1, 15, 17])
@@ -412,7 +410,7 @@ class TestDistribution:
         state = random_state(rng, n)
         blocks = list(statevec.probability_blocks(state))
         assert [b.size for b in blocks] == [min(1 << n, 1 << 15)] * (1 << max(n - 15, 0))
-        assert np.array_equal(np.concatenate(blocks), distribution(state))
+        assert np.array_equal(np.concatenate(blocks), np.abs(state.amps) ** 2)
         assert all(b.flags.writeable and not np.shares_memory(b, state.amps) for b in blocks)
 
 
@@ -444,7 +442,7 @@ class TestMeasureAll:
     def test_empirical_matches_distribution(self, rng):
         # law of large numbers at 1e4 shots, 3 sigma per outcome
         state = random_state(rng, 3)
-        probs = distribution(state)
+        probs = np.abs(state.amps) ** 2
         shots = 10_000
         samples = measure_all(state, rng_seed=3, shots=shots)
         for outcome, p in enumerate(probs):
@@ -646,22 +644,12 @@ class TestPermutationAndDiagonal:
 
     def test_marginal_sums_low_wires(self, rng):
         state = random_state(rng, 5)
-        probs = distribution(state)
+        probs = np.abs(state.amps) ** 2
         expected = [probs[a << 3:(a + 1) << 3].sum() for a in range(4)]
         assert np.allclose(marginal(state, 2), expected, atol=1e-15)
         assert np.array_equal(marginal(state, 5), probs)
         with pytest.raises(ValueError, match="high_bits"):
             marginal(state, 6)
-
-    def test_diagonal_unit_modulus_enforced(self):
-        with pytest.raises(ValueError, match="unit modulus"):
-            apply_diagonal(init_basis(1, 0), np.array([0.5, 1.0]))
-
-    def test_diagonal_phase(self, rng):
-        state = random_state(rng, 2)
-        phases = np.exp(1j * rng.standard_normal(4))
-        out = apply_diagonal(state, phases)
-        assert np.allclose(out.amps, state.amps * phases)
 
 
 class TestRunCircuit:
