@@ -126,6 +126,33 @@ class TestIterate:
         out = grover_iterate(state, problem)
         assert abs(np.vdot(out.amps, out.amps).real - 1) < 1e-10
 
+    @staticmethod
+    def oracle_signs(state, problem):
+        """The diagonal the step applied before its reflection, undone by reflecting again."""
+        return inversion_about_mean(grover_iterate(state, problem)).amps / state.amps
+
+    def test_oracle_flips_a_single_target(self, rng):
+        signs = self.oracle_signs(random_state(rng, 2), SearchProblem(2, (3,)))
+        assert np.allclose(signs, [1, 1, 1, -1], atol=1e-12)
+
+    def test_oracle_with_no_target_flips_nothing(self, rng):
+        signs = self.oracle_signs(random_state(rng, 3), SearchProblem(3, ()))
+        assert np.allclose(signs, 1.0, atol=1e-12)
+
+    def test_oracle_two_targets_is_the_dense_diagonal(self, rng):
+        marked = {1, 6}
+        signs = self.oracle_signs(random_state(rng, 3), SearchProblem(3, marked))
+        dense = np.diag([-1.0 if i in marked else 1.0 for i in range(8)])
+        assert np.allclose(np.diag(signs), dense, atol=1e-12)
+
+    @pytest.mark.parametrize("k, marked", [(2, (0,)), (3, (2, 7)), (6, (1, 20, 33, 63))])
+    def test_marked_probability_is_the_mass_on_the_targets(self, k, marked, rng):
+        problem = SearchProblem(k, marked)
+        assert marked_probability(uniform_state(k), problem) == pytest.approx(len(marked) / (1 << k))
+        state = random_state(rng, k)
+        probs = np.abs(state.amps) ** 2
+        assert marked_probability(state, problem) == pytest.approx(probs[list(marked)].sum())
+
 
 class TestSchedule:
     def test_four_items(self):

@@ -114,6 +114,24 @@ class TestNumberTheoryHelpers:
         inst = FactoringInstance(15, 7)
         assert inst.L == 4 and inst.n_qubits == 12
 
+    @pytest.mark.parametrize("n, x, r, b", [(15, 14, 2, 1), (15, 7, 4, 2), (21, 2, 6, 3),
+                                            (33, 5, 10, 4)])
+    def test_state_holds_2l_plus_b_qubits_and_the_check_counts_3l(self, n, x, r, b,
+                                                                  monkeypatch):
+        # b bits index the r values the powers take, padded to a power of
+        # two and never fewer than 2; the capacity check counts the whole
+        # 3L-qubit machine all the same, first and as the largest count
+        inst = FactoringInstance(n, x)
+        assert multiplicative_order(x, n) == r
+        checked = []
+        require = statevec.require_qubits
+        monkeypatch.setattr(statevec, "require_qubits",
+                            lambda count, what: checked.append(count) or require(count, what))
+        shor._states.clear()
+        state = order_finding_state(inst)
+        assert checked[0] == max(checked) == 3 * inst.L
+        assert state.n_qubits == 2 * inst.L + b
+
 
 # every odd composite N < 128 with two distinct prime factors, x = 2..11
 DUMP_CASES = [(n, x) for n in range(15, 128) if is_trivial_case(n) == "composite-ok"

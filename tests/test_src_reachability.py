@@ -127,3 +127,12 @@ def test_a_name_only_a_metric_string_mentions_is_not_reached(tmp_path):
     allowed = benchmark_names(sorted(qdesk_references(bench)))
     assert allowed == {("a", "imported")}
     assert unreached(tmp_path, allowed) == ["a.metered"]
+
+
+def test_a_name_the_benchmark_reads_off_a_module_is_reached(tmp_path):
+    (tmp_path / "a.py").write_text("def read():\n    pass\ndef mentioned():\n    pass\n")
+    bench = ast.parse("from qdesk import a\nimport qdesk.a as qa\n"
+                      "def probe():\n    return a.read, qa.read, 'a.mentioned'\n")
+    allowed = benchmark_names(sorted(qdesk_references(bench)))
+    assert allowed == {("a", "read")}
+    assert unreached(tmp_path, allowed) == ["a.mentioned"]
