@@ -36,6 +36,8 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 from . import __version__
 
 if TYPE_CHECKING:
+    from types import ModuleType
+
     import numpy as np
 
     from .gates import Circuit, GateOp
@@ -93,10 +95,6 @@ class RunReport(NamedTuple):
                                         "    ")
         yield tail
 
-    def to_json(self) -> str:
-        """The whole report text: :meth:`chunks` joined."""
-        return "".join(self.chunks())
-
 
 def _round_floats(obj: Any) -> Any:
     """Recursively normalize a payload: 12 significant digits, plain types."""
@@ -104,11 +102,6 @@ def _round_floats(obj: Any) -> Any:
         return {str(k): _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    # a numpy scalar can only be here once numpy is loaded: look it up, so
-    # that an error report written before the command loads does not load it
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, np.generic):
-        obj = obj.item()
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
@@ -322,10 +315,9 @@ def circuit_to_text(circuit: Circuit) -> str:
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
+def _run_factor(shor: ModuleType, seed: int, params: dict[str, Any]) -> dict[str, Any]:
     from dataclasses import asdict
 
-    from . import shor
     n = params["n"]
     report = shor.factor(n, params["max_attempts"], seed)
     final = report.final
@@ -358,8 +350,7 @@ def _run_factor(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     return result
 
 
-def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    from . import grover
+def _run_grover(grover: ModuleType, seed: int, params: dict[str, Any]) -> dict[str, Any]:
     k = params["qubits"]
     problem = grover.SearchProblem(k, params["targets"])
     result_obj = grover.run_grover(problem, seed)
@@ -378,8 +369,8 @@ def _run_grover(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _run_simon(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    from . import simon, statevec
+def _run_simon(simon: ModuleType, seed: int, params: dict[str, Any]) -> dict[str, Any]:
+    statevec = simon.statevec
     n = params["n"]
     c = int(params["c"], 2)
     max_rounds = params.get("max_rounds")
@@ -396,10 +387,10 @@ def _run_simon(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _run_simon_classical(seed: int, params: dict[str, Any]) -> dict[str, Any]:
+def _run_simon_classical(simon: ModuleType, seed: int, params: dict[str, Any]) -> dict[str, Any]:
     import numpy as np
 
-    from . import simon, statevec
+    statevec = simon.statevec
     n = params["n"]
     trials = params["trials"]
     if not 1 <= n <= simon.BASELINE_MAX_BITS:
@@ -430,8 +421,7 @@ def _run_simon_classical(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _run_qft(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    from . import qft
+def _run_qft(qft: ModuleType, seed: int, params: dict[str, Any]) -> dict[str, Any]:
     spec = qft.QftSpec(
         k=params["qubits"],
         approx_cutoff=params.get("cutoff"),
@@ -452,8 +442,7 @@ def _run_qft(seed: int, params: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _run_circuit_file(seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    from . import statevec
+def _run_circuit_file(statevec: ModuleType, seed: int, params: dict[str, Any]) -> dict[str, Any]:
     circuit = parse_circuit_file(params["file"], params.get("wires"))
     return {
         "n_wires": circuit.n_wires,
@@ -464,10 +453,9 @@ def _run_circuit_file(seed: int, params: dict[str, Any]) -> dict[str, Any]:
 
 
 # command -> (the module its handler runs, handler); :func:`_load` imports
-# the module, and with it numpy, statevec and gates.  Each entry must name
-# the module its handler imports: a wrong name moves the process entry's
-# freeze before that import (tests/test_startup.py checks the freeze).
-_HANDLERS: dict[str, tuple[str, Callable[[int, dict[str, Any]], dict[str, Any]]]] = {
+# the module, and with it numpy, statevec and gates, and :func:`run` hands
+# it to the handler.
+_HANDLERS: dict[str, tuple[str, Callable[[ModuleType, int, dict[str, Any]], dict[str, Any]]]] = {
     "factor": ("shor", _run_factor),
     "grover": ("grover", _run_grover),
     "simon": ("simon", _run_simon),
@@ -481,7 +469,8 @@ def run(config: RunConfig) -> RunReport:
     """Dispatch a validated config to its command handler."""
     if config.command not in _HANDLERS:
         raise ValueError(f"unknown command {config.command!r}")
-    result = _HANDLERS[config.command][1](config.seed, config.params)
+    name, handler = _HANDLERS[config.command]
+    result = handler(importlib.import_module(f".{name}", __package__), config.seed, config.params)
     config_echo = {"seed": config.seed}
     config_echo.update(
         {k: v for k, v in config.params.items() if not k.endswith("_path")}

@@ -118,12 +118,12 @@ def _two_value_sum(k: int, marked: np.ndarray) -> Callable[[complex, complex], n
     that a marked leaf has (leaves sharing a pattern share a sum), with a
     last row of a alone, in one ``sum(axis=1)``.  Then each level adds
     pairs from the sums below it: a block with one marked half takes the
-    all-a sum for its other half, and a last pair doubles the all-a sum.  A
-    wide level is one gather and add; narrow ones run on Python complex
-    numbers, which add as numpy does.  A row's sum starts from zero, where
-    numpy's leaf does not but its total does: no partial sum is then -0,
-    and numpy's zero start makes its total's zeros +0 as well.  The tests
-    pin the result to ``np.add.reduce(amps)`` bit for bit.
+    all-a sum for its other half, and a last pair doubles the all-a sum.
+    The pairs add as Python complex numbers, which add as numpy does.  A
+    row's sum starts from zero, where numpy's leaf does not but its total
+    does: no partial sum is then -0, and numpy's zero start makes its
+    total's zeros +0 as well.  The tests pin the result to
+    ``np.add.reduce(amps)`` bit for bit.
     """
     leaf_bits = min(k, 6)
     width = 1 << leaf_bits
@@ -147,22 +147,17 @@ def _two_value_sum(k: int, marked: np.ndarray) -> Callable[[complex, complex], n
         parents = blocks >> 1
         first = np.flatnonzero(np.diff(parents, prepend=-1))
         second = np.where(np.diff(first, append=blocks.size) == 2, first + 1, blocks.size)
-        levels.append((below[np.append(first, blocks.size)], below[np.append(second, blocks.size)]))
+        levels.append(list(zip(below[np.append(first, blocks.size)].tolist(),
+                               below[np.append(second, blocks.size)].tolist())))
         below = np.arange(first.size + 1)
         blocks = parents[first]
-    # a numpy call costs about as much as 30 Python additions
-    wide = [pair for pair in levels if pair[0].size > 32]
-    narrow = [list(zip(first.tolist(), second.tolist())) for first, second in levels[len(wide):]]
     flat = block.reshape(-1)
 
     def total(a: complex, b: complex) -> np.complex128:
         block.fill(a)
         flat[slots] = b
-        sums = block.sum(axis=1)
-        for first, second in wide:
-            sums = sums[first] + sums[second]
-        sums = sums.tolist()
-        for pairs in narrow:
+        sums = block.sum(axis=1).tolist()
+        for pairs in levels:
             sums = [sums[i] + sums[j] for i, j in pairs]
         return np.complex128(sums[0])  # the whole state (a lone leaf is row 0)
 

@@ -16,7 +16,8 @@ No gate-level modular arithmetic is simulated: the state after the load
 and the oracle, amplitude 2^-L at each (a, x^a mod N), is written straight
 into a buffer that keeps only the r values the powers take (padded to a
 power of two), and the transform runs on it once (see
-``statevec._Machine.period_finding``).
+``statevec._Machine.period_finding``), and only ``statevec`` reads its
+layout: this module hands over the orbit and gets back c or its law.
 """
 
 from __future__ import annotations
@@ -36,15 +37,6 @@ FAILURE_CF_MISS = "cf miss"
 #: Widening of the convergent denominators: candidate orders are lam * q
 #: for lam up to this bound, which recovers r when gcd(d, r) <= LAMBDA_MAX.
 LAMBDA_MAX = 4
-
-
-def modexp(x: int, a: int, n: int) -> int:
-    """Modular power x^a mod n."""
-    if n < 2:
-        raise ValueError(f"modulus must be at least 2, got {n}")
-    if a < 0:
-        raise ValueError(f"exponent must be non-negative, got {a}")
-    return pow(x, a, n)
 
 
 def _orbit(x: int, n: int) -> list[int]:
@@ -183,28 +175,13 @@ def order_finding_state(inst: FactoringInstance) -> statevec.StateVector:
 
 def run_order_finding_circuit(inst: FactoringInstance, rng_seed: int) -> int:
     """Run the full circuit once and return the measured exponent-register c."""
-    state = order_finding_state(inst)
-    return statevec.measure_all(state, rng_seed, 1)[0] >> (state.n_qubits - 2 * inst.L)
+    return next(statevec._input_draws(order_finding_state(inst), 2 * inst.L, [rng_seed]))
 
 
 def first_register_distribution(inst: FactoringInstance) -> np.ndarray:
-    """Exact measurement distribution of c (marginal over the value register).
-
-    The state's first r columns are the orbit's values in ascending order.
-    Each row's probabilities go back at those values in a zeroed block of
-    2^15 >> L full rows before the rows are summed: numpy sums a row
-    pairwise, so where its zeros lie moves the result's last bits.
-    """
-    state = order_finding_state(inst)
-    values = sorted(_orbit(inst.x, inst.N))
-    rows = 1 << (2 * inst.L)
-    step = min((1 << statevec._BLOCK_BITS) >> inst.L, rows)
-    block = np.zeros((step, 1 << inst.L))
-    dist = np.empty(rows)
-    for start, amps in zip(range(0, rows, step), state.amps.reshape(rows // step, step, -1)):
-        block[:, values] = (np.abs(amps) ** 2)[:, :len(values)]
-        dist[start:start + step] = block.sum(axis=1)
-    return dist
+    """Exact measurement distribution of c, bit for bit the marginal over the value register."""
+    return statevec._input_marginal(order_finding_state(inst), 2 * inst.L,
+                                    _orbit(inst.x, inst.N), inst.L)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +226,11 @@ def recover_order(inst: FactoringInstance, c: int) -> int | None:
     q_total = 1 << (2 * inst.L)
     exponents = (lam * q for p, q in continued_fraction_candidates(c, q_total, inst.N) if p
                  for lam in range(1, LAMBDA_MAX + 1) if lam * q < inst.N)
-    e = next((e for e in exponents if modexp(inst.x, e, inst.N) == 1), None)
+    e = next((e for e in exponents if pow(inst.x, e, inst.N) == 1), None)
     if e is None:
         return None
     # e is a multiple of the order, and the order is its least divisor giving 1
-    r = next(div for div in range(1, e + 1) if e % div == 0 and modexp(inst.x, div, inst.N) == 1)
+    r = next(div for div in range(1, e + 1) if e % div == 0 and pow(inst.x, div, inst.N) == 1)
     # peak condition, in exact integers: |c/Q - d/r| <= 1/2^(L+1) for some d >= 1
     d = (2 * c * r + q_total) // (2 * q_total)  # nearest integer to c*r/Q
     half_width = 1 << (inst.L + 1)
@@ -268,11 +245,11 @@ def extract_factors(n: int, x: int, r: int) -> tuple[tuple[int, int] | None, str
     Returns (factors, failure); exactly one of the two is set.  Requires r
     to be the exact order of x mod N.
     """
-    if r < 1 or modexp(x, r, n) != 1 or multiplicative_order(x, n) != r:
+    if r < 1 or pow(x, r, n) != 1 or multiplicative_order(x, n) != r:
         raise ValueError(f"r={r} is not the multiplicative order of {x} mod {n}")
     if r % 2 == 1:
         return None, FAILURE_ODD_R
-    half = modexp(x, r // 2, n)
+    half = pow(x, r // 2, n)
     if half == n - 1:
         return None, FAILURE_MINUS_ONE
     factors = (math.gcd(half + 1, n), math.gcd(half - 1, n))

@@ -15,6 +15,7 @@ matching the basis-index convention of :mod:`qdesk.statevec`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,22 +148,20 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
 
     Every round prepares the same state, so it is built once and measured
     each round with that round's sub-seed ``derive_seed(rng_seed, round)``:
-    the samples are those of one fresh state measured per round.  Only the
-    input register is kept, so the state's CDF is read once, at the end of
-    each input value's run of outputs, and each round places its variate
-    in those 2^n entries.
+    the samples are those of one fresh state measured per round.  The
+    draws read only the input register, whose CDF ``statevec`` builds
+    once, on the first round.
     """
     n = oracle.n
     if max_rounds < n:
         raise ValueError(f"max_rounds must be at least n={n}, got {max_rounds}")
-    state = sampling_state(oracle)
-    rows = statevec._row_cdf(state, state.n_qubits - n)
+    draws = statevec._input_draws(sampling_state(oracle), n, (
+        statevec.derive_seed(rng_seed, i) for i in itertools.count()))
     samples: list[int] = []
     while (c := recover_shift(samples, n)) is None:
         if len(samples) >= max_rounds:
             return SimonResult(None, len(samples), tuple(samples))
-        u = statevec.make_rng(statevec.derive_seed(rng_seed, len(samples))).random()
-        samples.append(int(np.searchsorted(rows, u, side="right")))
+        samples.append(next(draws))
     if oracle.f(0) != oracle.f(c):
         raise ValueError("recovered shift fails the oracle spot check f(0) = f(c)")
     return SimonResult(c, len(samples), tuple(samples))

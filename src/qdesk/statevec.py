@@ -20,7 +20,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -155,7 +155,7 @@ class _Machine:
         value a, and the columns are the distinct table values in ascending
         order, padded with zero columns to a power of two and never fewer
         than 2 (with one, numpy's matrix-vector product rounds differently).
-        A measured outcome ``>> (n_qubits - m)`` reads the input register.
+        Only :func:`_input_draws` and :func:`_input_marginal` read this layout.
 
         The amplitude (1/sqrt 2)^m, multiplied up as the H layer multiplies
         it, goes at (a, column of table[a]), and ``transform`` runs once.
@@ -347,19 +347,40 @@ def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:
     idx = 0
     for cdf in _cdf_blocks(state):
         idx += np.searchsorted(cdf, u, side="right")
-    return [int(i) for i in np.minimum(idx, state.amps.size - 1)]
+    return idx.tolist()
 
 
-def _row_cdf(state: StateVector, low_bits: int) -> np.ndarray:
-    """:func:`measure_all`'s CDF at the last index of each run of 2^low_bits.
+def _input_draws(state: StateVector, m: int, seeds: Iterable[int]) -> Iterator[int]:
+    """The top m wires of ``measure_all(state, seed, 1)[0]``, one draw per seed.
 
-    Entry y is the CDF at index (y + 1) 2^low_bits - 1, so for a variate u,
-    ``searchsorted(_row_cdf(state, b), u, side="right")`` is the index
-    :func:`measure_all` draws for u, shifted right by b: the top wires'
-    outcome, without building the CDF again.
+    The CDF is built on the first draw and kept at the last index of each
+    run of 2^(n - m): the variate ``make_rng(seed).random()`` that
+    :func:`measure_all` draws falls there in the run holding its index.
     """
-    row, start, ends = 1 << low_bits, 0, []
+    row, start, ends = 1 << (state.n_qubits - m), 0, []
     for cdf in _cdf_blocks(state):
         ends.append(cdf[(row - 1 - start) % row::row].copy())
         start += cdf.size
-    return np.concatenate(ends)
+    ends = np.concatenate(ends)
+    for seed in seeds:
+        yield int(np.searchsorted(ends, make_rng(seed).random(), side="right"))
+
+
+def _input_marginal(state: StateVector, m: int, values: Iterable[int],
+                    out_bits: int) -> np.ndarray:
+    """The full register's marginal on the top m wires of a period-finding state, bit for bit.
+
+    ``values`` are the distinct values of its ``out_bits``-bit table, in
+    any order.  Each row's probabilities go back at those values in a
+    zeroed block of 2^15 >> out_bits full rows before the rows are summed:
+    numpy sums a row pairwise, so where its zeros lie moves the last bits.
+    """
+    values = sorted(values)
+    rows = 1 << m
+    step = min((1 << _BLOCK_BITS) >> out_bits, rows)
+    block = np.zeros((step, 1 << out_bits))
+    dist = np.empty(rows)
+    for start, amps in zip(range(0, rows, step), state.amps.reshape(rows // step, step, -1)):
+        block[:, values] = (np.abs(amps) ** 2)[:, :len(values)]
+        dist[start:start + step] = block.sum(axis=1)
+    return dist

@@ -11,16 +11,17 @@ the package (``tests/test_src_reachability.py`` keeps it that way):
   inner product of its law;
 * state vector: the XOR oracle as an in-place row permutation, period
   finding gate by gate, the full-width state a period-finding state keeps
-  the live columns of, the marginal of the top wires, and the integer on a
-  span of wires;
+  the live columns of, the marginal of the top wires, the integer on a
+  span of wires, and chosen variates in place of seeded ones;
 * QFT: the dense transform matrix, and the worst-case fidelity from
   running a circuit on every basis input;
-* CLI: the report schema, and the dict-building report serializer that
-  the streamed one replaced.
+* CLI: the report schema, the streamed report's text joined, and the
+  dict-building report serializer that the streamed one replaced.
 """
 
 import json
 from importlib import resources
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -192,8 +193,22 @@ def dot_mod2(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# statevec: the XOR oracle and register extraction
+# statevec: the XOR oracle, register extraction and chosen variates
 # ---------------------------------------------------------------------------
+
+
+class VariatesBySeed:
+    """A stand-in for ``statevec.make_rng`` whose generator for seed i hands out u[i].
+
+    With it, ``statevec._input_draws(state, m, range(len(u)))`` draws on
+    the variates u, so one ``measure_all`` call on the same u checks them all.
+    """
+
+    def __init__(self, u):
+        self.u = [float(v) for v in u]
+
+    def __call__(self, seed: int) -> SimpleNamespace:
+        return SimpleNamespace(random=lambda: self.u[seed])
 
 
 def apply_xor_oracle(state: statevec.StateVector, table: np.ndarray,
@@ -358,10 +373,15 @@ def distribution_dict(probs: np.ndarray) -> dict[str, float]:
     return {format(i, f"0{width}b"): float(p) for i, p in enumerate(probs) if p > 0.0}
 
 
+def report_text(report: cli.RunReport) -> str:
+    """The whole report text: ``report.chunks()`` joined, as ``_emit`` writes it."""
+    return "".join(report.chunks())
+
+
 def report_json(report: cli.RunReport) -> str:
     """The report text as the dict-building serializer wrote it.
 
-    The byte-identity referee for ``RunReport.to_json``: a state under
+    The byte-identity referee for :func:`report_text`: a state under
     "distribution" becomes the dict of its nonzero outcome probabilities,
     and the whole report goes through one ``json.dumps``.  It holds the
     2^n-entry dict and its text at once (about 100 MB at 18 wires), which

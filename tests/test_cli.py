@@ -36,7 +36,7 @@ from qdesk.cli import (
 from qdesk.gates import cnot_op, cphase_op, h_op
 
 from conftest import random_state
-from referees import distribution_dict, get_report_schema, report_json
+from referees import distribution_dict, get_report_schema, report_json, report_text
 
 
 class TestCircuitText:
@@ -186,7 +186,7 @@ class TestReports:
         path = tmp_path / "bell.qc"
         path.write_text("H 1\nCNOT 1,2\n")
         report = self._run("circuit-run", {"file": str(path), "wires": None})
-        serialized = json.loads(report.to_json())
+        serialized = json.loads(report_text(report))
         assert serialized["result"]["distribution"] == {"00": 0.5, "11": 0.5}
 
     def test_empty_circuit_with_wires(self, tmp_path):
@@ -194,7 +194,7 @@ class TestReports:
         path.write_text("")
         report = self._run("circuit-run", {"file": str(path), "wires": 3})
         assert np.array_equal(np.abs(report.result["distribution"].amps) ** 2, np.eye(8)[0])
-        assert json.loads(report.to_json())["result"]["distribution"] == {"000": 1.0}
+        assert json.loads(report_text(report))["result"]["distribution"] == {"000": 1.0}
 
     def test_reports_validate_against_schema(self, tmp_path):
         schema = get_report_schema()
@@ -210,17 +210,48 @@ class TestReports:
         ]
         for command, params in cases:
             report = self._run(command, params, seed=5)
-            jsonschema.validate(json.loads(report.to_json()), schema)
+            jsonschema.validate(json.loads(report_text(report)), schema)
+
+    @pytest.mark.parametrize("command, params", [
+        ("simon", {"n": 4, "c": "1011", "max_rounds": None}),
+        ("qft", {"qubits": 5, "cutoff": 3, "no_swaps": False}),
+        ("factor", {"n": 21, "max_attempts": 8, "dump_distribution": None}),
+        ("grover", {"qubits": 6, "targets": [3, 40], "trace_path": None}),
+        ("simon-classical", {"n": 4, "trials": 10}),
+        ("circuit-run", {"wires": None}),
+    ], ids=["simon", "qft", "factor", "grover", "simon-classical", "circuit-run"])
+    def test_results_hold_only_plain_python_values(self, command, params, tmp_path):
+        # the report writer takes no numpy scalar: a result holds the types
+        # json writes, and tuples, which _round_floats writes as lists
+        if command == "circuit-run":
+            path = tmp_path / "ghz.qc"
+            path.write_text("H 1\nCNOT 1,2\nCPHASE 2,3 j=1 k=2\n")
+            params = {**params, "file": str(path)}
+        result = dict(self._run(command, params, seed=5).result)
+        if command == "circuit-run":
+            # the final state, which the report writes as its outcome law
+            assert isinstance(result.pop("distribution"), statevec.StateVector)
+
+        def values(obj):  # obj and every key and value nested in it
+            yield obj
+            if isinstance(obj, dict):
+                obj = [*obj, *obj.values()]
+            if isinstance(obj, (list, tuple)):
+                for value in obj:
+                    yield from values(value)
+
+        assert {type(v) for v in values(result)} <= {dict, list, tuple, str, int, float, bool,
+                                                     type(None)}
 
     def test_payload_reproducible(self):
         config = RunConfig("factor", 18, None,
                            {"n": 21, "max_attempts": 8, "dump_distribution": None})
-        assert run(config).to_json() == run(config).to_json()
+        assert report_text(run(config)) == report_text(run(config))
 
     def test_schema_rejects_malformed_report(self):
         schema = get_report_schema()
         report = json.loads(
-            self._run("qft", {"qubits": 3, "cutoff": None, "no_swaps": False}).to_json()
+            report_text(self._run("qft", {"qubits": 3, "cutoff": None, "no_swaps": False}))
         )
         jsonschema.validate(report, schema)
         broken = dict(report)
@@ -234,12 +265,12 @@ class TestReports:
 
     def test_wall_time_not_serialized(self):
         report = self._run("qft", {"qubits": 3, "cutoff": None, "no_swaps": False})
-        assert "wall_time" not in report.to_json()
+        assert "wall_time" not in report_text(report)
 
     def test_probabilities_have_twelve_digits(self):
         report = self._run("grover", {"qubits": 5, "targets": [7],
                                       "trace_path": None}, seed=2)
-        text = report.to_json()
+        text = report_text(report)
         value = json.loads(text)["result"]["success_probability"]
         assert value == float(f"{value:.12g}")
 
@@ -536,12 +567,12 @@ class TestDistributionJson:
     ], ids=["bell", "empty-3-wires", "one-wire", "h1-on-17-wires", "golden-12wire"])
     def test_circuit_reports_match_the_referee(self, text, wires, tmp_path):
         report = self._circuit_report(tmp_path, text, wires)
-        assert report.to_json() == report_json(report)
+        assert report_text(report) == report_json(report)
 
     def test_bell_and_empty_entries(self, tmp_path):
-        bell = json.loads(self._circuit_report(tmp_path, "H 1\nCNOT 1,2\n").to_json())
+        bell = json.loads(report_text(self._circuit_report(tmp_path, "H 1\nCNOT 1,2\n")))
         assert bell["result"]["distribution"] == {"00": 0.5, "11": 0.5}
-        assert '\n      "000": 1.0\n    },\n' in self._circuit_report(tmp_path, "", 3).to_json()
+        assert '\n      "000": 1.0\n    },\n' in report_text(self._circuit_report(tmp_path, "", 3))
 
     def test_edge_probabilities_match_the_referee(self):
         # |amp|^2 is exactly 1 - 2^-45, which prints 1.0 at 12 digits, and
@@ -552,7 +583,7 @@ class TestDistributionJson:
         assert (np.abs(state.amps) ** 2)[[1, 4]].tolist() == [1 - 2.0**-45, 5e-324]
         report = cli.RunReport("circuit-run", {"seed": 1},
                                {"distribution": state, "n_wires": 3, "ops": 0}, "0")
-        text = report.to_json()
+        text = report_text(report)
         assert text == report_json(report)
         assert '"001": 1.0,\n      "100": 5e-324\n' in text
 
@@ -560,7 +591,7 @@ class TestDistributionJson:
         # 2^17 distinct values: four blocks, each over many written chunks
         report = cli.RunReport("circuit-run", {"seed": 1},
                                {"distribution": random_state(rng, 17)}, "0")
-        assert report.to_json() == report_json(report)
+        assert report_text(report) == report_json(report)
 
     @pytest.mark.parametrize("probs", [
         np.zeros(8),

@@ -17,7 +17,6 @@ from qdesk.shor import (
     factor,
     first_register_distribution,
     is_trivial_case,
-    modexp,
     multiplicative_order,
     order_finding_state,
     recover_order,
@@ -33,24 +32,6 @@ from referees import (
     gate_by_gate_period_finding,
     marginal,
 )
-
-
-class TestModexp:
-    def test_small_cases(self):
-        assert modexp(7, 4, 15) == 1
-        assert modexp(7, 0, 15) == 1
-        assert modexp(2, 10, 1024) == 0
-
-    def test_against_builtin(self, rng):
-        for _ in range(200):
-            x = int(rng.integers(0, 1000))
-            a = int(rng.integers(0, 1000))
-            n = int(rng.integers(2, 1000))
-            assert modexp(x, a, n) == pow(x, a, n)
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            modexp(2, 3, 1)
 
 
 class TestNumberTheoryHelpers:
@@ -221,6 +202,16 @@ class TestCircuit:
         assert multiplicative_order(2, 33) == 10
         assert runs == [(two_l + 4, qft_ops)]
 
+    @pytest.mark.parametrize("n", [n for n in range(15, 120)
+                                   if is_trivial_case(n) == "composite-ok"])
+    def test_draws_are_measure_all_outcomes_shifted(self, n):
+        # the exponent register is the state's top 2L wires, for 20 seeds
+        inst = FactoringInstance(n, 2)
+        state = order_finding_state(inst)
+        low_bits = state.n_qubits - 2 * inst.L
+        expected = [statevec.measure_all(state, seed, 1)[0] >> low_bits for seed in range(20)]
+        assert list(statevec._input_draws(state, 2 * inst.L, range(20))) == expected
+
     def test_measured_c_is_the_extracted_exponent_register(self):
         # the full 3L-qubit state, built gate by gate, measured on the same seeds
         inst = FactoringInstance(35, 3)
@@ -262,7 +253,7 @@ class TestAnalyticLaw:
             inst = FactoringInstance(n, x)
             q_total = 1 << (2 * inst.L)
             by_value = analytic_distribution(inst).reshape(q_total, 1 << inst.L)
-            orbit = [modexp(x, a0, n) for a0 in range(multiplicative_order(x, n))]
+            orbit = [pow(x, a0, n) for a0 in range(multiplicative_order(x, n))]
             direct = np.array([[analytic_outcome_probability(inst, c, a0)
                                 for a0 in range(len(orbit))] for c in range(q_total)])
             assert np.max(np.abs(by_value[:, orbit] - direct)) <= 1e-12, x
@@ -365,7 +356,7 @@ class TestRecoverOrder:
         for c in range(0, 256, 7):
             r = recover_order(inst, c)
             if r is not None:
-                assert modexp(7, r, 15) == 1
+                assert pow(7, r, 15) == 1
 
 
 class TestExtractFactors:
@@ -395,6 +386,8 @@ class TestExtractFactors:
             extract_factors(15, 7, 3)
         with pytest.raises(ValueError, match="not the multiplicative order"):
             extract_factors(15, 7, 8)  # multiple of the order is not the order
+        with pytest.raises(ValueError, match="not the multiplicative order"):
+            extract_factors(1, 0, 1)  # modulus below 2
 
 
 class TestFactorPipeline:
@@ -501,6 +494,6 @@ class TestFactorPipeline:
         coprime = [x for x in range(1, n) if math.gcd(x, n) == 1]
         for x in coprime:
             r = multiplicative_order(x, n)
-            if r % 2 == 0 and modexp(x, r // 2, n) != n - 1:
+            if r % 2 == 0 and pow(x, r // 2, n) != n - 1:
                 good += 1
         assert good / len(coprime) >= 0.5

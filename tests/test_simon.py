@@ -13,7 +13,7 @@ from qdesk.simon import (
     sampling_state,
 )
 
-from referees import dot_mod2, extract_register, marginal, simon_sample
+from referees import VariatesBySeed, dot_mod2, extract_register, marginal, simon_sample
 
 
 class TestMakeOracle:
@@ -291,18 +291,18 @@ class TestCostAccounting:
         assert runs == [(n + 7, ["H"] * n)]
 
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_row_cdf_draws_the_rows_measure_all_draws(self, n):
+    def test_input_draws_are_the_rows_measure_all_draws(self, n, monkeypatch):
         # 8 oracles and 50 variates each: the row found in the CDF at row
         # ends is the outcome of measure_all on the same variate, >> n
         for c in range(1, 9):
             c = c % (1 << n) or 1
             state = sampling_state(make_oracle(n, c, rng_seed=100 * n + c))
             low_bits = state.n_qubits - n
-            rows = statevec._row_cdf(state, low_bits)
             u = statevec.make_rng(c).random(50)
-            assert np.searchsorted(rows, u, side="right").tolist() == [
-                outcome >> low_bits for outcome in statevec.measure_all(state, c, 50)
-            ]
+            expected = [outcome >> low_bits for outcome in statevec.measure_all(state, c, 50)]
+            with monkeypatch.context() as m:
+                m.setattr(statevec, "make_rng", VariatesBySeed(u))
+                assert list(statevec._input_draws(state, n, range(50))) == expected
 
     def test_run_reads_the_state_once(self, monkeypatch):
         # the rounds search the row ends; the state's probabilities are

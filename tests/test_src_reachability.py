@@ -4,7 +4,8 @@ A top-level public name passes when other ``src/`` code refers to it, when
 the benchmark's code imports or reads it, or when it is one of the library
 features the README documents that no command calls.  A metric named after
 a function keeps nothing: it reads 0 once nothing runs the function.
-Referees and test helpers live in ``tests/referees.py`` instead.  The
+Referees and test helpers live in ``tests/referees.py`` instead.  Of
+``statevec``'s private names, other modules read only an allow-list.  The
 sources are read with ``ast``; nothing under ``src/`` is run to find the
 references.
 """
@@ -19,6 +20,11 @@ SRC = ROOT / "src" / "qdesk"
 
 #: Library features the README documents that no command calls.
 FEATURES = {"statevec.init_basis"}
+
+#: The private ``statevec`` names other modules read: the machine, the
+#: amplitude of its H layer, and the two readers of a period-finding state,
+#: which keep that state's layout beside the code that builds it.
+STATEVEC_PRIVATE = {"_Machine", "_hadamard_amplitude", "_input_draws", "_input_marginal"}
 
 
 def defined_names(tree: ast.Module) -> list[str]:
@@ -37,17 +43,22 @@ def defined_names(tree: ast.Module) -> list[str]:
     return names
 
 
-def references(module: str, tree: ast.Module, defined: set[str]) -> set[tuple[str, str]]:
+def references(module: str, tree: ast.Module, defined: set[str],
+               siblings: set[str]) -> set[tuple[str, str]]:
     """(module, name) pairs a package module's code refers to, outside their own definitions.
 
     A bare name is one of the module's own top-level names or a name it
     imported from a sibling module; ``mod.name`` reads a name off a
-    sibling module it imported.  Docstrings and comments are not code.
+    sibling module it imported, or off a function parameter named after
+    a sibling (the CLI hands each command handler the module it runs).
+    Docstrings and comments are not code.
     """
     modules: dict[str, str] = {}  # local name -> sibling module
     imported: dict[str, tuple[str, str]] = {}  # local name -> (module, name)
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
+        if isinstance(node, ast.arg) and node.arg in siblings:
+            modules[node.arg] = node.arg
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 if node.module is None:
                     modules[alias.asname or alias.name] = alias.name
@@ -84,7 +95,7 @@ def unreached(src: Path, allowed: set[tuple[str, str]]) -> list[str]:
     """``module.name`` for each public top-level name nothing keeps."""
     trees = {path.stem: parse(path) for path in sorted(src.glob("*.py"))}
     defined = {module: defined_names(tree) for module, tree in trees.items()}
-    used = set().union(*(references(module, tree, set(defined[module]))
+    used = set().union(*(references(module, tree, set(defined[module]), set(trees))
                          for module, tree in trees.items()))
     return [f"{module}.{name}" for module, names in defined.items() for name in names
             if (module, name) not in used | allowed]
@@ -93,6 +104,14 @@ def unreached(src: Path, allowed: set[tuple[str, str]]) -> list[str]:
 def test_every_public_name_in_src_is_reached():
     allowed = benchmark_names(REFERENCES) | {tuple(name.split(".")) for name in FEATURES}
     assert unreached(SRC, allowed) == []
+
+
+def test_other_modules_read_only_the_allowed_private_statevec_names():
+    trees = {path.stem: parse(path) for path in sorted(SRC.glob("*.py"))}
+    read = {name for module, tree in trees.items() if module != "statevec"
+            for source, name in references(module, tree, set(defined_names(tree)), set(trees))
+            if source == "statevec" and name.startswith("_")}
+    assert read == STATEVEC_PRIVATE
 
 
 def test_the_documented_features_exist_and_no_command_reaches_them():
@@ -136,3 +155,9 @@ def test_a_name_the_benchmark_reads_off_a_module_is_reached(tmp_path):
     allowed = benchmark_names(sorted(qdesk_references(bench)))
     assert allowed == {("a", "read")}
     assert unreached(tmp_path, allowed) == ["a.mentioned"]
+
+
+def test_a_name_read_off_a_parameter_named_after_its_module_is_reached(tmp_path):
+    (tmp_path / "a.py").write_text("def handle(b, other):\n    return b.read() + other.missed()\n")
+    (tmp_path / "b.py").write_text("def read():\n    pass\ndef missed():\n    pass\n")
+    assert unreached(tmp_path, {("a", "handle")}) == ["b.missed"]

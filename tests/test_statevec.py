@@ -27,6 +27,7 @@ from qdesk.statevec import (
 
 from conftest import random_state, random_unitary
 from referees import (
+    VariatesBySeed,
     apply_xor_oracle,
     expand_live_columns,
     extract_register,
@@ -512,20 +513,23 @@ class TestBlockedSampling:
         assert peak < nbytes // 8
 
 
-class TestRowCdf:
+class TestInputDraws:
     """The CDF at row ends places a variate in the row measure_all's index falls in."""
 
     # one block (n = 8), and 2 and 32 blocks of 2^15 amplitudes
     @pytest.mark.parametrize("n", [8, 16, 20])
-    def test_rows_are_measure_all_outcomes_shifted(self, n, rng):
+    def test_draws_are_measure_all_outcomes_shifted(self, n, rng, monkeypatch):
         state = random_state(rng, n)
         for low_bits in sorted({0, 1, n // 2, n - 1, n}):
-            rows = statevec._row_cdf(state, low_bits)
-            assert rows.size == 1 << (n - low_bits)
             for seed in (0, 7, 2**40 + 3):
-                u = statevec.make_rng(seed).random(512)
-                got = np.searchsorted(rows, u, side="right").tolist()
-                assert got == [i >> low_bits for i in measure_all(state, seed, 512)]
+                u = [*statevec.make_rng(seed).random(512), np.nextafter(1.0, 0.0)]
+                expected = [i >> low_bits for i in measure_all(state, seed, 512)]
+                with monkeypatch.context() as m:
+                    m.setattr(statevec, "make_rng", VariatesBySeed(u))
+                    got = list(statevec._input_draws(state, n - low_bits, range(len(u))))
+                assert got[:-1] == expected
+                # the top variate lands in the last of the 2^(n - low_bits) rows
+                assert got[-1] == (1 << (n - low_bits)) - 1
 
     def test_top_bin_guard_and_block_edges(self, monkeypatch):
         # the state of TestBlockedSampling's guard test: rows of 2^15 end
@@ -540,19 +544,21 @@ class TestRowCdf:
         u = [0.0, cdf[edge - 1], cdf[edge], np.nextafter(cdf[edge], 1.0), cdf[-2],
              np.nextafter(cdf[-1], 1.0), np.nextafter(1.0, 0.0)]
         for low_bits in (14, 15):
-            rows = statevec._row_cdf(state, low_bits)
             with monkeypatch.context() as m:
                 m.setattr(statevec, "make_rng", lambda seed: FixedVariates(u))
                 expected = [i >> low_bits for i in measure_all(state, 0, len(u))]
-            assert np.searchsorted(rows, u, side="right").tolist() == expected
-            assert rows[-1] == 1.0
+                m.setattr(statevec, "make_rng", VariatesBySeed(u))
+                got = list(statevec._input_draws(state, n - low_bits, range(len(u))))
+            assert got == expected
+            # past the unguarded total, both variates stay on the top row
+            assert got[-2:] == [(1 << (n - low_bits)) - 1] * 2
 
     def test_holds_no_state_sized_float_array(self, rng):
         # one block of the CDF at a time, and the 2^10 row ends it keeps
         state = random_state(rng, 20)
         tracemalloc.start()
         try:
-            statevec._row_cdf(state, 10)
+            next(statevec._input_draws(state, 10, [3]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
