@@ -332,7 +332,7 @@ def _run_factor(shor: ModuleType, seed: int, params: dict[str, Any]) -> dict[str
         "attempts": [asdict(a) for a in report.attempts],
     }
     dump_path = params.get("dump_distribution")
-    if dump_path:
+    if dump_path is not None:
         circuit_attempts = [a for a in report.attempts if a.measured_c is not None]
         if circuit_attempts:
             x = circuit_attempts[-1].x
@@ -354,7 +354,7 @@ def _run_grover(grover: ModuleType, seed: int, params: dict[str, Any]) -> dict[s
     k = params["qubits"]
     problem = grover.SearchProblem(k, params["targets"])
     result_obj = grover.run_grover(problem, seed)
-    if params.get("trace_path"):
+    if params.get("trace_path") is not None:
         trace = {"marked_probability": list(result_obj.trace)}
         _write_text(params["trace_path"], [_dumps(trace)])
     return {
@@ -429,7 +429,7 @@ def _run_qft(qft: ModuleType, seed: int, params: dict[str, Any]) -> dict[str, An
     )
     circuit = qft.build_qft_circuit(spec)
     counts = qft.gate_counts(circuit)
-    if params.get("emit_circuit_path"):
+    if params.get("emit_circuit_path") is not None:
         _write_text(params["emit_circuit_path"], [circuit_to_text(circuit)])
     return {
         "qubits": spec.k,
@@ -620,7 +620,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         seed = _default_seed()
     if command == "grover":
         targets = params["targets"] = list(args.targets or [])
-        if args.targets_path:
+        if args.targets_path is not None:
             lines = _read_text(args.targets_path).split("\n")
             for lineno, line in enumerate(lines, start=1):
                 text = line.strip()
@@ -708,7 +708,7 @@ def _entry() -> int:
 
 
 def _emit(output_path: str | None, chunks: Iterable[str]) -> None:
-    if output_path:
+    if output_path is not None:
         _write_text(output_path, chunks)
     else:
         sys.stdout.writelines(chunks)

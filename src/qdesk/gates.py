@@ -9,7 +9,8 @@ numbered from 1 and wire 1 is the most significant bit of a basis index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,53 +37,22 @@ def _as_unitary(matrix: np.ndarray) -> np.ndarray:
 
 
 def _slice_index(row: int, k: int) -> tuple:
-    """Index of matrix row ``row``'s slice in a view whose first k axes are the gate's."""
-    return tuple((row >> (k - 1 - i)) & 1 for i in range(k)) + (...,)
-
-
-def _kernel_structure(m: np.ndarray) -> tuple[tuple | None, tuple | None]:
-    """The slices a diagonal or single-swap matrix touches, for the kernel.
-
-    Returns ``(phase_rows, swap_rows)``.  For a diagonal matrix,
-    ``phase_rows`` pairs the slice index of every row whose entry is not 1
-    with that entry as a read-only 1x1 matrix.  For the identity with two
-    rows exchanged (SWAP, CNOT, TOFFOLI), ``swap_rows`` holds the two slice
-    indices.  Every other matrix gives ``(None, None)``.
-    """
-    dim = m.shape[0]
-    k = dim.bit_length() - 1
-    diagonal = np.diagonal(m)
-    moved = [int(r) for r in np.flatnonzero(diagonal != 1)]
-    if np.array_equal(m, np.diag(diagonal)):
-        entries = []
-        for r in moved:
-            entry = m[r:r + 1, r:r + 1].copy()
-            entry.setflags(write=False)
-            entries.append((_slice_index(r, k), entry))
-        return tuple(entries), None
-    if len(moved) == 2:
-        exchanged = np.eye(dim)
-        exchanged[moved] = exchanged[moved[::-1]]
-        if np.array_equal(m, exchanged):
-            return None, tuple(_slice_index(r, k) for r in moved)
-    return None, None
+    """Index fixing a view's first k axes (the gate's) to row ``row``; more may follow."""
+    return tuple((row >> (k - 1 - i)) & 1 for i in range(k))
 
 
 @dataclass(frozen=True, eq=False)
 class GateOp:
     """A small unitary bound to an ordered tuple of distinct wires.
 
-    ``phase_rows`` and ``swap_rows`` are read from the matrix once, when
-    the op is built (see :func:`_kernel_structure`); the state-vector
-    kernel routes diagonal and single-swap gates on them.
+    :attr:`changed_rows` is read from the matrix once, on the op's first
+    run; the state-vector kernel routes on it.
     """
 
     matrix: np.ndarray
     wires: tuple[int, ...]
     name: str = "U"
     params: tuple = ()
-    phase_rows: tuple | None = field(init=False, repr=False)
-    swap_rows: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _as_unitary(self.matrix)
@@ -99,13 +69,37 @@ class GateOp:
         if any(w < 1 for w in wires):
             raise ValueError(f"wires are numbered from 1, got {wires}")
         object.__setattr__(self, "wires", wires)
-        phase_rows, swap_rows = _kernel_structure(m)
-        object.__setattr__(self, "phase_rows", phase_rows)
-        object.__setattr__(self, "swap_rows", swap_rows)
 
     @property
     def arity(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
+
+    @cached_property
+    def changed_rows(self) -> tuple | None:
+        """The rows a permutation-times-diagonal matrix changes; None for any other matrix.
+
+        Such a matrix has one nonzero in every row and column: row r of its
+        product is that entry times the row c it reads.  Each row but an
+        entry 1 at c = r is ``(r's slice, c's slice, entry)``, slices as
+        :func:`_slice_index` gives them, the entry a read-only 1x1 matrix or
+        None for 1.  The identity changes no rows, ``()``.
+        """
+        m = self.matrix
+        dim = m.shape[0]
+        # a unitary has a nonzero in every row and every column, so dim
+        # nonzeros are exactly one in each; flatnonzero lists them row by row
+        flat = np.flatnonzero(m)
+        if flat.size != dim:
+            return None
+        rows = []
+        for r, c in enumerate((flat % dim).tolist()):
+            entry = m[r:r + 1, c:c + 1]  # a view of the read-only matrix
+            if entry[0, 0] == 1:
+                if c == r:
+                    continue
+                entry = None
+            rows.append((_slice_index(r, self.arity), _slice_index(c, self.arity), entry))
+        return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)

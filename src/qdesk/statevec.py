@@ -86,7 +86,7 @@ class StateVector:
     def __init__(self, n_qubits: int, amps: np.ndarray, *, copy: bool = True):
         n_qubits = int(n_qubits)
         require_qubits(n_qubits, "a state vector")
-        arr = np.array(amps, dtype=np.complex128, copy=copy)
+        arr = (np.array if copy else np.asarray)(amps, dtype=np.complex128)
         if arr.shape != (1 << n_qubits,):
             raise ValueError(
                 f"amplitude array must have length 2^{n_qubits}, got shape {arr.shape}"
@@ -185,23 +185,23 @@ class _Machine:
         columns of the unfolding, at least 2^12 for gates of up to three
         wires, and its product is bit-identical to those columns of the
         whole-state product (the tests compare blocked and unblocked runs).
-        Three paths per block, all bit-identical to the first:
+        Two paths per block, the second bit-identical to the first:
 
         * dense (H, any other gate): gather the block into one scratch array,
           multiply its unfolding by the matrix into the other, write back;
-        * diagonal (CPHASE, ``GateOp.phase_rows``): gather each slice whose
-          entry is not 1, multiply it as a (1,1) @ (1,m) ``np.matmul`` (the
-          BLAS product; numpy's ``*`` differs by an ulp), write it back;
-        * single swap (SWAP, CNOT, TOFFOLI, ``GateOp.swap_rows``): gather both
-          slices and write each back in the other's place.  Both go through
-          scratch, because assigning one view of the buffer to another makes
-          numpy copy the source into a hidden temporary.
+        * changed rows (CPHASE, SWAP, CNOT, TOFFOLI, any permutation times a
+          diagonal; ``GateOp.changed_rows``): gather the slice each changed
+          row reads into that row's place in the first scratch array, then
+          write each to its row, through a (1,1) @ (1,m) ``np.matmul`` into
+          the second where its entry is not 1 (the BLAS product; numpy's
+          ``*`` differs by an ulp).  Sources go through scratch, because
+          assigning one view of the buffer to another makes numpy copy the
+          source into a hidden temporary.
 
-        The fast paths use prefixes of the scratch arrays and need at least 4
-        columns: with 1 or 2, the (1,1) product differs from the dense one in
-        most cases.  The two block-sized scratch arrays are allocated once
-        per call and no gate allocates, so apart from the buffer a call holds
-        1 MB at most.
+        The changed-rows path needs at least 4 columns: with 1 or 2, the
+        (1,1) product differs from the dense one in most cases.  The two
+        block-sized scratch arrays are allocated once per call and no gate
+        allocates, so apart from the buffer a call holds 1 MB at most.
         """
         if circuit.n_wires > self.n_qubits:
             raise ValueError(
@@ -212,31 +212,35 @@ class _Machine:
         prefixes = list(itertools.product((0, 1), repeat=lead))
         gathered = np.empty(self.amps.size >> lead, dtype=self.amps.dtype)
         product = np.empty_like(gathered)
+        # a block's axes: the gate's k wires, then the n - lead - k it leaves free
+        block_in, block_out = (a.reshape((2,) * (n - lead)) for a in (gathered, product))
         for gate in circuit.ops:
-            k = len(gate.wires)
-            full = np.moveaxis(tensor, [w - 1 for w in gate.wires], range(k))
-            shape = full.shape[:k] + full.shape[k + lead:]
+            axes = [w - 1 for w in gate.wires]
+            k = len(axes)
+            # np.moveaxis(tensor, axes, range(k)), without its checks, which
+            # took most of a one-block gate's time
+            full = tensor.transpose(axes + [a for a in range(n) if a not in axes])
             width = gathered.size >> k
-            part_in = gathered[:width].reshape(shape[k:])
-            part_out = product[:width].reshape(shape[k:])
+            rows = gate.changed_rows if width >= 4 else None
+            if rows is not None:  # each changed row with its slot in the block scratch
+                slots = [(row, read, entry, block_in[row]) for row, read, entry in rows]
             for prefix in prefixes:
-                view = full[(slice(None),) * k + prefix]
-                if width >= 4 and gate.phase_rows is not None:
-                    for row, entry in gate.phase_rows:
-                        np.copyto(part_in, view[row])
-                        np.matmul(entry, part_in.reshape(1, width), out=part_out.reshape(1, width))
-                        view[row] = part_out
-                elif width >= 4 and gate.swap_rows is not None:
-                    row_a, row_b = gate.swap_rows
-                    np.copyto(part_in, view[row_a])
-                    np.copyto(part_out, view[row_b])
-                    view[row_a] = part_out
-                    view[row_b] = part_in
+                if rows is not None:
+                    # a slice index followed by the prefix is that row of the block
+                    for _, read, _, part in slots:
+                        np.copyto(part, full[read + prefix])
+                    for row, _, entry, part in slots:
+                        if entry is not None:
+                            out = block_out[row]
+                            np.matmul(entry, part.reshape(1, width), out=out.reshape(1, width))
+                            part = out
+                        full[row + prefix] = part
                 else:
-                    np.copyto(gathered.reshape(shape), view)
+                    view = full[(slice(None),) * k + prefix]
+                    np.copyto(block_in, view)
                     np.matmul(gate.matrix, gathered.reshape(1 << k, -1),
                               out=product.reshape(1 << k, -1))
-                    view[...] = product.reshape(shape)
+                    view[...] = block_out
         return self
 
     def freeze(self) -> StateVector:

@@ -487,11 +487,20 @@ class TestMainEntry:
         (["qft", "--qubits", "3"], "--emit-circuit", "missing"),
         (["grover", "--qubits", "3", "--target", "5"], "--trace", "missing"),
         (["factor", "--n", "15", "--seed", "3"], "--dump-distribution", "missing"),
+        (["qft", "--qubits", "3"], "--output", "empty"),
+        (["qft", "--qubits", "3"], "--emit-circuit", "empty"),
+        (["grover", "--qubits", "3", "--target", "5"], "--trace", "empty"),
+        (["factor", "--n", "15", "--seed", "3"], "--dump-distribution", "empty"),
     ], ids=lambda v: v[0] if isinstance(v, list) else v)
     def test_unwritable_path_is_one_reproducible_domain_error(self, argv, flag, target,
-                                                              tmp_path, capsys):
+                                                              tmp_path, monkeypatch, capsys):
         if target == "missing":
             path, reason = tmp_path / "missing" / "out.json", os.strerror(errno.ENOENT)
+        elif target == "empty":
+            # an empty path is a path, not "no file"; mkstemp puts its temp
+            # file in the working directory, which the check below reads
+            monkeypatch.chdir(tmp_path)
+            path, reason = "", os.strerror(errno.ENOENT)
         else:
             path, reason = tmp_path, os.strerror(errno.EISDIR)
         outputs = []
@@ -519,11 +528,14 @@ class TestMainEntry:
         }
 
     @pytest.mark.parametrize("flag", ["--file", "--targets-file"])
-    @pytest.mark.parametrize("target", ["missing", "directory"])
-    def test_unreadable_input_file_is_named(self, flag, target, tmp_path, capsys):
+    @pytest.mark.parametrize("target", ["missing", "directory", "empty"])
+    def test_unreadable_input_file_is_named(self, flag, target, tmp_path, monkeypatch, capsys):
         argv = ["circuit-run"] if flag == "--file" else ["grover", "--qubits", "3"]
         if target == "missing":
             path, reason = tmp_path / "missing.txt", os.strerror(errno.ENOENT)
+        elif target == "empty":
+            monkeypatch.chdir(tmp_path)
+            path, reason = "", os.strerror(errno.ENOENT)
         else:
             path, reason = tmp_path, os.strerror(errno.EISDIR)
         assert main([*argv, flag, str(path)]) == 1

@@ -95,6 +95,13 @@ class TestStateVectorInvariants:
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
 
+    def test_copy_false_converts_what_it_cannot_share(self):
+        # numpy 2 refuses np.array(..., copy=False) whenever it must convert
+        assert StateVector(1, np.array([1.0, 0.0]), copy=False).amps.dtype == np.complex128
+        assert np.array_equal(StateVector(1, [0.6, 0.8j], copy=False).amps, [0.6, 0.8j])
+        amps = np.array([0.6, 0.8j])
+        assert np.shares_memory(StateVector(1, amps, copy=False).amps, amps)
+
     def test_immutable(self):
         state = init_basis(1, 0)
         with pytest.raises((ValueError, AttributeError)):
@@ -248,7 +255,7 @@ def dense_view_kernel(amps, ops):
 
 
 def structured_gates(rng, arity):
-    """Diagonal and single-swap gates on ``arity`` wires, as (matrix, name)."""
+    """Gates on ``arity`` wires that are a permutation times a diagonal, as (matrix, name)."""
     dim = 1 << arity
     found = []
     for row in range(dim):  # one non-1 entry, in each row in turn
@@ -256,29 +263,59 @@ def structured_gates(rng, arity):
         phases[row] = np.exp(2j * np.pi * rng.random())
         found.append((np.diag(phases), f"diag@{row}"))
     found.append((np.diag(np.exp(2j * np.pi * rng.random(dim))), "diag"))
+    perm = rng.permutation(dim)
+    found.append((np.diag(np.exp(2j * np.pi * rng.random(dim))) @ np.eye(dim)[perm],
+                  f"phased{perm.tolist()}"))
     if arity == 1:
         found.append((np.diag([1.0, -1.0]).astype(np.complex128), "Z"))
+        found += [(np.array([[0, 1], [1, 0]], dtype=np.complex128), "X"),
+                  (np.array([[0, -1j], [1j, 0]]), "Y")]
     elif arity == 2:
         found += [(gates.controlled_phase(j, k), f"CPHASE{j},{k}")
                   for j, k in ((0, 1), (0, 2), (1, 3), (0, 5))]
-        found += [(gates.cnot(), "CNOT"), (gates.swap_gate(), "SWAP")]
+        found += [(gates.cnot(), "CNOT"), (gates.swap_gate(), "SWAP"),
+                  (np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128), "CZ"),
+                  (np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]]),
+                   "iSWAP")]
     else:
-        found.append((gates.toffoli(), "TOFFOLI"))
+        fredkin = np.eye(8, dtype=np.complex128)[[0, 1, 2, 3, 4, 6, 5, 7]]
+        found += [(gates.toffoli(), "TOFFOLI"), (fredkin, "FREDKIN"),
+                  (np.eye(8, dtype=np.complex128)[[1, 2, 0, 3, 4, 5, 6, 7]], "3-cycle")]
     return found
 
 
 class TestStructuredPaths:
     def test_structure_is_read_once_from_the_matrix(self):
-        assert gates.h_op(1).phase_rows is None and gates.h_op(1).swap_rows is None
-        (row, entry), = gates.cphase_op(0, 2, 1, 2).phase_rows
-        assert row == (1, 1, ...) and entry.shape == (1, 1) and not entry.flags.writeable
-        assert gates.cnot_op(1, 2).swap_rows == ((1, 0, ...), (1, 1, ...))
-        assert gates.swap_op(1, 2).swap_rows == ((0, 1, ...), (1, 0, ...))
-        assert gates.toffoli_op(1, 2, 3).swap_rows == ((1, 1, 0, ...), (1, 1, 1, ...))
-        identity = gates.GateOp(np.eye(4), (1, 2))
-        assert identity.phase_rows == () and identity.swap_rows is None
+        assert gates.h_op(1).changed_rows is None
+        cphase = gates.cphase_op(0, 2, 1, 2)
+        (row, read, entry), = cphase.changed_rows
+        assert row == read == (1, 1)
+        assert entry.shape == (1, 1) and not entry.flags.writeable
+        assert entry[0, 0] == gates.controlled_phase(0, 2)[3, 3]
+        for op, a, b in [(gates.cnot_op(1, 2), (1, 0), (1, 1)),
+                         (gates.swap_op(1, 2), (0, 1), (1, 0)),
+                         (gates.toffoli_op(1, 2, 3), (1, 1, 0), (1, 1, 1))]:
+            assert op.changed_rows == ((a, b, None), (b, a, None)), op.name
+        assert gates.GateOp(np.eye(4), (1, 2)).changed_rows == ()
         cycle = np.eye(8)[[1, 2, 0, 3, 4, 5, 6, 7]]
-        assert gates.GateOp(cycle, (1, 2, 3)).swap_rows is None
+        assert gates.GateOp(cycle, (1, 2, 3)).changed_rows == (
+            ((0, 0, 0), (0, 0, 1), None),
+            ((0, 0, 1), (0, 1, 0), None),
+            ((0, 1, 0), (0, 0, 0), None),
+        )
+        # two nonzeros in rows 2 and 3 and in columns 2 and 3
+        controlled_h = np.eye(4, dtype=np.complex128)
+        controlled_h[2:, 2:] = gates.hadamard()
+        assert gates.GateOp(controlled_h, (1, 2)).changed_rows is None
+        # read on the first run and kept; a built circuit reads none
+        fresh = gates.cphase_op(0, 2, 1, 2)
+        assert "changed_rows" not in vars(fresh)
+        apply_gate(random_state(np.random.default_rng(1), 4), fresh)
+        kept = vars(fresh)["changed_rows"]
+        apply_gate(random_state(np.random.default_rng(2), 4), fresh)
+        assert fresh.changed_rows is kept
+        circuit = build_qft_circuit(QftSpec(9))
+        assert not any("changed_rows" in vars(op) for op in circuit.ops)
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_bit_identical_to_the_dense_kernel_on_every_wire_tuple(self, arity, rng):

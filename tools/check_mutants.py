@@ -1,0 +1,178 @@
+"""Check that the tests still kill every mutant in the table.
+
+Run from the root of a qdesk checkout:
+
+    python3 tools/check_mutants.py
+
+Each entry of ``MUTANTS`` names a file under ``src/qdesk``, an exact piece
+of its text, the text that replaces it, and the test node ids that must
+fail once it is replaced.  The checkout, without its git and cache
+directories, is copied to the git-ignored ``.mutants_work/``.  There the
+named tests first run on the unchanged code, where they must all pass;
+then each mutant is applied alone and only its own tests run.  A mutant is
+killed when every named test fails (for a parametrized test, when at least
+one of its cases fails).  The exit status is 1 if any old text does not
+occur exactly once in its file, if a named test fails on the unchanged
+code, or if any mutant survives.  ``tests/test_mutants.py`` checks the
+table against the sources in the tier-1 suite, so a change that moves the
+code must update its entries with it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+WORK_DIR = ".mutants_work"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the checkout's root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_STATEVEC = "src/qdesk/statevec.py"
+_GATES = "src/qdesk/gates.py"
+_CLI = "src/qdesk/cli.py"
+_EVERY_TUPLE = ("tests/test_statevec.py::TestStructuredPaths::"
+                "test_bit_identical_to_the_dense_kernel_on_every_wire_tuple")
+_MIXED = ("tests/test_statevec.py::TestStructuredPaths::"
+          "test_bit_identical_to_the_dense_kernel_on_mixed_circuits")
+_STRUCTURE = ("tests/test_statevec.py::TestStructuredPaths::"
+              "test_structure_is_read_once_from_the_matrix")
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "write each row inside the gather loop", _STATEVEC,
+        "                    for _, read, _, part in slots:\n"
+        "                        np.copyto(part, full[read + prefix])\n"
+        "                    for row, _, entry, part in slots:\n",
+        "                    for row, read, entry, part in slots:\n"
+        "                        np.copyto(part, full[read + prefix])\n",
+        (_EVERY_TUPLE, _MIXED),
+    ),
+    Mutant(
+        "no width >= 4 guard", _STATEVEC,
+        "rows = gate.changed_rows if width >= 4 else None",
+        "rows = gate.changed_rows",
+        (_EVERY_TUPLE,),
+    ),
+    Mutant(
+        "skip the entry product", _STATEVEC,
+        "np.matmul(entry, part.reshape(1, width), out=out.reshape(1, width))",
+        "out = part",
+        (_EVERY_TUPLE, _MIXED),
+    ),
+    Mutant(
+        "* in place of np.matmul", _STATEVEC,
+        "np.matmul(entry, part.reshape(1, width), out=out.reshape(1, width))",
+        "np.multiply(entry, part.reshape(1, width), out=out.reshape(1, width))",
+        (_EVERY_TUPLE,),
+    ),
+    Mutant(
+        "accept two nonzeros in a row", _GATES,
+        "        if flat.size != dim:\n",
+        "        if flat.size > 2 * dim:\n",
+        (_STRUCTURE,),
+    ),
+    Mutant(
+        "reverse the slice bit order", _GATES,
+        "(row >> (k - 1 - i)) & 1",
+        "(row >> i) & 1",
+        (_STRUCTURE, _EVERY_TUPLE),
+    ),
+    Mutant(
+        "an entry 1 never moves a row", _GATES,
+        "                if c == r:\n"
+        "                    continue\n"
+        "                entry = None\n",
+        "                continue\n",
+        (_STRUCTURE, _EVERY_TUPLE),
+    ),
+    Mutant(
+        "copy=False copies", _STATEVEC,
+        "(np.array if copy else np.asarray)",
+        "(np.array if copy else np.array)",
+        ("tests/test_statevec.py::TestStateVectorInvariants::"
+         "test_copy_false_converts_what_it_cannot_share",),
+    ),
+    Mutant(
+        "an empty --output is stdout", _CLI,
+        "    if output_path is not None:\n",
+        "    if output_path:\n",
+        ("tests/test_cli.py::TestMainEntry::"
+         "test_unwritable_path_is_one_reproducible_domain_error",),
+    ),
+)
+
+
+def occurrences(root: Path, mutant: Mutant) -> int:
+    """How many times the mutant's old text occurs in its file."""
+    return (root / mutant.file).read_text(encoding="utf-8").count(mutant.old)
+
+
+def run_tests(work: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    """pytest on the named tests of the copy in ``work``, with its own ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf", *tests],
+        cwd=work, env=env, capture_output=True, text=True)
+
+
+def survivors(work: Path, mutant: Mutant) -> list[str]:
+    """The named tests that did not fail with the mutant applied in ``work``."""
+    target = work / mutant.file
+    original = target.read_text(encoding="utf-8")
+    target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        run = run_tests(work, mutant.tests)
+    finally:
+        target.write_text(original, encoding="utf-8")
+    failed = [line.split()[1] for line in run.stdout.splitlines()
+              if line.startswith("FAILED ")]
+    return [test for test in mutant.tests
+            if not any(f == test or f.startswith(test + "[") for f in failed)]
+
+
+def main() -> int:
+    root = Path.cwd()
+    if not (root / "src" / "qdesk" / "__init__.py").is_file():
+        print("run from the root of a qdesk checkout", file=sys.stderr)
+        return 2
+    bad = 0
+    for mutant in MUTANTS:
+        count = occurrences(root, mutant)
+        if count != 1:
+            bad += 1
+            print(f"BAD TABLE {mutant.name}: old text occurs {count} times in {mutant.file}")
+    if bad:
+        return 1
+    work = root / WORK_DIR
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(root, work, ignore=shutil.ignore_patterns(
+        ".git", WORK_DIR, "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work"))
+    named = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+    baseline = run_tests(work, named)
+    if baseline.returncode != 0:
+        print(f"the named tests do not pass on the unchanged code:\n{baseline.stdout}")
+        return 1
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        alive = survivors(work, mutant)
+        verdict = f"SURVIVED ({', '.join(alive)})" if alive else "killed"
+        print(f"{mutant.name}: {verdict} in {time.perf_counter() - start:.1f} s", flush=True)
+        bad += bool(alive)
+    print(f"{len(MUTANTS)} mutants, {bad} survived")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
