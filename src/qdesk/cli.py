@@ -102,10 +102,6 @@ def _round_floats(obj: Any) -> Any:
         return {str(k): _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return int(obj)
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     return obj

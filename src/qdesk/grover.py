@@ -114,43 +114,34 @@ def _two_value_sum(k: int, marked: np.ndarray) -> Callable[[complex, complex], n
     block of 2^j a's sums to one value, which each level doubles, and only
     the blocks holding a marked index need sums of their own.
 
-    The returned function reduces one row per pattern of marked offsets
-    that a marked leaf has (leaves sharing a pattern share a sum), with a
-    last row of a alone, in one ``sum(axis=1)``.  Then each level adds
-    pairs from the sums below it: a block with one marked half takes the
-    all-a sum for its other half, and a last pair doubles the all-a sum.
-    The pairs add as Python complex numbers, which add as numpy does.  A
-    row's sum starts from zero, where numpy's leaf does not but its total
-    does: no partial sum is then -0, and numpy's zero start makes its
-    total's zeros +0 as well.  The tests pin the result to
-    ``np.add.reduce(amps)`` bit for bit.
+    The returned function reduces one row per leaf that holds a marked
+    index, with a last row of a alone, in one ``sum(axis=1)``.  Then each
+    level adds one pair of sums from the level below per block with a
+    marked half, where a half with no marked index takes the all-a sum,
+    and a last pair doubles the all-a sum.  The pairs add as Python
+    complex numbers, which add as numpy does.  A row's sum starts from
+    zero, where numpy's leaf does not but its total does: no partial sum
+    is then -0, and numpy's zero start makes its total's zeros +0 as
+    well.  The tests pin the result to ``np.add.reduce(amps)`` bit for bit.
     """
     leaf_bits = min(k, 6)
     width = 1 << leaf_bits
-    # marked is ascending, so each block's marked indices are one run of it,
+    # marked is ascending, so each leaf's marked indices are one run of it,
     # found without np.unique: its sort and hash table add about 0.5 MB to
     # the peak RSS of a small search
     ids = marked >> leaf_bits
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    bits = np.left_shift(np.uint64(1), (marked % width).astype(np.uint64))
-    masks = np.bitwise_or.reduceat(bits, starts).tolist()
-    rows = {}  # each leaf's pattern of marked offsets -> the row of its sum
-    row_of = [rows.setdefault(mask, len(rows)) for mask in masks]
-    patterns = np.array(list(rows), dtype=np.uint64)
-    slots = np.flatnonzero((patterns[:, None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1))
-    block = np.empty((len(rows) + 1, width), dtype=np.complex128)
-    # where each block's sum is in the level below, then the all-a sum's place
-    below = np.array(row_of + [len(rows)])
+    starts = np.diff(ids, prepend=-1) != 0
+    slots = (np.cumsum(starts) - 1) * width + marked % width
+    # each block holding a marked index -> the place of its sum (here, its row)
+    places = {leaf: row for row, leaf in enumerate(ids[starts].tolist())}
+    block = np.empty((len(places) + 1, width), dtype=np.complex128)
     levels = []  # per level: the index pairs into the level below
-    blocks = ids[starts]
     for _ in range(leaf_bits, k):
-        parents = blocks >> 1
-        first = np.flatnonzero(np.diff(parents, prepend=-1))
-        second = np.where(np.diff(first, append=blocks.size) == 2, first + 1, blocks.size)
-        levels.append(list(zip(below[np.append(first, blocks.size)].tolist(),
-                               below[np.append(second, blocks.size)].tolist())))
-        below = np.arange(first.size + 1)
-        blocks = parents[first]
+        all_a = len(places)  # the place of the all-a sum in the level below
+        parents = dict.fromkeys(child >> 1 for child in places)
+        levels.append([(places.get(2 * p, all_a), places.get(2 * p + 1, all_a)) for p in parents]
+                      + [(all_a, all_a)])
+        places = {p: i for i, p in enumerate(parents)}
     flat = block.reshape(-1)
 
     def total(a: complex, b: complex) -> np.complex128:

@@ -30,7 +30,7 @@ from .gates import Circuit, GateOp, hadamard
 #: such state, 1-2 MB of scratch and ~35 MB of interpreter peak near 295 MB.
 MAX_QUBITS = 24
 
-#: Tolerance on sum |amp|^2 = 1 and on unit-modulus diagonal factors.
+#: Tolerance on sum |amp|^2 = 1.
 NORM_TOL = 1e-10
 
 # The gate kernel works on blocks of 2^15 amplitudes (512 KB, so its two

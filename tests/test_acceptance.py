@@ -8,13 +8,16 @@ notes in the README; measured factor is printed when the test runs).
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdesk
 from qdesk import grover, shor, simon, statevec
 from qdesk.gates import Circuit, GateOp, expand_to_matrix
 from qdesk.qft import QftSpec, build_qft_circuit, gate_counts
@@ -307,12 +310,15 @@ def test_criterion_11_cli_byte_reproducibility(tmp_path):
         ["qft", "--qubits", "6", "--seed", "1"],
         ["circuit-run", "--file", str(circuit_file), "--seed", "1"],
     ]
+    # the child finds this qdesk whether or not it is installed
+    env = dict(os.environ, PYTHONPATH=str(Path(qdesk.__file__).parents[1]))
     all_ok = True
     for argv in commands:
         outputs = []
         for _ in range(2):
             proc = subprocess.run(
                 [sys.executable, "-m", "qdesk.cli", *argv],
+                env=env,
                 capture_output=True,
                 check=True,
             )

@@ -33,7 +33,7 @@ from qdesk.cli import (
     parse_circuit_text,
     run,
 )
-from qdesk.gates import cnot_op, cphase_op, h_op
+from qdesk.gates import Circuit, GateOp, cnot_op, cphase_op, h_op
 
 from conftest import random_state
 from referees import distribution_dict, get_report_schema, report_json, report_text
@@ -46,8 +46,6 @@ class TestCircuitText:
 
     def test_round_trip(self):
         ops = (h_op(1), cnot_op(1, 4), cphase_op(1, 3, 2, 5))
-        from qdesk.gates import Circuit
-
         circ = Circuit(5, ops)
         text = circuit_to_text(circ)
         assert text == "H 1\nCNOT 1,4\nCPHASE 2,5 j=1 k=3\n"
@@ -399,6 +397,18 @@ class TestMainEntry:
         if payload["x"] is not None:
             total = sum(payload["distribution"].values())
             assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_factor_dump_after_a_shared_factor_is_empty(self, tmp_path, capsys):
+        # seed 0 draws x = 12, which shares a factor with 15: no circuit runs
+        dump = tmp_path / "d.json"
+        code = main(["factor", "--n", "15", "--seed", "0", "--max-attempts", "1",
+                     "--dump-distribution", str(dump)])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["attempts"][0]["x"] == 12
+        assert report["result"]["attempts"][0]["lucky_gcd"] is True
+        assert report["config"]["dump_distribution"] == str(dump)  # echoed: no _path suffix
+        assert dump.read_text() == '{\n  "N": 15,\n  "distribution": {},\n  "x": null\n}\n'
 
     def test_qft_emit_circuit(self, tmp_path, capsys):
         out = tmp_path / "qft.qc"
@@ -1167,3 +1177,13 @@ def test_factoring_holds_one_state_end_to_end():
     excess = (peak_rss_mb(["factor", "--n", "119", "--seed", "2", "--max-attempts", "1"])
               - peak_rss_mb(["factor", "--n", "15", "--seed", "1", "--max-attempts", "1"]))
     assert excess < 1.25 * state_mb
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: circuit_to_text(Circuit(1, (GateOp(np.eye(2), (1,), "ID"),))),
+     "gate 'ID' has no text form"),
+    (lambda: run(RunConfig("nope", 0, None, {})), "unknown command 'nope'"),
+], ids=["gate-without-text", "unknown-command"])
+def test_calls_from_outside_the_parser_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -209,3 +209,19 @@ class TestHadamardLayer:
         # the same kernel calls in the same order, so equal to the last bit
         got, expected = getattr(self, builder)(size)
         assert np.array_equal(got.amps, expected.amps)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: GateOp(np.ones((2, 4)), (1,)), ValueError,
+     r"gate matrix must be square, got shape \(2, 4\)"),
+    (lambda: GateOp(np.eye(16), (1, 2, 3, 4)), ValueError,
+     "gate matrix must act on 1-3 qubits, got dimension 16"),
+    (lambda: GateOp(np.array([[1, 0], [0, np.nan]]), (1,)), ValueError,
+     "gate matrix contains non-finite entries"),
+    (lambda: Circuit(0), ValueError, "circuit needs at least one wire"),
+    (lambda: Circuit(1, ("H",)), TypeError, "circuit ops must be GateOp, got str"),
+    (lambda: controlled_phase(-1, 2), ValueError, "j must be non-negative, got -1"),
+], ids=["non-square", "four-qubits", "non-finite", "no-wires", "not-a-GateOp", "negative-j"])
+def test_bad_gates_and_circuits_are_named(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()

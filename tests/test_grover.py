@@ -423,3 +423,12 @@ class TestSearchProblem:
     def test_marked_probability(self):
         problem = SearchProblem(2, (1,))
         assert marked_probability(uniform_state(2), problem) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("n_items, iterations, message", [
+    (4, -1, "iterations must be non-negative, got -1"),
+    (1, 0, "need at least 2 items, got 1"),
+], ids=["negative-iterations", "one-item"])
+def test_analytic_recurrence_names_a_bad_input(n_items, iterations, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        analytic_recurrence(n_items, iterations)

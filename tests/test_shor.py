@@ -404,6 +404,14 @@ class TestFactorPipeline:
         report = factor(33, max_attempts=8, rng_seed=2)
         assert sorted(report.factors) == [3, 11]
 
+    def test_an_over_cap_n_is_refused_before_the_trial_division(self, monkeypatch):
+        # trial division of a large N with no small factor would not finish
+        monkeypatch.setattr(shor, "is_trivial_case", lambda n: pytest.fail("trial division ran"))
+        n = (1 << 61) - 1  # a prime: its trial division runs up to 2^30.5
+        with pytest.raises(statevec.CapacityError,
+                           match=rf"^factoring N={n} needs 183 qubits \(cap 24\)$"):
+            factor(n, max_attempts=1, rng_seed=0)
+
     def test_reports_carry_history(self):
         report = factor(15, max_attempts=8, rng_seed=7)
         assert len(report.attempts) >= 1
@@ -497,3 +505,15 @@ class TestFactorPipeline:
             if r % 2 == 0 and pow(x, r // 2, n) != n - 1:
                 good += 1
         assert good / len(coprime) >= 0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: is_trivial_case(1), "N must be at least 2, got 1"),
+    (lambda: FactoringInstance(15, 0), r"x=0 out of range \[1, 15\)"),
+    (lambda: FactoringInstance(15, 15), r"x=15 out of range \[1, 15\)"),
+    (lambda: continued_fraction_candidates(-1, 256, 15), r"c=-1 out of range \[0, 256\)"),
+    (lambda: continued_fraction_candidates(256, 256, 15), r"c=256 out of range \[0, 256\)"),
+], ids=["N-below-2", "x-zero", "x-is-N", "c-below-0", "c-is-2^2L"])
+def test_out_of_range_inputs_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

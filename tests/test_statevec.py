@@ -789,3 +789,14 @@ class TestSeeding:
         state = random_state(rng, 4)
         many = [tuple(measure_all(state, s, 20)) for s in range(8)]
         assert len(set(many)) > 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: apply_permutation(init_basis(2, 0), np.arange(3)), ValueError,
+     r"permutation must have length 4, got \(3,\)"),
+    (lambda: measure_all(init_basis(2, 0), 0, 0), ValueError, "shots must be positive, got 0"),
+    (lambda: setattr(init_basis(1, 0), "amps", None), AttributeError, "StateVector is immutable"),
+], ids=["short-permutation", "no-shots", "assigned-field"])
+def test_bad_calls_are_named(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

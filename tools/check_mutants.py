@@ -42,12 +42,21 @@ class Mutant(NamedTuple):
 _STATEVEC = "src/qdesk/statevec.py"
 _GATES = "src/qdesk/gates.py"
 _CLI = "src/qdesk/cli.py"
+_GROVER = "src/qdesk/grover.py"
+_SHOR = "src/qdesk/shor.py"
+_QFT = "src/qdesk/qft.py"
 _EVERY_TUPLE = ("tests/test_statevec.py::TestStructuredPaths::"
                 "test_bit_identical_to_the_dense_kernel_on_every_wire_tuple")
 _MIXED = ("tests/test_statevec.py::TestStructuredPaths::"
           "test_bit_identical_to_the_dense_kernel_on_mixed_circuits")
 _STRUCTURE = ("tests/test_statevec.py::TestStructuredPaths::"
               "test_structure_is_read_once_from_the_matrix")
+_TWO_VALUE_SUM = ("tests/test_grover.py::TestTwoValueSum::"
+                  "test_sum_and_mean_are_numpys_bit_for_bit")
+_SAMPLING_GUARD = "tests/test_statevec.py::TestBlockedSampling::test_top_bin_guard_and_block_edges"
+_DRAWS_GUARD = "tests/test_statevec.py::TestInputDraws::test_top_bin_guard_and_block_edges"
+_PHASE_FORM = ("tests/test_qft.py::TestPhaseFormFidelity::"
+               "test_built_transforms_agree_with_the_circuit_referee")
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -110,6 +119,102 @@ MUTANTS: tuple[Mutant, ...] = (
         "    if output_path:\n",
         ("tests/test_cli.py::TestMainEntry::"
          "test_unwritable_path_is_one_reproducible_domain_error",),
+    ),
+    Mutant(
+        "leaves of 32 amplitudes", _GROVER,
+        "leaf_bits = min(k, 6)",
+        "leaf_bits = min(k, 5)",
+        (_TWO_VALUE_SUM,),
+    ),
+    Mutant(
+        "an unmarked half takes the first place", _GROVER,
+        "places.get(2 * p, all_a)",
+        "places.get(2 * p, 0)",
+        (_TWO_VALUE_SUM,),
+    ),
+    Mutant(
+        "no all-a pair", _GROVER,
+        "\n                      + [(all_a, all_a)])",
+        ")",
+        (_TWO_VALUE_SUM,),
+    ),
+    Mutant(
+        "no 2-column floor", _STATEVEC,
+        "width = max(1 << (values.size - 1).bit_length(), 2)",
+        "width = 1 << (values.size - 1).bit_length()",
+        ("tests/test_statevec.py::TestPeriodFinding::"
+         "test_the_columns_are_a_power_of_two_and_at_least_two",),
+    ),
+    Mutant(
+        "the marginal summed on the compact rows", _STATEVEC,
+        "        block[:, values] = (np.abs(amps) ** 2)[:, :len(values)]\n"
+        "        dist[start:start + step] = block.sum(axis=1)\n",
+        "        dist[start:start + step] = (np.abs(amps) ** 2).sum(axis=1)\n",
+        ("tests/test_shor.py::TestCircuit::test_dump_is_the_full_state_marginal_bit_for_bit",),
+    ),
+    Mutant(
+        "the CDF kept at each row's start", _STATEVEC,
+        "cdf[(row - 1 - start) % row::row]",
+        "cdf[(row - start) % row::row]",
+        ("tests/test_statevec.py::TestInputDraws::"
+         "test_draws_are_measure_all_outcomes_shifted", _DRAWS_GUARD),
+    ),
+    Mutant(
+        "the 1.0 guard on every block", _STATEVEC,
+        "        if end == state.amps.size:\n"
+        "            cdf[-1] = 1.0\n",
+        "        cdf[-1] = 1.0\n",
+        (_SAMPLING_GUARD, _DRAWS_GUARD),
+    ),
+    Mutant(
+        "measure_all counts entries < u", _STATEVEC,
+        'idx += np.searchsorted(cdf, u, side="right")',
+        'idx += np.searchsorted(cdf, u, side="left")',
+        (_SAMPLING_GUARD,),
+    ),
+    Mutant(
+        "an input draw counts row ends < u", _STATEVEC,
+        'yield int(np.searchsorted(ends, make_rng(seed).random(), side="right"))',
+        'yield int(np.searchsorted(ends, make_rng(seed).random(), side="left"))',
+        (_DRAWS_GUARD,),
+    ),
+    Mutant(
+        "renormalise instead of raising", _STATEVEC,
+        "            raise ValueError(\n"
+        "                f\"state is not normalized: sum |amp|^2 = {norm_sq!r} \"\n"
+        "                f\"(tolerance {NORM_TOL}); states are never renormalized silently\"\n"
+        "            )\n",
+        "            arr = arr / np.sqrt(norm_sq)\n",
+        ("tests/test_statevec.py::TestStateVectorInvariants::test_rejects_unnormalized",),
+    ),
+    Mutant(
+        "capacity checked after the trial division", _SHOR,
+        "    if n >= 2 and n % 2:\n"
+        "        statevec.require_qubits(3 * n.bit_length(), f\"factoring N={n}\")\n"
+        "    kind = is_trivial_case(n)\n",
+        "    kind = is_trivial_case(n)\n"
+        "    if n >= 2 and n % 2:\n"
+        "        statevec.require_qubits(3 * n.bit_length(), f\"factoring N={n}\")\n",
+        ("tests/test_shor.py::TestFactorPipeline::"
+         "test_an_over_cap_n_is_refused_before_the_trial_division",),
+    ),
+    Mutant(
+        "the last QFT op dropped", _QFT,
+        "    return Circuit(k, tuple(ops))",
+        "    return Circuit(k, tuple(ops[:-1]))",
+        ("tests/test_qft.py::TestBuildCircuit::test_gate_count_law", _PHASE_FORM),
+    ),
+    Mutant(
+        "an H adds pi/2, not pi", _QFT,
+        "form[carried[0], carried[0]] = modulus >> 1",
+        "form[carried[0], carried[0]] = modulus >> 2",
+        (_PHASE_FORM,),
+    ),
+    Mutant(
+        "a CPHASE angle doubled", _QFT,
+        "form[target, bit] += modulus >> (op.params[1] + 1 - op.params[0])",
+        "form[target, bit] += modulus >> (op.params[1] - op.params[0])",
+        (_PHASE_FORM,),
     ),
 )
 
