@@ -329,20 +329,14 @@ def _run_factor(shor: ModuleType, seed: int, params: dict[str, Any]) -> dict[str
     }
     dump_path = params.get("dump_distribution")
     if dump_path is not None:
-        circuit_attempts = [a for a in report.attempts if a.measured_c is not None]
-        if circuit_attempts:
-            x = circuit_attempts[-1].x
-            dist = shor.first_register_distribution(shor.FactoringInstance(n, x))
-            payload = {
-                "N": n,
-                "x": x,
-                "distribution": {
-                    str(c): float(p) for c, p in enumerate(dist) if p > 1e-15
-                },
-            }
-        else:
-            payload = {"N": n, "x": None, "distribution": {}}
-        _write_text(dump_path, [_dumps(payload)])
+        # the last attempt that ran the circuit; none when each shared a factor
+        x = next((a.x for a in reversed(report.attempts) if a.measured_c is not None), None)
+        dist = () if x is None else shor.first_register_distribution(shor.FactoringInstance(n, x))
+        _write_text(dump_path, [_dumps({
+            "N": n,
+            "x": x,
+            "distribution": {str(c): float(p) for c, p in enumerate(dist) if p > 1e-15},
+        })])
     return result
 
 
@@ -366,13 +360,12 @@ def _run_grover(grover: ModuleType, seed: int, params: dict[str, Any]) -> dict[s
 
 
 def _run_simon(simon: ModuleType, seed: int, params: dict[str, Any]) -> dict[str, Any]:
-    statevec = simon.statevec
     n = params["n"]
     c = int(params["c"], 2)
     max_rounds = params.get("max_rounds")
-    oracle = simon.make_oracle(n, c, statevec.derive_seed(seed, 0))
+    oracle = simon.make_oracle(n, c, simon.statevec.derive_seed(seed, 0))
     result = simon.run_simon(oracle, 4 * n if max_rounds is None else max_rounds,
-                             statevec.derive_seed(seed, 1))
+                             simon.statevec.derive_seed(seed, 1))
     return {
         "n": n,
         "c": format(c, f"0{n}b"),
@@ -386,33 +379,15 @@ def _run_simon(simon: ModuleType, seed: int, params: dict[str, Any]) -> dict[str
 def _run_simon_classical(simon: ModuleType, seed: int, params: dict[str, Any]) -> dict[str, Any]:
     import numpy as np
 
-    statevec = simon.statevec
-    n = params["n"]
-    trials = params["trials"]
-    if not 1 <= n <= simon.BASELINE_MAX_BITS:
-        raise ValueError(f"n must lie in [1, {simon.BASELINE_MAX_BITS}] for the baseline, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if trials > simon.BASELINE_MAX_TRIALS:
-        raise ValueError(f"trials={trials} is over the cap of {simon.BASELINE_MAX_TRIALS}")
-    shift_rng = statevec.make_rng(statevec.derive_seed(seed, 0))
-    queries = []
-    for i in range(trials):
-        c = int(shift_rng.integers(1, 1 << n))
-        oracle = simon.make_oracle(n, c, statevec.derive_seed(seed, i, 1))
-        outcome = simon.classical_query_baseline(oracle, statevec.derive_seed(seed, i, 2))
-        if oracle.f(0) != oracle.f(outcome.c):
-            raise AssertionError("classical collision produced a bad shift")
-        queries.append(outcome.queries)
-    arr = np.asarray(queries)
+    queries = np.asarray(simon.baseline_queries(params["n"], params["trials"], seed))
     return {
-        "n": n,
-        "trials": trials,
+        "n": params["n"],
+        "trials": params["trials"],
         "queries": {
-            "median": float(np.median(arr)),
-            "mean": float(arr.mean()),
-            "min": int(arr.min()),
-            "max": int(arr.max()),
+            "median": float(np.median(queries)),
+            "mean": float(queries.mean()),
+            "min": int(queries.min()),
+            "max": int(queries.max()),
         },
     }
 
@@ -467,16 +442,8 @@ def run(config: RunConfig) -> RunReport:
         raise ValueError(f"unknown command {config.command!r}")
     name, handler = _HANDLERS[config.command]
     result = handler(importlib.import_module(f".{name}", __package__), config.seed, config.params)
-    config_echo = {"seed": config.seed}
-    config_echo.update(
-        {k: v for k, v in config.params.items() if not k.endswith("_path")}
-    )
-    return RunReport(
-        command=config.command,
-        config=config_echo,
-        result=result,
-        version=__version__,
-    )
+    echo = {k: v for k, v in config.params.items() if not k.endswith("_path")}
+    return RunReport(config.command, {"seed": config.seed, **echo}, result, __version__)
 
 
 def _read_text(path: str) -> str:

@@ -155,21 +155,20 @@ def _two_value_sum(k: int, marked: np.ndarray) -> Callable[[complex, complex], n
     return total
 
 
-def _iterate_pair(a: np.complex128, b: np.complex128, problem: SearchProblem,
+def _iterate_pair(a: np.complex128, b: np.complex128, n_items: int,
                   total: Callable[[complex, complex], np.complex128]
                   ) -> tuple[np.complex128, np.complex128]:
     """One search iteration on the unmarked amplitude a and the marked one b.
 
     The same operations on the same inputs as the full-state step: the
-    oracle negates b as ``amps[marked] *= -1`` negates its gather of the
-    marked amplitudes, the mean is ``amps.mean()``'s sum over an intp
-    count, and each amplitude is subtracted from 2m, one exactly rounded
-    subtraction per component.
+    oracle negates b by the complex128 product with -1 that
+    ``amps[marked] *= -1`` makes on each marked amplitude (``-b`` would
+    also flip the sign of a zero imaginary part), the mean is
+    ``amps.mean()``'s sum over an intp count, and each amplitude is
+    subtracted from 2m, one exactly rounded subtraction per component.
     """
-    flipped = np.full(problem.marked.size, b)
-    flipped *= -1
-    b = flipped[0]
-    two_m = 2.0 * (total(a, b) / np.intp(problem.N))
+    b = b * np.complex128(-1)
+    two_m = 2.0 * (total(a, b) / np.intp(n_items))
     return two_m - a, two_m - b
 
 
@@ -188,7 +187,7 @@ def run_grover(problem: SearchProblem, rng_seed: int) -> GroverResult:
     a = b = statevec._hadamard_amplitude(problem.k)
     trace = [_marked_mass(b, count)]
     for _ in range(iterations):
-        a, b = _iterate_pair(a, b, problem, total)
+        a, b = _iterate_pair(a, b, problem.N, total)
         trace.append(_marked_mass(b, count))
     del total  # its leaf rows go before the state is filled
     amps = np.full(problem.N, a)

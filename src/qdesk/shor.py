@@ -221,7 +221,9 @@ def recover_order(inst: FactoringInstance, c: int) -> int | None:
     order is accepted only when the measurement actually supports it, i.e.
     c/2^(2L) lies within 2^-(L+1) of a nonzero multiple d/r - otherwise an
     uninformative c (such as 0, whose only convergent has numerator 0)
-    would be laundered into an answer it never witnessed.
+    would be laundered into an answer it never witnessed.  The test never
+    meets d = 0: that passes only for c <= 2^(L-1), where every convergent
+    with p >= 1 has q >= 2^(L+1) > N, so None has already been returned.
     """
     q_total = 1 << (2 * inst.L)
     exponents = (lam * q for p, q in continued_fraction_candidates(c, q_total, inst.N) if p
@@ -234,7 +236,7 @@ def recover_order(inst: FactoringInstance, c: int) -> int | None:
     # peak condition, in exact integers: |c/Q - d/r| <= 1/2^(L+1) for some d >= 1
     d = (2 * c * r + q_total) // (2 * q_total)  # nearest integer to c*r/Q
     half_width = 1 << (inst.L + 1)
-    if d == 0 or abs(c * r - d * q_total) * half_width > q_total * r:
+    if abs(c * r - d * q_total) * half_width > q_total * r:
         return None
     return r
 

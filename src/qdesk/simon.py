@@ -162,9 +162,14 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
         if len(samples) >= max_rounds:
             return SimonResult(None, len(samples), tuple(samples))
         samples.append(next(draws))
+    _spot_check(oracle, c)
+    return SimonResult(c, len(samples), tuple(samples))
+
+
+def _spot_check(oracle: SimonOracle, c: int) -> None:
+    """Raise unless the recovered shift c passes f(0) = f(c)."""
     if oracle.f(0) != oracle.f(c):
         raise ValueError("recovered shift fails the oracle spot check f(0) = f(c)")
-    return SimonResult(c, len(samples), tuple(samples))
 
 
 @dataclass(frozen=True)
@@ -192,3 +197,27 @@ def classical_query_baseline(oracle: SimonOracle, rng_seed: int) -> BaselineResu
             return BaselineResult(queries, x ^ seen[value])
         seen[value] = x
     raise AssertionError("a collision is forced once more than half the inputs are seen")
+
+
+def baseline_queries(n: int, trials: int, rng_seed: int) -> list[int]:
+    """The queries each of ``trials`` collision searches spends, in trial order.
+
+    Both caps are checked before any oracle is built.  Trial i draws its
+    shift from the stream ``derive_seed(rng_seed, 0)``, its oracle from
+    ``(rng_seed, i, 1)`` and its search from ``(rng_seed, i, 2)``.
+    """
+    if not 1 <= n <= BASELINE_MAX_BITS:
+        raise ValueError(f"n must lie in [1, {BASELINE_MAX_BITS}] for the baseline, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if trials > BASELINE_MAX_TRIALS:
+        raise ValueError(f"trials={trials} is over the cap of {BASELINE_MAX_TRIALS}")
+    shifts = statevec.make_rng(statevec.derive_seed(rng_seed, 0))
+    queries = []
+    for i in range(trials):
+        c = int(shifts.integers(1, 1 << n))
+        oracle = make_oracle(n, c, statevec.derive_seed(rng_seed, i, 1))
+        outcome = classical_query_baseline(oracle, statevec.derive_seed(rng_seed, i, 2))
+        _spot_check(oracle, outcome.c)
+        queries.append(outcome.queries)
+    return queries

@@ -1,6 +1,6 @@
 """The mutant table of ``tools/check_mutants.py`` still fits the sources.
 
-Running the mutants takes about 3 minutes, so the tier-1 suite only checks
+Running the mutants takes about 2 minutes, so the tier-1 suite only checks
 that each entry's old text occurs exactly once in its file under ``src/``
 and that each named test exists: a change that moves the code must update
 the table with it.  ``python3 tools/check_mutants.py`` runs them.

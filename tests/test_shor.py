@@ -351,6 +351,25 @@ class TestRecoverOrder:
             expected = r if witnessed and in_window else None
             assert recover_order(inst, c) == expected, c
 
+    @pytest.mark.parametrize("n", [n for n in range(15, 64)
+                                   if is_trivial_case(n) == "composite-ok"])
+    def test_a_zero_nearest_multiple_returns_none(self, n):
+        # d = 0 passes the peak test only for c <= 2^(L-1), and for those c
+        # no convergent with p >= 1 has q < N: recover_order needs no d >= 1
+        # clause, as no exponent is ever tried
+        L = n.bit_length()
+        q_total = 1 << (2 * L)
+        for x in (x for x in range(1, n) if math.gcd(x, n) == 1):
+            inst = FactoringInstance(n, x)
+            r = multiplicative_order(x, n)
+            for c in range(q_total):
+                if (2 * c * r + q_total) // (2 * q_total) != 0:  # d, as recover_order rounds it
+                    break
+                assert recover_order(inst, c) is None, (x, c)
+                if c <= 1 << (L - 1):
+                    assert not any(p for p, _ in continued_fraction_candidates(c, q_total, n)), \
+                        (x, c)
+
     def test_never_returns_unverified(self):
         inst = FactoringInstance(15, 7)
         for c in range(0, 256, 7):

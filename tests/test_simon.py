@@ -3,8 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdesk import statevec
+from qdesk import simon, statevec
 from qdesk.simon import (
+    BASELINE_MAX_TRIALS,
+    BaselineResult,
+    baseline_queries,
     classical_query_baseline,
     gf2_rank,
     make_oracle,
@@ -247,6 +250,56 @@ class TestClassicalBaseline:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             classical_query_baseline(make_oracle(9, 1, 0), rng_seed=0)
+
+
+_N_RANGE = "n must lie in [1, 8] for the baseline, got {}"
+
+
+class TestBaselineQueries:
+    @pytest.mark.parametrize("n, trials, message", [
+        (0, 3, _N_RANGE.format(0)),
+        (9, 3, _N_RANGE.format(9)),
+        (-1, 0, _N_RANGE.format(-1)),  # n before trials
+        (9, BASELINE_MAX_TRIALS + 1, _N_RANGE.format(9)),
+        (3, 0, "trials must be positive, got 0"),
+        (3, -5, "trials must be positive, got -5"),
+        (3, BASELINE_MAX_TRIALS + 1, f"trials={BASELINE_MAX_TRIALS + 1} is over the cap of "
+                                     f"{BASELINE_MAX_TRIALS}"),
+    ])
+    def test_out_of_range_is_refused_before_any_oracle(self, n, trials, message, monkeypatch):
+        monkeypatch.setattr(simon, "make_oracle", lambda *args: pytest.fail("an oracle was built"))
+        with pytest.raises(ValueError) as refused:
+            baseline_queries(n, trials, rng_seed=1)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_trials_follow_their_seed_paths(self, n):
+        seed = 11
+        shifts = statevec.make_rng(statevec.derive_seed(seed, 0))
+        expected = []
+        for i in range(6):
+            oracle = make_oracle(n, int(shifts.integers(1, 1 << n)),
+                                 statevec.derive_seed(seed, i, 1))
+            expected.append(
+                classical_query_baseline(oracle, statevec.derive_seed(seed, i, 2)).queries)
+        assert baseline_queries(n, 6, rng_seed=seed) == expected
+
+    def test_a_bad_shift_fails_the_spot_check_as_in_run_simon(self, monkeypatch):
+        message = "recovered shift fails the oracle spot check f(0) = f(c)"
+        oracle = make_oracle(3, 0b101, rng_seed=2)
+        monkeypatch.setattr(simon, "recover_shift", lambda rows, n: 0b011)
+        with pytest.raises(ValueError) as in_run_simon:
+            run_simon(oracle, max_rounds=12, rng_seed=0)
+
+        def miss(oracle, rng_seed):
+            # a shift neither 0 nor the oracle's own
+            return BaselineResult(2, next(x for x in range(1, 1 << oracle.n)
+                                          if oracle.f(x) != oracle.f(0)))
+
+        monkeypatch.setattr(simon, "classical_query_baseline", miss)
+        with pytest.raises(ValueError) as in_baseline:
+            baseline_queries(3, 4, rng_seed=0)
+        assert str(in_run_simon.value) == str(in_baseline.value) == message
 
 
 class TestCostAccounting:

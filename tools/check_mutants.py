@@ -9,11 +9,14 @@ of its text, the text that replaces it, and the test node ids that must
 fail once it is replaced.  The checkout, without its git and cache
 directories, is copied to the git-ignored ``.mutants_work/``.  There the
 named tests first run on the unchanged code, where they must all pass;
-then each mutant is applied alone and only its own tests run.  A mutant is
-killed when every named test fails (for a parametrized test, when at least
-one of its cases fails).  The exit status is 1 if any old text does not
-occur exactly once in its file, if a named test fails on the unchanged
-code, or if any mutant survives.  ``tests/test_mutants.py`` checks the
+then each mutant is applied alone and each of its own tests runs in a
+pytest call of its own with ``-x``, which stops at the test's first failing
+case.  A call that exits 1 means that test killed the mutant, 0 that the
+mutant survived it, and any other exit status (a collection or usage
+error) is a tool error.  A mutant is killed when every named test kills
+it.  The exit status is 1 if any old text does not occur exactly once in
+its file, if a named test fails on the unchanged code, if any mutant
+survives, or on any tool error.  ``tests/test_mutants.py`` checks the
 table against the sources in the tier-1 suite, so a change that moves the
 code must update its entries with it.
 """
@@ -224,27 +227,23 @@ def occurrences(root: Path, mutant: Mutant) -> int:
     return (root / mutant.file).read_text(encoding="utf-8").count(mutant.old)
 
 
-def run_tests(work: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
-    """pytest on the named tests of the copy in ``work``, with its own ``src/``."""
+def pytest(work: Path, *args: str) -> subprocess.CompletedProcess:
+    """pytest with ``args`` on the copy in ``work``, with its own ``src/``."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
         cwd=work, env=env, capture_output=True, text=True)
 
 
-def survivors(work: Path, mutant: Mutant) -> list[str]:
-    """The named tests that did not fail with the mutant applied in ``work``."""
+def mutant_runs(work: Path, mutant: Mutant) -> dict[str, subprocess.CompletedProcess]:
+    """Each named test's own ``-x`` run with the mutant applied in ``work``."""
     target = work / mutant.file
     original = target.read_text(encoding="utf-8")
     target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
     try:
-        run = run_tests(work, mutant.tests)
+        return {test: pytest(work, "-x", test) for test in mutant.tests}
     finally:
         target.write_text(original, encoding="utf-8")
-    failed = [line.split()[1] for line in run.stdout.splitlines()
-              if line.startswith("FAILED ")]
-    return [test for test in mutant.tests
-            if not any(f == test or f.startswith(test + "[") for f in failed)]
 
 
 def main() -> int:
@@ -265,17 +264,23 @@ def main() -> int:
     shutil.copytree(root, work, ignore=shutil.ignore_patterns(
         ".git", WORK_DIR, "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work"))
     named = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
-    baseline = run_tests(work, named)
+    baseline = pytest(work, *named)
     if baseline.returncode != 0:
-        print(f"the named tests do not pass on the unchanged code:\n{baseline.stdout}")
+        print("the named tests do not pass on the unchanged code:\n"
+              f"{baseline.stdout}{baseline.stderr}")
         return 1
     for mutant in MUTANTS:
         start = time.perf_counter()
-        alive = survivors(work, mutant)
-        verdict = f"SURVIVED ({', '.join(alive)})" if alive else "killed"
+        runs = mutant_runs(work, mutant)
+        errors = {test: run for test, run in runs.items() if run.returncode not in (0, 1)}
+        alive = [test for test, run in runs.items() if run.returncode == 0]
+        for test, run in errors.items():
+            print(f"pytest exited {run.returncode} on {test}:\n{run.stdout}{run.stderr}")
+        verdict = (f"TOOL ERROR ({', '.join(errors)})" if errors
+                   else f"SURVIVED ({', '.join(alive)})" if alive else "killed")
         print(f"{mutant.name}: {verdict} in {time.perf_counter() - start:.1f} s", flush=True)
-        bad += bool(alive)
-    print(f"{len(MUTANTS)} mutants, {bad} survived")
+        bad += bool(errors or alive)
+    print(f"{len(MUTANTS)} mutants, {bad} not killed")
     return 1 if bad else 0
 
 
