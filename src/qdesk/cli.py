@@ -144,7 +144,7 @@ def _distribution_chunks(blocks: Iterable[np.ndarray], width: int, indent: str) 
         for first in range(0, kept.size, _LINES_PER_CHUNK):
             index = kept[first:first + _LINES_PER_CHUNK]
             values, which = np.unique(block[index], return_inverse=True)
-            texts = [repr(float(f"{p:.12g}")) for p in values.tolist()]
+            texts = [repr(_round_floats(p)) for p in values.tolist()]
             yield opening + separator.join(
                 f'"{format(i, key)}": {texts[t]}'
                 for i, t in zip((index + start).tolist(), which.tolist()))
@@ -419,7 +419,7 @@ def _run_circuit_file(statevec: ModuleType, seed: int, params: dict[str, Any]) -
         "n_wires": circuit.n_wires,
         "ops": len(circuit),
         # the report writes the state as its outcome law (RunReport.chunks)
-        "distribution": statevec._Machine.basis(circuit.n_wires, 0).run(circuit).freeze(),
+        "distribution": statevec._evolve(statevec._basis(circuit.n_wires, 0), circuit),
     }
 
 

@@ -160,14 +160,15 @@ def _iterate_pair(a: np.complex128, b: np.complex128, n_items: int,
                   ) -> tuple[np.complex128, np.complex128]:
     """One search iteration on the unmarked amplitude a and the marked one b.
 
-    The same operations on the same inputs as the full-state step: the
-    oracle negates b by the complex128 product with -1 that
-    ``amps[marked] *= -1`` makes on each marked amplitude (``-b`` would
-    also flip the sign of a zero imaginary part), the mean is
-    ``amps.mean()``'s sum over an intp count, and each amplitude is
-    subtracted from 2m, one exactly rounded subtraction per component.
+    The same results as the full-state step: the oracle negates b (where
+    ``amps[marked] *= -1`` may leave the other sign on a zero imaginary
+    part, the bits after the step cannot differ: the mean sums at least
+    one unmarked amplitude (t < N), whose imaginary part is +0, so 2m's is
+    +0, and +0 - (+-0) = +0), the mean is ``amps.mean()``'s sum over an
+    intp count, and each amplitude is subtracted from 2m, one exactly
+    rounded subtraction per component.
     """
-    b = b * np.complex128(-1)
+    b = -b
     two_m = 2.0 * (total(a, b) / np.intp(n_items))
     return two_m - a, two_m - b
 

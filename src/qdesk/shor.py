@@ -12,12 +12,12 @@ multiplicative order of x.  Continued-fraction convergents of c/2^(2L)
 recover r, and gcd(x^(r/2) +- 1, N) splits N when r is even and
 x^(r/2) is not congruent to -1.
 
-No gate-level modular arithmetic is simulated: the state after the load
-and the oracle, amplitude 2^-L at each (a, x^a mod N), is written straight
-into a buffer that keeps only the r values the powers take (padded to a
-power of two), and the transform runs on it once (see
-``statevec._Machine.period_finding``), and only ``statevec`` reads its
-layout: this module hands over the orbit and gets back c or its law.
+No gate-level modular arithmetic is simulated: ``statevec._period_finding``
+writes the state after the load and the oracle, amplitude 2^-L at each
+(a, x^a mod N), straight into a buffer that keeps only the r values the
+powers take (padded to a power of two), and runs the transform on it once.
+Only ``statevec`` reads that layout: this module hands over the orbit and
+gets back c or its law.
 """
 
 from __future__ import annotations
@@ -165,11 +165,10 @@ def order_finding_state(inst: FactoringInstance) -> statevec.StateVector:
         statevec.require_qubits(inst.n_qubits, f"factoring N={inst.N}")
         two_l = 2 * inst.L
         transform = build_qft_circuit(QftSpec(two_l))
-        # the table is handed over, not kept, so the machine frees it before
-        # the transform runs
-        machine = statevec._Machine.period_finding(
+        # the table is handed over, not kept, so it is freed before the
+        # transform runs
+        _states[inst] = statevec._period_finding(
             transform, _power_table(inst.x, inst.N, 1 << two_l), inst.L)
-        _states[inst] = machine.freeze()
     return _states[inst]
 
 

@@ -75,7 +75,7 @@ def sampling_state(oracle: SimonOracle) -> statevec.StateVector:
     which the state keeps the 2^(n-1) values f takes, padded to at least 2.
     """
     transform = hadamard_layer(oracle.n)
-    return statevec._Machine.period_finding(transform, oracle.table, oracle.n).freeze()
+    return statevec._period_finding(transform, oracle.table, oracle.n)
 
 
 def _echelon(rows: list[int]) -> dict[int, int]:

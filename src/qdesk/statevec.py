@@ -8,7 +8,8 @@ Conventions
 * A :class:`StateVector` is an immutable value; every public operation
   returns a new state.  Normalization is checked (tolerance 1e-10) and never
   silently repaired - an unnormalized array is an error.  Inside the
-  package, a run evolves one private :class:`_Machine` buffer in place.
+  package, a run evolves a buffer in place (:func:`_evolve`) and the state
+  it returns shares that buffer, read-only.
 * Randomness comes from numpy's PCG64 bit generator.  Measurement samples
   are drawn by inverse-CDF lookup of uniform variates on the cumulative
   distribution, so a fixed seed reproduces the exact sample sequence on any
@@ -117,136 +118,121 @@ def init_basis(n_qubits: int, index: int) -> StateVector:
     Wire 1 is the most significant bit of the index: ``init_basis(3, 4)``
     puts the excitation on wire 1 (binary 100).
     """
-    return _Machine.basis(n_qubits, index).freeze()
+    return StateVector(n_qubits, _basis(n_qubits, index), copy=False)
 
 
-class _Machine:
-    """One register evolved in place in the one writable buffer it owns.
+def _basis(n_qubits: int, index: int) -> np.ndarray:
+    """A new buffer holding the basis state with amplitude 1 at ``index``."""
+    require_qubits(n_qubits, "a basis state")
+    dim = 1 << n_qubits
+    index = int(index)
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} out of range [0, {dim})")
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[index] = 1.0
+    return amps
 
-    Steps return the machine, so they chain; :meth:`freeze` validates the
-    buffer once and hands it to a :class:`StateVector`, keeping no reference.
+
+def _period_finding(transform: Circuit, table: np.ndarray, out_bits: int) -> StateVector:
+    """|0>, H on the input register, the XOR oracle, then ``transform``.
+
+    The input register is the top m = ``transform.n_wires`` wires, above
+    the ``out_bits`` the oracle writes.  H^m is the Fourier transform
+    over Z_2^m (Simon) and the QFT the one over Z_(2^2L) (order
+    finding).  Neither algorithm reads the output register, so the
+    state keeps only the values the table takes: row a is the input
+    value a, and the columns are the distinct table values in ascending
+    order, padded with zero columns to a power of two and never fewer
+    than 2 (with one, numpy's matrix-vector product rounds differently).
+    Only :func:`_input_draws` and :func:`_input_marginal` read this layout.
+
+    The amplitude (1/sqrt 2)^m, multiplied up as the H layer multiplies
+    it, goes at (a, column of table[a]), and ``transform`` runs once.
+    Its product on a column does not depend on the columns beside it, so
+    each column is bit for bit the full run's column at that value, and
+    the full run's other columns are exactly zero (the tests compare them).
     """
+    m = transform.n_wires
+    values, column = np.unique(_oracle_table(table, 1 << m, out_bits), return_inverse=True)
+    width = max(1 << (values.size - 1).bit_length(), 2)
+    amps = np.zeros(width << m, dtype=np.complex128)
+    amps.reshape(-1, width)[np.arange(1 << m), column] = _hadamard_amplitude(m)
+    del table, column  # the table is freed here when the caller kept no reference
+    return _evolve(amps, transform)
 
-    def __init__(self, amps: np.ndarray):
-        self.n_qubits = amps.size.bit_length() - 1  # a buffer of 2^n amplitudes
-        self.amps = amps
 
-    @classmethod
-    def basis(cls, n_qubits: int, index: int) -> _Machine:
-        """A machine holding the basis state with amplitude 1 at ``index``."""
-        require_qubits(n_qubits, "a basis state")
-        dim = 1 << n_qubits
-        index = int(index)
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} out of range [0, {dim})")
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(amps)
+def _evolve(amps: np.ndarray, circuit: Circuit) -> StateVector:
+    """The gate kernel: apply a circuit's ops in order to ``amps``, in place.
 
-    @classmethod
-    def period_finding(cls, transform: Circuit, table: np.ndarray, out_bits: int) -> _Machine:
-        """|0>, H on the input register, the XOR oracle, then ``transform``.
+    ``amps`` is a writable buffer of 2^n amplitudes that the caller hands
+    over: the state returned shares it and marks it read-only.  The
+    circuit acts on the top wires (see :func:`run_circuit`).  Views the
+    buffer as a (2,)*n tensor (wire w is axis w-1) and, per gate,
+    moves its wires' axes to the front (its first wire the high bit), so
+    row r of the 2^k x 2^(n-k) unfolding is the slice ``full[r's bits]``.
+    Each gate then runs one column block at a time: a block fixes the
+    first n - 15 of the other axes (the highest wires the gate does not
+    touch) to one prefix, so it holds 2^15 amplitudes, 512 KB; a state
+    of 2^15 amplitudes or fewer is one block.  A block is 2^(15-k) whole
+    columns of the unfolding, at least 2^12 for gates of up to three
+    wires, and its product is bit-identical to those columns of the
+    whole-state product (the tests compare blocked and unblocked runs).
+    Two paths per block, the second bit-identical to the first:
 
-        The input register is the top m = ``transform.n_wires`` wires, above
-        the ``out_bits`` the oracle writes.  H^m is the Fourier transform
-        over Z_2^m (Simon) and the QFT the one over Z_(2^2L) (order
-        finding).  Neither algorithm reads the output register, so the
-        machine keeps only the values the table takes: row a is the input
-        value a, and the columns are the distinct table values in ascending
-        order, padded with zero columns to a power of two and never fewer
-        than 2 (with one, numpy's matrix-vector product rounds differently).
-        Only :func:`_input_draws` and :func:`_input_marginal` read this layout.
+    * dense (H, any other gate): gather the block into one scratch array,
+      multiply its unfolding by the matrix into the other, write back;
+    * changed rows (CPHASE, SWAP, CNOT, TOFFOLI, any permutation times a
+      diagonal; ``GateOp.changed_rows``): gather the slice each changed
+      row reads into that row's place in the first scratch array, then
+      write each to its row, through a (1,1) @ (1,m) ``np.matmul`` into
+      the second where its entry is not 1 (the BLAS product; numpy's
+      ``*`` differs by an ulp).  Sources go through scratch, because
+      assigning one view of the buffer to another makes numpy copy the
+      source into a hidden temporary.
 
-        The amplitude (1/sqrt 2)^m, multiplied up as the H layer multiplies
-        it, goes at (a, column of table[a]), and ``transform`` runs once.
-        Its product on a column does not depend on the columns beside it, so
-        each column is bit for bit the full run's column at that value, and
-        the full run's other columns are exactly zero (the tests compare them).
-        """
-        m = transform.n_wires
-        values, column = np.unique(_oracle_table(table, 1 << m, out_bits), return_inverse=True)
-        width = max(1 << (values.size - 1).bit_length(), 2)
-        amps = np.zeros(width << m, dtype=np.complex128)
-        amps.reshape(-1, width)[np.arange(1 << m), column] = _hadamard_amplitude(m)
-        del table, column  # the table is freed here when the caller kept no reference
-        return cls(amps).run(transform)
-
-    def run(self, circuit: Circuit) -> _Machine:
-        """The gate kernel: apply a circuit's ops in order, in place.
-
-        The circuit acts on the top wires (see :func:`run_circuit`).  Views
-        the buffer as a (2,)*n tensor (wire w is axis w-1) and, per gate,
-        moves its wires' axes to the front (its first wire the high bit), so
-        row r of the 2^k x 2^(n-k) unfolding is the slice ``full[r's bits]``.
-        Each gate then runs one column block at a time: a block fixes the
-        first n - 15 of the other axes (the highest wires the gate does not
-        touch) to one prefix, so it holds 2^15 amplitudes, 512 KB; a state
-        of 2^15 amplitudes or fewer is one block.  A block is 2^(15-k) whole
-        columns of the unfolding, at least 2^12 for gates of up to three
-        wires, and its product is bit-identical to those columns of the
-        whole-state product (the tests compare blocked and unblocked runs).
-        Two paths per block, the second bit-identical to the first:
-
-        * dense (H, any other gate): gather the block into one scratch array,
-          multiply its unfolding by the matrix into the other, write back;
-        * changed rows (CPHASE, SWAP, CNOT, TOFFOLI, any permutation times a
-          diagonal; ``GateOp.changed_rows``): gather the slice each changed
-          row reads into that row's place in the first scratch array, then
-          write each to its row, through a (1,1) @ (1,m) ``np.matmul`` into
-          the second where its entry is not 1 (the BLAS product; numpy's
-          ``*`` differs by an ulp).  Sources go through scratch, because
-          assigning one view of the buffer to another makes numpy copy the
-          source into a hidden temporary.
-
-        The changed-rows path needs at least 4 columns: with 1 or 2, the
-        (1,1) product differs from the dense one in most cases.  The two
-        block-sized scratch arrays are allocated once per call and no gate
-        allocates, so apart from the buffer a call holds 1 MB at most.
-        """
-        if circuit.n_wires > self.n_qubits:
-            raise ValueError(
-                f"circuit needs {circuit.n_wires} wires but state has {self.n_qubits}")
-        n = self.n_qubits
-        tensor = self.amps.reshape((2,) * n)
-        lead = max(n - _BLOCK_BITS, 0)
-        prefixes = list(itertools.product((0, 1), repeat=lead))
-        gathered = np.empty(self.amps.size >> lead, dtype=self.amps.dtype)
-        product = np.empty_like(gathered)
-        # a block's axes: the gate's k wires, then the n - lead - k it leaves free
-        block_in, block_out = (a.reshape((2,) * (n - lead)) for a in (gathered, product))
-        for gate in circuit.ops:
-            axes = [w - 1 for w in gate.wires]
-            k = len(axes)
-            # np.moveaxis(tensor, axes, range(k)), without its checks, which
-            # took most of a one-block gate's time
-            full = tensor.transpose(axes + [a for a in range(n) if a not in axes])
-            width = gathered.size >> k
-            rows = gate.changed_rows if width >= 4 else None
-            if rows is not None:  # each changed row with its slot in the block scratch
-                slots = [(row, read, entry, block_in[row]) for row, read, entry in rows]
-            for prefix in prefixes:
-                if rows is not None:
-                    # a slice index followed by the prefix is that row of the block
-                    for _, read, _, part in slots:
-                        np.copyto(part, full[read + prefix])
-                    for row, _, entry, part in slots:
-                        if entry is not None:
-                            out = block_out[row]
-                            np.matmul(entry, part.reshape(1, width), out=out.reshape(1, width))
-                            part = out
-                        full[row + prefix] = part
-                else:
-                    view = full[(slice(None),) * k + prefix]
-                    np.copyto(block_in, view)
-                    np.matmul(gate.matrix, gathered.reshape(1 << k, -1),
-                              out=product.reshape(1 << k, -1))
-                    view[...] = block_out
-        return self
-
-    def freeze(self) -> StateVector:
-        """Validate the buffer once and return it as an immutable state."""
-        amps, self.amps = self.amps, None
-        return StateVector(self.n_qubits, amps, copy=False)
+    The changed-rows path needs at least 4 columns: with 1 or 2, the
+    (1,1) product differs from the dense one in most cases.  The two
+    block-sized scratch arrays are allocated once per call and no gate
+    allocates, so apart from the buffer a call holds 1 MB at most.
+    """
+    n = amps.size.bit_length() - 1
+    if circuit.n_wires > n:
+        raise ValueError(f"circuit needs {circuit.n_wires} wires but state has {n}")
+    tensor = amps.reshape((2,) * n)
+    lead = max(n - _BLOCK_BITS, 0)
+    prefixes = list(itertools.product((0, 1), repeat=lead))
+    gathered = np.empty(amps.size >> lead, dtype=amps.dtype)
+    product = np.empty_like(gathered)
+    # a block's axes: the gate's k wires, then the n - lead - k it leaves free
+    block_in, block_out = (a.reshape((2,) * (n - lead)) for a in (gathered, product))
+    for gate in circuit.ops:
+        axes = [w - 1 for w in gate.wires]
+        k = len(axes)
+        # np.moveaxis(tensor, axes, range(k)), without its checks, which
+        # took most of a one-block gate's time
+        full = tensor.transpose(axes + [a for a in range(n) if a not in axes])
+        width = gathered.size >> k
+        rows = gate.changed_rows if width >= 4 else None
+        if rows is not None:  # each changed row with its slot in the block scratch
+            slots = [(row, read, entry, block_in[row]) for row, read, entry in rows]
+        for prefix in prefixes:
+            if rows is not None:
+                # a slice index followed by the prefix is that row of the block
+                for _, read, _, part in slots:
+                    np.copyto(part, full[read + prefix])
+                for row, _, entry, part in slots:
+                    if entry is not None:
+                        out = block_out[row]
+                        np.matmul(entry, part.reshape(1, width), out=out.reshape(1, width))
+                        part = out
+                    full[row + prefix] = part
+            else:
+                view = full[(slice(None),) * k + prefix]
+                np.copyto(block_in, view)
+                np.matmul(gate.matrix, gathered.reshape(1 << k, -1),
+                          out=product.reshape(1 << k, -1))
+                view[...] = block_out
+    return StateVector(n, amps, copy=False)
 
 
 def _hadamard_amplitude(m: int) -> np.complex128:
@@ -286,7 +272,7 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     ``GateOp`` and ``Circuit`` have already checked every op's wires
     against 1 and ``n_wires``.
     """
-    return _Machine(state.amps.copy()).run(circuit).freeze()
+    return _evolve(state.amps.copy(), circuit)
 
 
 def apply_permutation(state: StateVector, perm: np.ndarray) -> StateVector:

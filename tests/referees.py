@@ -93,7 +93,7 @@ def analytic_distribution(inst: shor.FactoringInstance) -> np.ndarray:
 
 def uniform_state(k: int) -> statevec.StateVector:
     """Equal superposition of all 2^k indices, built from Hadamards."""
-    return statevec._Machine.basis(k, 0).run(hadamard_layer(k)).freeze()
+    return statevec._evolve(statevec._basis(k, 0), hadamard_layer(k))
 
 
 def _reflect_inplace(amps: np.ndarray) -> None:
@@ -131,15 +131,14 @@ def run_grover_full_state(problem: grover.SearchProblem,
     marked probability is summed from a gather of the marked amplitudes.
     """
     marked = problem.marked
-    machine = statevec._Machine(np.full(problem.N, statevec._hadamard_amplitude(problem.k)))
-    amps = machine.amps
+    amps = np.full(problem.N, statevec._hadamard_amplitude(problem.k))
     iterations = grover.iteration_schedule(problem.N, marked.size)
     trace = [float(sum(np.abs(amps[marked]) ** 2))]
     for _ in range(iterations):
         amps[marked] *= -1
         _reflect_inplace(amps)
         trace.append(float(sum(np.abs(amps[marked]) ** 2)))
-    state = machine.freeze()
+    state = statevec.StateVector(problem.k, amps, copy=False)
     outcome = statevec.measure_all(state, rng_seed, 1)[0]
     result = grover.GroverResult(
         found=outcome,
@@ -217,7 +216,7 @@ def apply_xor_oracle(state: statevec.StateVector, table: np.ndarray,
 
     The low ``out_bits`` wires hold w and the wires above them hold a, so
     ``table`` has one entry per value of a, each an ``out_bits``-bit value;
-    the table is checked as ``_Machine.period_finding`` checks it.  XOR
+    the table is checked as ``statevec._period_finding`` checks it.  XOR
     permutes each row of fixed a, so no bijection check is needed.  Each
     chunk of rows, about one kernel block, is copied into one scratch
     array and put back permuted, so no 2^n-entry permutation is built.
@@ -249,7 +248,7 @@ def gate_by_gate_period_finding(transform: Circuit, table: np.ndarray,
 
 def expand_live_columns(state: statevec.StateVector, table: np.ndarray,
                         out_bits: int) -> statevec.StateVector:
-    """The full-width state that a ``_Machine.period_finding`` state stands for.
+    """The full-width state that a ``statevec._period_finding`` state stands for.
 
     Row a of ``state`` is the input value a, and its columns are the
     distinct ``table`` values in ascending order, then zero pad columns up
@@ -345,7 +344,9 @@ def qft_fidelity(circuit: Circuit) -> float:
     columns = np.empty((width, dim), dtype=np.complex128)
     for first in range(0, dim, width):
         inputs[((first + slots) << low) | slots] = 1.0 / lift
-        out = statevec._Machine(inputs.view()).run(circuit).freeze().amps
+        # the kernel's state marks the array it is handed read-only, so it
+        # gets a view and ``inputs`` stays writable for the next batch
+        out = statevec._evolve(inputs.view(), circuit).amps
         # contiguous rows, so np.vdot sums each one as it summed a single state
         np.multiply(out.reshape(dim, width).T, lift, out=columns)
         inputs.fill(0)

@@ -151,14 +151,14 @@ class TestCircuit:
         powers = shor._power_table(x, n, 1 << (2 * inst.L))
         expected = apply_xor_oracle(state, powers, inst.L)
         # an empty transform leaves the loaded state
-        loaded = statevec._Machine.period_finding(Circuit(2 * inst.L), powers, inst.L).freeze()
+        loaded = statevec._period_finding(Circuit(2 * inst.L), powers, inst.L)
         assert np.array_equal(expand_live_columns(loaded, powers, inst.L).amps, expected.amps)
 
     def test_second_register_holds_orbit(self):
         # before the transform the value register carries exactly the powers
         inst = FactoringInstance(15, 7)
         powers = shor._power_table(7, 15, 1 << (2 * inst.L))
-        state = statevec._Machine.period_finding(Circuit(2 * inst.L), powers, inst.L).freeze()
+        state = statevec._period_finding(Circuit(2 * inst.L), powers, inst.L)
         probs = np.abs(expand_live_columns(state, powers, inst.L).amps) ** 2
         values = {
             extract_register(s, inst.n_qubits, 2 * inst.L + 1, inst.n_qubits)
@@ -188,14 +188,13 @@ class TestCircuit:
         inst = FactoringInstance(33, 2)
         two_l = 2 * inst.L
         runs = []
-        machine = statevec._Machine
-        real_run = machine.run
+        real_evolve = statevec._evolve
 
-        def counting_run(self, circuit):
-            runs.append((self.n_qubits, [(op.name, op.wires) for op in circuit.ops]))
-            return real_run(self, circuit)
+        def counting_evolve(amps, circuit):
+            runs.append((amps.size.bit_length() - 1, [(op.name, op.wires) for op in circuit.ops]))
+            return real_evolve(amps, circuit)
 
-        monkeypatch.setattr(machine, "run", counting_run)
+        monkeypatch.setattr(statevec, "_evolve", counting_evolve)
         monkeypatch.setattr(shor, "_states", {})
         order_finding_state(inst)
         qft_ops = [(op.name, op.wires) for op in build_qft_circuit(QftSpec(two_l)).ops]

@@ -332,14 +332,13 @@ class TestCostAccounting:
         n = 8
         oracle = make_oracle(n, 0b11000101, rng_seed=1)
         runs = []
-        machine = statevec._Machine
-        real_run = machine.run
+        real_evolve = statevec._evolve
 
-        def counting_run(self, circuit):
-            runs.append((self.n_qubits, [op.name for op in circuit.ops]))
-            return real_run(self, circuit)
+        def counting_evolve(amps, circuit):
+            runs.append((amps.size.bit_length() - 1, [op.name for op in circuit.ops]))
+            return real_evolve(amps, circuit)
 
-        monkeypatch.setattr(machine, "run", counting_run)
+        monkeypatch.setattr(statevec, "_evolve", counting_evolve)
         run_simon(oracle, max_rounds=4 * n, rng_seed=0)
         assert runs == [(n + 7, ["H"] * n)]
 

@@ -21,10 +21,12 @@ SRC = ROOT / "src" / "qdesk"
 #: Library features the README documents that no command calls.
 FEATURES = {"statevec.init_basis"}
 
-#: The private ``statevec`` names other modules read: the machine, the
+#: The private ``statevec`` names other modules read: the gate kernel on a
+#: handed-over buffer, the basis buffer, the period-finding builder, the
 #: amplitude of its H layer, and the two readers of a period-finding state,
 #: which keep that state's layout beside the code that builds it.
-STATEVEC_PRIVATE = {"_Machine", "_hadamard_amplitude", "_input_draws", "_input_marginal"}
+STATEVEC_PRIVATE = {"_evolve", "_basis", "_period_finding", "_hadamard_amplitude",
+                    "_input_draws", "_input_marginal"}
 
 
 def defined_names(tree: ast.Module) -> list[str]:

@@ -714,10 +714,17 @@ class TestRunCircuit:
         with pytest.raises(ValueError):
             run_circuit(init_basis(1, 0), gates.Circuit(2, (gates.h_op(2),)))
 
+    def test_the_kernel_state_is_the_buffer_it_was_handed_read_only(self):
+        amps = statevec._basis(3, 0)
+        state = statevec._evolve(amps, gates.hadamard_layer(3))
+        assert np.shares_memory(state.amps, amps)
+        with pytest.raises(ValueError, match="read-only"):
+            amps[0] = 0
+
 
 def assert_period_finding_is_the_gate_by_gate_run(transform, table, out_bits):
     # expand_live_columns asserts the layout and that the pad columns are 0
-    state = statevec._Machine.period_finding(transform, table, out_bits).freeze()
+    state = statevec._period_finding(transform, table, out_bits)
     amps = expand_live_columns(state, table, out_bits).amps
     full = gate_by_gate_period_finding(transform, table, out_bits).amps
     assert np.array_equal(amps, full)
@@ -750,7 +757,7 @@ class TestPeriodFinding:
     def test_the_state_keeps_the_values_the_table_takes_in_ascending_order(self):
         # rows are the input values; the columns are the values 1, 5 and 9,
         # then one pad column
-        state = statevec._Machine.period_finding(gates.Circuit(2), np.array([9, 1, 5, 1]), 4)
+        state = statevec._period_finding(gates.Circuit(2), np.array([9, 1, 5, 1]), 4)
         expected = np.zeros((4, 4), dtype=complex)
         expected[[0, 1, 2, 3], [2, 0, 1, 0]] = statevec._hadamard_amplitude(2)
         assert state.n_qubits == 4
@@ -759,7 +766,7 @@ class TestPeriodFinding:
     @pytest.mark.parametrize("distinct, width", [(1, 2), (2, 2), (3, 4), (4, 4), (5, 8), (16, 16)])
     def test_the_columns_are_a_power_of_two_and_at_least_two(self, distinct, width):
         table = np.arange(16) % distinct * 3 % 16
-        state = statevec._Machine.period_finding(gates.hadamard_layer(4), table, 4)
+        state = statevec._period_finding(gates.hadamard_layer(4), table, 4)
         assert state.n_qubits == 4 + width.bit_length() - 1
 
     @pytest.mark.parametrize("table, out_bits", [
@@ -769,7 +776,7 @@ class TestPeriodFinding:
         with pytest.raises(ValueError) as oracle_error:
             apply_xor_oracle(init_basis(2 + out_bits, 0), np.array(table), out_bits)
         with pytest.raises(ValueError, match=f"^{re.escape(str(oracle_error.value))}$"):
-            statevec._Machine.period_finding(gates.hadamard_layer(2), np.array(table), out_bits)
+            statevec._period_finding(gates.hadamard_layer(2), np.array(table), out_bits)
 
 
 class TestSeeding:

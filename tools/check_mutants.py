@@ -14,9 +14,10 @@ pytest call of its own with ``-x``, which stops at the test's first failing
 case.  A call that exits 1 means that test killed the mutant, 0 that the
 mutant survived it, and any other exit status (a collection or usage
 error) is a tool error.  A mutant is killed when every named test kills
-it.  The exit status is 1 if any old text does not occur exactly once in
-its file, if a named test fails on the unchanged code, if any mutant
-survives, or on any tool error.  ``tests/test_mutants.py`` checks the
+it.  Each mutant's line gives its time, and the last line the number not
+killed and the whole run's time.  The exit status is 1 if any old text
+does not occur exactly once in its file, if a named test fails on the
+unchanged code, if any mutant survives, or on any tool error.  ``tests/test_mutants.py`` checks the
 table against the sources in the tier-1 suite, so a change that moves the
 code must update its entries with it.
 """
@@ -64,11 +65,11 @@ _PHASE_FORM = ("tests/test_qft.py::TestPhaseFormFidelity::"
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "write each row inside the gather loop", _STATEVEC,
-        "                    for _, read, _, part in slots:\n"
-        "                        np.copyto(part, full[read + prefix])\n"
-        "                    for row, _, entry, part in slots:\n",
-        "                    for row, read, entry, part in slots:\n"
-        "                        np.copyto(part, full[read + prefix])\n",
+        "                for _, read, _, part in slots:\n"
+        "                    np.copyto(part, full[read + prefix])\n"
+        "                for row, _, entry, part in slots:\n",
+        "                for row, read, entry, part in slots:\n"
+        "                    np.copyto(part, full[read + prefix])\n",
         (_EVERY_TUPLE, _MIXED),
     ),
     Mutant(
@@ -115,6 +116,21 @@ MUTANTS: tuple[Mutant, ...] = (
         "(np.array if copy else np.array)",
         ("tests/test_statevec.py::TestStateVectorInvariants::"
          "test_copy_false_converts_what_it_cannot_share",),
+    ),
+    Mutant(
+        "run_circuit evolves the caller's buffer", _STATEVEC,
+        "return _evolve(state.amps.copy(), circuit)",
+        "return _evolve(state.amps, circuit)",
+        ("tests/test_statevec.py::TestApplyGate::test_hadamard_on_zero",),
+    ),
+    Mutant(
+        "the kernel freezes a copy", _STATEVEC,
+        "return StateVector(n, amps, copy=False)",
+        "return StateVector(n, amps)",
+        ("tests/test_shor.py::TestFactorPipeline::test_order_finding_state_holds_one_state",
+         "tests/test_simon.py::TestCostAccounting::test_sampling_state_holds_one_state",
+         "tests/test_statevec.py::TestRunCircuit::"
+         "test_the_kernel_state_is_the_buffer_it_was_handed_read_only"),
     ),
     Mutant(
         "an empty --output is stdout", _CLI,
@@ -251,7 +267,7 @@ def main() -> int:
     if not (root / "src" / "qdesk" / "__init__.py").is_file():
         print("run from the root of a qdesk checkout", file=sys.stderr)
         return 2
-    bad = 0
+    began, bad = time.perf_counter(), 0
     for mutant in MUTANTS:
         count = occurrences(root, mutant)
         if count != 1:
@@ -280,7 +296,7 @@ def main() -> int:
                    else f"SURVIVED ({', '.join(alive)})" if alive else "killed")
         print(f"{mutant.name}: {verdict} in {time.perf_counter() - start:.1f} s", flush=True)
         bad += bool(errors or alive)
-    print(f"{len(MUTANTS)} mutants, {bad} not killed")
+    print(f"{len(MUTANTS)} mutants, {bad} not killed in {time.perf_counter() - began:.0f} s")
     return 1 if bad else 0
 
 
