@@ -178,9 +178,8 @@ def run_order_finding_circuit(inst: FactoringInstance, rng_seed: int) -> int:
 
 
 def first_register_distribution(inst: FactoringInstance) -> np.ndarray:
-    """Exact measurement distribution of c, bit for bit the marginal over the value register."""
-    return statevec._input_marginal(order_finding_state(inst), 2 * inst.L,
-                                    _orbit(inst.x, inst.N), inst.L)
+    """Exact measurement distribution of c: the marginal over the value register."""
+    return statevec._input_marginal(order_finding_state(inst), 2 * inst.L)
 
 
 # ---------------------------------------------------------------------------

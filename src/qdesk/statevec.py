@@ -356,21 +356,11 @@ def _input_draws(state: StateVector, m: int, seeds: Iterable[int]) -> Iterator[i
         yield int(np.searchsorted(ends, make_rng(seed).random(), side="right"))
 
 
-def _input_marginal(state: StateVector, m: int, values: Iterable[int],
-                    out_bits: int) -> np.ndarray:
-    """The full register's marginal on the top m wires of a period-finding state, bit for bit.
+def _input_marginal(state: StateVector, m: int) -> np.ndarray:
+    """The marginal on the top m wires of a period-finding state: each row's probabilities summed.
 
-    ``values`` are the distinct values of its ``out_bits``-bit table, in
-    any order.  Each row's probabilities go back at those values in a
-    zeroed block of 2^15 >> out_bits full rows before the rows are summed:
-    numpy sums a row pairwise, so where its zeros lie moves the last bits.
+    The row of an input value holds its live columns and zero pad columns,
+    so its sum is the full register's marginal at that value.
     """
-    values = sorted(values)
-    rows = 1 << m
-    step = min((1 << _BLOCK_BITS) >> out_bits, rows)
-    block = np.zeros((step, 1 << out_bits))
-    dist = np.empty(rows)
-    for start, amps in zip(range(0, rows, step), state.amps.reshape(rows // step, step, -1)):
-        block[:, values] = (np.abs(amps) ** 2)[:, :len(values)]
-        dist[start:start + step] = block.sum(axis=1)
-    return dist
+    row = 1 << (state.n_qubits - m)
+    return np.concatenate([p.reshape(-1, row).sum(axis=1) for p in probability_blocks(state)])

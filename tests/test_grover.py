@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -41,14 +40,25 @@ def run_and_capture(problem, rng_seed, monkeypatch):
     return result, state
 
 
-def assert_runs_equal(problem, rng_seed, monkeypatch):
-    """``run_grover`` gives the full-state loop's trace and final state, bit for bit."""
+# The pair loop rounds the mean ((N - t) a + t b) / N where the full-state
+# loop sums all 2^k amplitudes, so the two agree to rounding, not in the
+# last bits.  Largest gaps measured with numpy 2.4 on the cases below: 8.9e-15
+# to the sin^2 law (k = 19, t = 1), 3.0e-14 to the full-state trace
+# (k = 20, t = 3), 1.1e-14 in the final amplitudes (k = 20) and 4.8e-15 to
+# the stepped referee (k <= 10).
+LOOP_TOL = 1e-13
+
+
+def assert_runs_agree(problem, rng_seed, monkeypatch):
+    """``run_grover`` within LOOP_TOL of the full-state loop's trace and state, with its outcome."""
     result, state = run_and_capture(problem, rng_seed, monkeypatch)
     expected, expected_state = run_grover_full_state(problem, rng_seed)
     label = (problem.k, problem.marked.size, problem.marked[:4].tolist())
-    assert np.array(result.trace).tobytes() == np.array(expected.trace).tobytes(), label
-    assert state.amps.tobytes() == expected_state.amps.tobytes(), label
-    assert result == expected, label
+    assert len(result.trace) == len(expected.trace), label
+    assert np.max(np.abs(np.subtract(result.trace, expected.trace))) <= LOOP_TOL, label
+    assert np.max(np.abs(state.amps - expected_state.amps)) <= LOOP_TOL, label
+    assert (result.found, result.success, result.iterations, result.oracle_calls) == (
+        expected.found, expected.success, expected.iterations, expected.oracle_calls), label
 
 
 def simulate_success(k, target, iterations):
@@ -224,7 +234,7 @@ class TestRunGrover:
 
 class TestInPlaceLoop:
     @pytest.mark.parametrize("k", range(2, 11))
-    def test_loop_trace_equals_stepping_the_full_state_iteration(self, k):
+    def test_loop_trace_tracks_stepping_the_full_state_iteration(self, k):
         rng = np.random.default_rng(k)
         for t in range(1, min(4, (1 << k) - 1) + 1):
             marked = {int(i) for i in rng.choice(1 << k, t, replace=False)}
@@ -235,7 +245,7 @@ class TestInPlaceLoop:
             for _ in range(result.iterations):
                 state = grover_iterate(state, problem)
                 stepped.append(marked_probability(state, problem))
-            assert result.trace == tuple(stepped), (k, t)
+            assert np.max(np.abs(np.subtract(result.trace, stepped))) <= LOOP_TOL, (k, t)
 
     def test_direct_fill_is_the_hadamard_layer_run_byte_for_byte(self):
         # the amplitude the search starts from; the signs of zero included:
@@ -256,7 +266,19 @@ class TestInPlaceLoop:
             assert np.array_equal(grover_iterate(state, problem).amps, expected), k
 
     @pytest.mark.parametrize("k", range(1, 21))
-    def test_run_equals_the_full_state_loop_bit_for_bit(self, k, monkeypatch):
+    def test_trace_is_the_sine_squared_law(self, k):
+        # t marked of N: sin^2 theta = t / N, and j steps rotate by 2j theta,
+        # so the marked probability after j steps is sin^2((2j + 1) theta)
+        n_items = 1 << k
+        for t in range(1, min(4, n_items - 1) + 1):
+            result = run_grover(SearchProblem(k, range(t)), rng_seed=t)
+            theta = math.asin(math.sqrt(t / n_items))
+            law = np.sin((2 * np.arange(result.iterations + 1) + 1) * theta) ** 2
+            assert len(result.trace) == law.size, (k, t)
+            assert np.max(np.abs(np.subtract(result.trace, law))) <= LOOP_TOL, (k, t)
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_run_tracks_the_full_state_loop(self, k, monkeypatch):
         n_items = 1 << k
         rng = np.random.default_rng(1000 + k)
         sets = [rng.choice(n_items, t, replace=False) for t in range(1, min(4, n_items - 1) + 1)]
@@ -266,12 +288,12 @@ class TestInPlaceLoop:
         if k >= 3:
             sets.append([i for i in (2, 3, 5, 40, 63) if i < n_items][:n_items - 1])  # one leaf
         for i, marked in enumerate(sets):
-            assert_runs_equal(SearchProblem(k, marked), i, monkeypatch)
+            assert_runs_agree(SearchProblem(k, marked), i, monkeypatch)
 
     @pytest.mark.parametrize("k, count", [(12, 1 << 10), (16, (1 << 15) - 1)])
-    def test_large_marked_sets_equal_the_full_state_loop(self, k, count, monkeypatch):
+    def test_large_marked_sets_track_the_full_state_loop(self, k, count, monkeypatch):
         marked = np.random.default_rng(count).choice(1 << k, count, replace=False)
-        assert_runs_equal(SearchProblem(k, marked), 5, monkeypatch)
+        assert_runs_agree(SearchProblem(k, marked), 5, monkeypatch)
 
     @pytest.mark.parametrize("marked", [
         pytest.param(range(0, 1 << 20, 4), id="2^18-targets"),
@@ -327,42 +349,6 @@ class TestInPlaceLoop:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * (16 << k)
-
-
-class TestTwoValueSum:
-    @pytest.mark.parametrize("k", range(21))
-    def test_sum_and_mean_are_numpys_bit_for_bit(self, k):
-        n_items = 1 << k
-        rng = np.random.default_rng(2000 + k)
-        counts = sorted({c for c in (1, 2, 3, 70, n_items // 3, n_items) if 1 <= c <= n_items})
-        sets = [np.sort(rng.choice(n_items, count, replace=False)) for count in counts]
-        sets.append(np.arange(k % 5, n_items, 1 << (k // 2)))  # leaves that share a pattern
-        for marked, real in itertools.product(sets, (False, True)):
-            (ar, ai), (br, bi) = rng.standard_normal((2, 2)) * 10.0 ** rng.integers(-9, 3)
-            if real:  # as in a search: zero imaginary parts, here of both signs
-                ai, bi = -0.0, 0.0
-            a, b = np.complex128(complex(ar, ai)), np.complex128(complex(br, bi))
-            amps = np.full(n_items, a)
-            amps[marked] = b
-            total = grover._two_value_sum(k, marked)(a, b)
-            broke = (f"numpy's complex add.reduce no longer matches grover._two_value_sum "
-                     f"(k={k}, {marked.size} marked): the assumed pairwise summation, a leaf of "
-                     f"64 complex entries (PW_BLOCKSIZE = 128 doubles) and two halves above "
-                     f"it, added to a zero start, does not hold for this numpy")
-            assert total.tobytes() == np.add.reduce(amps).tobytes(), broke
-            assert (total / np.intp(n_items)).tobytes() == amps.mean().tobytes(), broke
-
-
-class TestMarkedMass:
-    @pytest.mark.parametrize("count, cases", [(1, 50), (2, 50), (3, 50), (100, 50), (4097, 20),
-                                              (1 << 18, 2)])
-    def test_is_the_sum_over_a_gather_bit_for_bit(self, count, cases):
-        # complex b's as well: there a numpy scalar's abs and the ufunc's can differ
-        rng = np.random.default_rng(count)
-        for _ in range(cases):
-            b = np.complex128(complex(*rng.standard_normal(2))) * 10.0 ** rng.integers(-9, 3)
-            gathered = float(sum(np.abs(np.full(count, b)) ** 2))
-            assert grover._marked_mass(b, count) == gathered, b
 
 
 class TestAnalyticRecurrence:

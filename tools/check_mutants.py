@@ -55,8 +55,8 @@ _MIXED = ("tests/test_statevec.py::TestStructuredPaths::"
           "test_bit_identical_to_the_dense_kernel_on_mixed_circuits")
 _STRUCTURE = ("tests/test_statevec.py::TestStructuredPaths::"
               "test_structure_is_read_once_from_the_matrix")
-_TWO_VALUE_SUM = ("tests/test_grover.py::TestTwoValueSum::"
-                  "test_sum_and_mean_are_numpys_bit_for_bit")
+_SINE_LAW = "tests/test_grover.py::TestInPlaceLoop::test_trace_is_the_sine_squared_law"
+_FULL_STATE_LOOP = "tests/test_grover.py::TestInPlaceLoop::test_run_tracks_the_full_state_loop"
 _SAMPLING_GUARD = "tests/test_statevec.py::TestBlockedSampling::test_top_bin_guard_and_block_edges"
 _DRAWS_GUARD = "tests/test_statevec.py::TestInputDraws::test_top_bin_guard_and_block_edges"
 _PHASE_FORM = ("tests/test_qft.py::TestPhaseFormFidelity::"
@@ -140,22 +140,28 @@ MUTANTS: tuple[Mutant, ...] = (
          "test_unwritable_path_is_one_reproducible_domain_error",),
     ),
     Mutant(
-        "leaves of 32 amplitudes", _GROVER,
-        "leaf_bits = min(k, 6)",
-        "leaf_bits = min(k, 5)",
-        (_TWO_VALUE_SUM,),
+        "the unmarked amplitudes weigh N, not N - t", _GROVER,
+        "(n_items - count) * a",
+        "n_items * a",
+        (_SINE_LAW, _FULL_STATE_LOOP),
     ),
     Mutant(
-        "an unmarked half takes the first place", _GROVER,
-        "places.get(2 * p, all_a)",
-        "places.get(2 * p, 0)",
-        (_TWO_VALUE_SUM,),
+        "the marked amplitudes weigh 1, not t", _GROVER,
+        "+ count * b) / n_items",
+        "+ b) / n_items",
+        (_SINE_LAW, _FULL_STATE_LOOP),
     ),
     Mutant(
-        "no all-a pair", _GROVER,
-        "\n                      + [(all_a, all_a)])",
-        ")",
-        (_TWO_VALUE_SUM,),
+        "the oracle leaves b as it is", _GROVER,
+        "    b = -b\n",
+        "",
+        (_SINE_LAW, _FULL_STATE_LOOP),
+    ),
+    Mutant(
+        "the marked mass of one target", _GROVER,
+        "trace.append(float(count * abs(b) ** 2))",
+        "trace.append(float(abs(b) ** 2))",
+        (_SINE_LAW, _FULL_STATE_LOOP),
     ),
     Mutant(
         "no 2-column floor", _STATEVEC,
@@ -165,11 +171,10 @@ MUTANTS: tuple[Mutant, ...] = (
          "test_the_columns_are_a_power_of_two_and_at_least_two",),
     ),
     Mutant(
-        "the marginal summed on the compact rows", _STATEVEC,
-        "        block[:, values] = (np.abs(amps) ** 2)[:, :len(values)]\n"
-        "        dist[start:start + step] = block.sum(axis=1)\n",
-        "        dist[start:start + step] = (np.abs(amps) ** 2).sum(axis=1)\n",
-        ("tests/test_shor.py::TestCircuit::test_dump_is_the_full_state_marginal_bit_for_bit",),
+        "the marginal summed on half rows", _STATEVEC,
+        "row = 1 << (state.n_qubits - m)\n",
+        "row = 1 << (state.n_qubits - m - 1)\n",
+        ("tests/test_shor.py::TestCircuit::test_dump_is_the_full_state_marginal_and_the_law",),
     ),
     Mutant(
         "the CDF kept at each row's start", _STATEVEC,
