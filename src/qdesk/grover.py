@@ -24,8 +24,9 @@ then reflect both about the mean ((N - t) a + t b) / N - and records the
 marked probability t |b|^2 after each step, which is sin^2((2j + 1) theta)
 after j steps, with sin^2 theta = t / N, to rounding.  The tests hold the
 trace to that law and to the loop over the whole state that
-``tests/referees.py`` keeps.  The 2^k state is filled from the pair once,
-after the loop, then validated and measured.
+``tests/referees.py`` keeps.  No 2^k state is built: the measurement
+draws from the outcome law the final pair gives, 2^k probabilities
+checked to sum to 1, which is the filled state's law bit for bit.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def run_grover(problem: SearchProblem, rng_seed: int) -> GroverResult:
     """Run the scheduled number of iterations from uniform, then measure.
 
     The iterations run on the state's two amplitudes (see the module
-    docstring), and the 2^k state is filled from them once, at the end.
+    docstring), and the outcome is drawn from the law they give: |a|^2
+    at every unmarked index and |b|^2 at every marked one.
     ``oracle_calls`` counts applications of the marking transform - one per
     iteration - which is the quantity that scales like sqrt(N).
     """
@@ -118,10 +120,10 @@ def run_grover(problem: SearchProblem, rng_seed: int) -> GroverResult:
     for _ in range(iterations):
         a, b = _iterate_pair(a, b, problem.N, count)
         trace.append(float(count * abs(b) ** 2))
-    amps = np.full(problem.N, a)
-    amps[marked] = b
-    state = statevec.StateVector(problem.k, amps, copy=False)
-    outcome = statevec.measure_all(state, rng_seed, 1)[0]
+    p_unmarked, p_marked = np.abs(np.array([a, b])) ** 2
+    law = np.full(problem.N, p_unmarked)
+    law[marked] = p_marked
+    outcome = next(statevec._draws(law, [rng_seed]))
     return GroverResult(
         found=outcome,
         success=outcome in marked,

@@ -16,8 +16,8 @@ No gate-level modular arithmetic is simulated: ``statevec._period_finding``
 writes the state after the load and the oracle, amplitude 2^-L at each
 (a, x^a mod N), straight into a buffer that keeps only the r values the
 powers take (padded to a power of two), and runs the transform on it once.
-Only ``statevec`` reads that layout: this module hands over the orbit and
-gets back c or its law.
+Only ``statevec`` reads that layout: this module hands over the orbit,
+keeps the law of c it gets back and draws c from that law.
 """
 
 from __future__ import annotations
@@ -152,34 +152,34 @@ def _power_table(x: int, n: int, length: int) -> np.ndarray:
     return np.tile(np.asarray(orbit, dtype=np.int64), reps)[:length]
 
 
-# One entry: at the cap a state is up to 128 MB, and the only reuse is the
-# distribution dump for the last attempt's x right after the run.  A miss
-# clears it before building, so two states never coexist.
-_states: dict[FactoringInstance, statevec.StateVector] = {}
-
-
 def order_finding_state(inst: FactoringInstance) -> statevec.StateVector:
-    """Final machine state just before measurement (cached per instance)."""
-    if inst not in _states:
-        _states.clear()
-        statevec.require_qubits(inst.n_qubits, f"factoring N={inst.N}")
-        two_l = 2 * inst.L
-        transform = build_qft_circuit(QftSpec(two_l))
-        # the table is handed over, not kept, so it is freed before the
-        # transform runs
-        _states[inst] = statevec._period_finding(
-            transform, _power_table(inst.x, inst.N, 1 << two_l), inst.L)
-    return _states[inst]
+    """Final machine state just before measurement."""
+    statevec.require_qubits(inst.n_qubits, f"factoring N={inst.N}")
+    two_l = 2 * inst.L
+    transform = build_qft_circuit(QftSpec(two_l))
+    # the table is handed over, not kept, so it is freed before the
+    # transform runs
+    return statevec._period_finding(transform, _power_table(inst.x, inst.N, 1 << two_l), inst.L)
+
+
+# One entry, 2^(2L) floats: the attempts draw from it and the dump reads the
+# last one's.  The state it is summed from, up to 128 MB, is not kept.
+_laws: dict[FactoringInstance, np.ndarray] = {}
+
+
+def first_register_distribution(inst: FactoringInstance) -> np.ndarray:
+    """Exact measurement distribution of c: the marginal over the value register (read-only)."""
+    if inst not in _laws:
+        _laws.clear()
+        law = statevec._input_marginal(order_finding_state(inst), 2 * inst.L)
+        law.setflags(write=False)
+        _laws[inst] = law
+    return _laws[inst]
 
 
 def run_order_finding_circuit(inst: FactoringInstance, rng_seed: int) -> int:
     """Run the full circuit once and return the measured exponent-register c."""
-    return next(statevec._input_draws(order_finding_state(inst), 2 * inst.L, [rng_seed]))
-
-
-def first_register_distribution(inst: FactoringInstance) -> np.ndarray:
-    """Exact measurement distribution of c: the marginal over the value register."""
-    return statevec._input_marginal(order_finding_state(inst), 2 * inst.L)
+    return next(statevec._draws(first_register_distribution(inst).copy(), [rng_seed]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .gates import hadamard_layer
 #: The classical collision baseline is tabulated for n up to this bound.
 BASELINE_MAX_BITS = 8
 
-#: The most baseline trials one request runs; at n = 8 they take about 18 s.
+#: The most baseline trials one request runs; at n = 8 they take about 10 s.
 BASELINE_MAX_TRIALS = 100_000
 
 
@@ -148,15 +148,15 @@ def run_simon(oracle: SimonOracle, max_rounds: int, rng_seed: int) -> SimonResul
 
     Every round prepares the same state, so it is built once and measured
     each round with that round's sub-seed ``derive_seed(rng_seed, round)``:
-    the samples are those of one fresh state measured per round.  The
-    draws read only the input register, whose CDF ``statevec`` builds
-    once, on the first round.
+    the samples are those of one fresh state measured per round.  A round
+    reads only the input register, so the rounds draw from its law, summed
+    from the state once.
     """
     n = oracle.n
     if max_rounds < n:
         raise ValueError(f"max_rounds must be at least n={n}, got {max_rounds}")
-    draws = statevec._input_draws(sampling_state(oracle), n, (
-        statevec.derive_seed(rng_seed, i) for i in itertools.count()))
+    law = statevec._input_marginal(sampling_state(oracle), n)
+    draws = statevec._draws(law, (statevec.derive_seed(rng_seed, i) for i in itertools.count()))
     samples: list[int] = []
     while (c := recover_shift(samples, n)) is None:
         if len(samples) >= max_rounds:

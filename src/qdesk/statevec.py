@@ -144,7 +144,7 @@ def _period_finding(transform: Circuit, table: np.ndarray, out_bits: int) -> Sta
     value a, and the columns are the distinct table values in ascending
     order, padded with zero columns to a power of two and never fewer
     than 2 (with one, numpy's matrix-vector product rounds differently).
-    Only :func:`_input_draws` and :func:`_input_marginal` read this layout.
+    Only :func:`_input_marginal` reads this layout.
 
     The amplitude (1/sqrt 2)^m, multiplied up as the H layer multiplies
     it, goes at (a, column of table[a]), and ``transform`` runs once.
@@ -305,14 +305,18 @@ def probability_blocks(state: StateVector) -> Iterator[np.ndarray]:
         yield np.abs(block) ** 2
 
 
-def _cdf_blocks(state: StateVector) -> Iterator[np.ndarray]:
-    """The outcome CDF one kernel block at a time, in index order.
+def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:
+    """Draw ``shots`` independent basis-index samples from the state.
 
-    Joined, the blocks are the whole-array ``cumsum`` of the probabilities
-    bit for bit, except that the last entry is 1.0: the top bin is guarded
-    against rounding.
+    Deterministic for a fixed seed: uniform variates from the seeded PCG64
+    stream are mapped through the inverse CDF of the outcome distribution.
+    The CDF is built and searched one kernel block at a time, its top bin
+    set to 1.0, which is the whole-array ``cumsum`` and ``searchsorted`` bit for bit.
     """
-    carry, end = 0.0, 0
+    if shots < 1:
+        raise ValueError(f"shots must be positive, got {shots}")
+    u = make_rng(rng_seed).random(shots)
+    idx, carry, end = 0, 0.0, 0
     for cdf in probability_blocks(state):
         cdf[0] += carry
         np.cumsum(cdf, out=cdf)
@@ -320,40 +324,27 @@ def _cdf_blocks(state: StateVector) -> Iterator[np.ndarray]:
         end += cdf.size
         if end == state.amps.size:
             cdf[-1] = 1.0
-        yield cdf
-
-
-def measure_all(state: StateVector, rng_seed: int, shots: int) -> list[int]:
-    """Draw ``shots`` independent basis-index samples from the state.
-
-    Deterministic for a fixed seed: uniform variates from the seeded PCG64
-    stream are mapped through the inverse CDF of the outcome distribution.
-    The CDF is built and searched one kernel block at a time, which is the
-    whole-array ``cumsum`` and ``searchsorted`` bit for bit.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
-    u = make_rng(rng_seed).random(shots)
-    idx = 0
-    for cdf in _cdf_blocks(state):
         idx += np.searchsorted(cdf, u, side="right")
     return idx.tolist()
 
 
-def _input_draws(state: StateVector, m: int, seeds: Iterable[int]) -> Iterator[int]:
-    """The top m wires of ``measure_all(state, seed, 1)[0]``, one draw per seed.
+def _draws(law: np.ndarray, seeds: Iterable[int]) -> Iterator[int]:
+    """One outcome of the probability array ``law`` per seed, by inverse CDF.
 
-    The CDF is built on the first draw and kept at the last index of each
-    run of 2^(n - m): the variate ``make_rng(seed).random()`` that
-    :func:`measure_all` draws falls there in the run holding its index.
+    ``law`` is handed over: on the first draw its pairwise sum is checked
+    against 1 (it is never renormalized) and it becomes its own CDF, the
+    top bin set to 1.0.  The CDF's last entry would not do for the check:
+    it drifts by 2.9e-10 on a 2^24 search law.  Seed s draws on
+    ``make_rng(s).random()``, as ``measure_all(state, s, 1)`` does on a
+    state with this law.
     """
-    row, start, ends = 1 << (state.n_qubits - m), 0, []
-    for cdf in _cdf_blocks(state):
-        ends.append(cdf[(row - 1 - start) % row::row].copy())
-        start += cdf.size
-    ends = np.concatenate(ends)
+    total = float(law.sum())
+    if not abs(total - 1.0) <= NORM_TOL:  # a NaN fails too
+        raise ValueError(f"law is not normalized: sum p = {total!r} (tolerance {NORM_TOL})")
+    cdf = np.cumsum(law, out=law)
+    cdf[-1] = 1.0
     for seed in seeds:
-        yield int(np.searchsorted(ends, make_rng(seed).random(), side="right"))
+        yield int(np.searchsorted(cdf, make_rng(seed).random(), side="right"))
 
 
 def _input_marginal(state: StateVector, m: int) -> np.ndarray:

@@ -196,11 +196,23 @@ def dot_mod2(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+class FixedVariates:
+    """A stand-in generator that hands out chosen uniform variates."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shots):
+        assert shots == self.u.size
+        return self.u.copy()
+
+
 class VariatesBySeed:
     """A stand-in for ``statevec.make_rng`` whose generator for seed i hands out u[i].
 
-    With it, ``statevec._input_draws(state, m, range(len(u)))`` draws on
-    the variates u, so one ``measure_all`` call on the same u checks them all.
+    With it, ``statevec._draws(law, range(len(u)))`` draws on the variates
+    u, so one ``measure_all`` call on the same u (through
+    :class:`FixedVariates`) checks them all.
     """
 
     def __init__(self, u):

@@ -364,7 +364,7 @@ class TestMainEntry:
         assert payload["error"]["type"] == "domain"
         assert payload["error"]["message"] == f"n must lie in [1, 8] for the baseline, got {n}"
 
-    def test_factor_dump_reuses_the_one_cached_state(self, tmp_path, monkeypatch, capsys):
+    def test_factor_dump_reuses_the_one_cached_law(self, tmp_path, monkeypatch, capsys):
         builds = []
         power_table = shor._power_table
 
@@ -373,7 +373,7 @@ class TestMainEntry:
             return power_table(x, n, length)
 
         monkeypatch.setattr(shor, "_power_table", counting)
-        shor._states.clear()
+        shor._laws.clear()
         code = main(["factor", "--n", "15", "--seed", "3", "--output", str(tmp_path / "r.json"),
                      "--dump-distribution", str(tmp_path / "dist.json")])
         assert code == 0
@@ -381,10 +381,10 @@ class TestMainEntry:
         circuit_xs = [a["x"] for a in report["result"]["attempts"] if a["measured_c"] is not None]
         # one build per circuit attempt, none for the dump of the last one
         assert circuit_xs and builds == circuit_xs
-        assert list(shor._states) == [shor.FactoringInstance(15, circuit_xs[-1])]
-        shor.order_finding_state(shor.FactoringInstance(21, 2))
-        shor.order_finding_state(shor.FactoringInstance(21, 5))
-        assert list(shor._states) == [shor.FactoringInstance(21, 5)]
+        assert list(shor._laws) == [shor.FactoringInstance(15, circuit_xs[-1])]
+        shor.first_register_distribution(shor.FactoringInstance(21, 2))
+        shor.first_register_distribution(shor.FactoringInstance(21, 5))
+        assert list(shor._laws) == [shor.FactoringInstance(21, 5)]
 
     def test_factor_distribution_dump(self, tmp_path, capsys):
         dump = tmp_path / "dist.json"
@@ -1177,6 +1177,15 @@ def test_factoring_holds_one_state_end_to_end():
     excess = (peak_rss_mb(["factor", "--n", "119", "--seed", "2", "--max-attempts", "1"])
               - peak_rss_mb(["factor", "--n", "15", "--seed", "1", "--max-attempts", "1"]))
     assert excess < 1.25 * state_mb
+
+
+def test_the_factor_dump_holds_no_second_state_end_to_end(tmp_path):
+    # the dump reads the law the attempts drew from: the run with it peaks
+    # where the plain run does, not a 32 MB state above it
+    argv = ["factor", "--n", "119", "--seed", "3", "--max-attempts", "2"]
+    plain = peak_rss_mb(argv)
+    dumped = peak_rss_mb(argv + ["--dump-distribution", str(tmp_path / "dist.json")])
+    assert abs(dumped - plain) < 2
 
 
 @pytest.mark.parametrize("call, message", [

@@ -16,6 +16,8 @@ from qdesk.grover import (
 
 from conftest import random_state
 from referees import (
+    FixedVariates,
+    VariatesBySeed,
     grover_iterate,
     inversion_about_mean,
     inversion_about_mean_composed,
@@ -26,18 +28,25 @@ from referees import (
 
 
 def run_and_capture(problem, rng_seed, monkeypatch):
-    """``run_grover``'s result and the frozen state it measured."""
-    measured = []
-    measure_all = statevec.measure_all
+    """``run_grover``'s result and the final amplitude pair (a, b) its law came from."""
+    h = statevec._hadamard_amplitude(problem.k)
+    pairs = [(h, h)]
+    step = grover._iterate_pair
 
-    def record(state, seed, shots):
-        measured.append(state)
-        return measure_all(state, seed, shots)
+    def record(*args):
+        pairs.append(step(*args))
+        return pairs[-1]
 
-    monkeypatch.setattr(statevec, "measure_all", record)
+    monkeypatch.setattr(grover, "_iterate_pair", record)
     result = run_grover(problem, rng_seed)
-    (state,) = measured
-    return result, state
+    return result, pairs[-1]
+
+
+def filled(problem, a, b):
+    """The 2^k state of a pair: a at every unmarked index, b at every marked one."""
+    amps = np.full(problem.N, a)
+    amps[problem.marked] = b
+    return statevec.StateVector(problem.k, amps, copy=False)
 
 
 # The pair loop rounds the mean ((N - t) a + t b) / N where the full-state
@@ -51,7 +60,8 @@ LOOP_TOL = 1e-13
 
 def assert_runs_agree(problem, rng_seed, monkeypatch):
     """``run_grover`` within LOOP_TOL of the full-state loop's trace and state, with its outcome."""
-    result, state = run_and_capture(problem, rng_seed, monkeypatch)
+    result, pair = run_and_capture(problem, rng_seed, monkeypatch)
+    state = filled(problem, *pair)
     expected, expected_state = run_grover_full_state(problem, rng_seed)
     label = (problem.k, problem.marked.size, problem.marked[:4].tolist())
     assert len(result.trace) == len(expected.trace), label
@@ -331,17 +341,18 @@ class TestInPlaceLoop:
 
     @pytest.mark.parametrize("k, target, iterations", [(20, 0x5A5A5, 804), (24, 0xA5A5A5, 3216)])
     def test_long_run_tracks_the_recurrence_without_drift(self, k, target, iterations, monkeypatch):
-        result, state = run_and_capture(SearchProblem(k, (target,)), 7, monkeypatch)
+        result, (a, b) = run_and_capture(SearchProblem(k, (target,)), 7, monkeypatch)
         assert result.iterations == iterations
         track = analytic_recurrence(1 << k, result.iterations)
         assert len(result.trace) == len(track)
         for i, (p, pair) in enumerate(zip(result.trace, track)):
             assert abs(p - pair.beta**2) <= 1e-12, i
-        assert abs(np.vdot(state.amps, state.amps).real - 1.0) <= statevec.NORM_TOL
-        unmarked = np.abs(state.amps.real - track[-1].alpha)  # one real array beside the state
-        unmarked[target] = 0.0
-        assert np.max(unmarked) <= 1e-12
-        assert abs(state.amps[target] - track[-1].beta) <= 1e-12
+        law = np.full(1 << k, abs(a) ** 2)  # the state's law, one real array
+        law[target] = abs(b) ** 2
+        assert abs(law.sum() - 1.0) <= statevec.NORM_TOL
+        # every unmarked amplitude is a, the marked one b
+        assert abs(a.real - track[-1].alpha) <= 1e-12
+        assert abs(b - track[-1].beta) <= 1e-12
 
     def test_final_state_is_still_validated(self, monkeypatch):
         step = grover._iterate_pair
@@ -353,9 +364,62 @@ class TestInPlaceLoop:
         with pytest.raises(ValueError, match="not normalized"):
             run_grover(SearchProblem(6, (17,)), rng_seed=0)
 
+    def test_a_leaky_or_nan_pair_is_not_a_law(self):
+        # the law of a 2^6 search: a pair scaled by 1 + 1e-6 sums to
+        # 1 + 2e-6, and a NaN amplitude makes the sum NaN
+        problem = SearchProblem(6, (17,))
+        h = statevec._hadamard_amplitude(6)
+        a, b = grover._iterate_pair(h, h, problem.N, 1)
+        for pair in ((a * (1 + 1e-6), b * (1 + 1e-6)), (a, np.complex128(np.nan))):
+            law = np.full(problem.N, abs(pair[0]) ** 2)
+            law[problem.marked] = abs(pair[1]) ** 2
+            with pytest.raises(ValueError, match="not normalized"):
+                next(statevec._draws(law, [0]))
+
+    def test_cap_law_is_checked_on_its_sum_not_its_cdf(self, monkeypatch):
+        # at 24 qubits with target 5 the running sum drifts to 1 + 2.9e-10,
+        # above NORM_TOL, where the pairwise sum is within 2e-15 of 1: the
+        # check reads the sum, and the top bin guard absorbs the drift
+        problem = SearchProblem(24, (5,))
+        result, (a, b) = run_and_capture(problem, 3, monkeypatch)
+        assert (result.iterations, result.success) == (3216, True)
+        law = np.full(problem.N, abs(a) ** 2)
+        law[5] = abs(b) ** 2
+        assert abs(law.sum() - 1.0) <= statevec.NORM_TOL
+        assert np.cumsum(law, out=law)[-1] - 1.0 > statevec.NORM_TOL
+
+    @pytest.mark.parametrize("k", range(1, 19))
+    def test_found_is_measure_all_on_the_filled_state(self, k, monkeypatch):
+        # t <= 7 marked from offset 0 and from 2^15 - 1 (across the first
+        # kernel block edge for k >= 16), and at k = 16 a set split over
+        # both blocks; the variates sit on and just below the CDF entries
+        # around the first and last marked index and the block edge
+        n_items = 1 << k
+        sets = [[(offset + i) % n_items for i in range(t)]
+                for offset in (0, (1 << 15) - 1) for t in range(1, min(7, n_items - 1) + 1)]
+        if k == 16:
+            sets.append([0, (1 << 15) - 1, 1 << 15, n_items - 1])
+        for marked in sets:
+            problem = SearchProblem(k, marked)
+            _, pair = run_and_capture(problem, 0, monkeypatch)
+            state = filled(problem, *pair)
+            cdf = np.cumsum(np.abs(state.amps) ** 2)
+            edges = {int(problem.marked[0]), int(problem.marked[-1]), min(1 << 15, n_items) - 1}
+            u = [0.0, np.nextafter(1.0, 0.0)]
+            for i in sorted(edges):
+                for v in (cdf[i - 1] if i else 0.0, cdf[i]):
+                    u += [v, np.nextafter(v, 0.0)] if v < 1.0 else []
+            with monkeypatch.context() as m:
+                m.setattr(statevec, "make_rng", lambda seed: FixedVariates(u))
+                expected = statevec.measure_all(state, 0, len(u))
+                m.setattr(statevec, "make_rng", VariatesBySeed(u))
+                found = [run_grover(problem, seed).found for seed in range(len(u))]
+            assert found == expected, (k, marked)
+
     def test_search_holds_one_state(self):
-        # the loop runs on two amplitudes and the state is filled once,
-        # after it; a second state-sized array would double the peak
+        # the loop runs on two amplitudes and the outcome is drawn from a
+        # law of 2^k floats, which becomes its own CDF; the complex state
+        # or a second law-sized array would double the peak
         k = 18
         problem = SearchProblem(k, (5,))
         tracemalloc.start()
@@ -364,7 +428,7 @@ class TestInPlaceLoop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * (16 << k)
+        assert peak < 1.5 * (8 << k)
 
 
 class TestAnalyticRecurrence:

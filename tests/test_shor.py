@@ -111,7 +111,6 @@ class TestNumberTheoryHelpers:
         require = statevec.require_qubits
         monkeypatch.setattr(statevec, "require_qubits",
                             lambda count, what: checked.append(count) or require(count, what))
-        shor._states.clear()
         state = order_finding_state(inst)
         assert checked[0] == max(checked) == 3 * inst.L
         assert state.n_qubits == 2 * inst.L + b
@@ -218,7 +217,6 @@ class TestCircuit:
             return real_evolve(amps, circuit)
 
         monkeypatch.setattr(statevec, "_evolve", counting_evolve)
-        monkeypatch.setattr(shor, "_states", {})
         order_finding_state(inst)
         qft_ops = [(op.name, op.wires) for op in build_qft_circuit(QftSpec(two_l)).ops]
         assert multiplicative_order(2, 33) == 10
@@ -232,7 +230,7 @@ class TestCircuit:
         state = order_finding_state(inst)
         low_bits = state.n_qubits - 2 * inst.L
         expected = [statevec.measure_all(state, seed, 1)[0] >> low_bits for seed in range(20)]
-        assert list(statevec._input_draws(state, 2 * inst.L, range(20))) == expected
+        assert [run_order_finding_circuit(inst, seed) for seed in range(20)] == expected
 
     def test_measured_c_is_the_extracted_exponent_register(self):
         # the full 3L-qubit state, built gate by gate, measured on the same seeds
@@ -478,20 +476,26 @@ class TestFactorPipeline:
         # seed 9 runs the circuit for x = 14 and then for x = 28, both of
         # order 10, so both states keep 16 columns (16 qubits, 1 MB); two
         # attempts may peak no higher than the first one alone; an untraced
-        # first run fills the caches that outlive a run
+        # first run fills the caches that outlive a run.  After the run,
+        # shor holds the last attempt's law of c (2^12 floats, 32 KB) and
+        # no state
         factor(33, max_attempts=1, rng_seed=9)
-        peaks, reports = [], []
+        peaks, held, reports = [], [], []
         for max_attempts in (1, 2):
-            shor._states.clear()
+            shor._laws.clear()
             tracemalloc.start()
             try:
                 reports.append(factor(33, max_attempts, rng_seed=9))
+                held.append(tracemalloc.get_traced_memory()[0])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert [(a.x, a.measured_c is not None) for a in reports[1].attempts] == [(14, True), (28, True)]
         state_bytes = 16 << 16
-        assert shor._states[FactoringInstance(33, 28)].amps.nbytes == state_bytes
+        law_bytes = 8 << 12
+        assert list(shor._laws) == [FactoringInstance(33, 28)]
+        assert shor._laws[FactoringInstance(33, 28)].nbytes == law_bytes
+        assert max(held) < law_bytes + state_bytes // 8
         assert peaks[1] < peaks[0] + state_bytes // 2
 
     def test_order_finding_state_holds_one_state(self):
@@ -501,7 +505,6 @@ class TestFactorPipeline:
         # scratch arrays and small tables; a second array of its size, or
         # the full register, would exceed it
         inst = FactoringInstance(33, 5)
-        shor._states.clear()
         tracemalloc.start()
         try:
             state = order_finding_state(inst)
@@ -520,7 +523,6 @@ class TestFactorPipeline:
         # so the measured call is the second.
         inst = FactoringInstance(119, 3)
         order_finding_state(inst)
-        shor._states.clear()
         tracemalloc.start()
         try:
             state = order_finding_state(inst)

@@ -344,8 +344,9 @@ class TestCostAccounting:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_input_draws_are_the_rows_measure_all_draws(self, n, monkeypatch):
-        # 8 oracles and 50 variates each: the row found in the CDF at row
-        # ends is the outcome of measure_all on the same variate, >> n
+        # 8 oracles and 50 variates each: the row drawn from the input
+        # register's law is the outcome of measure_all on the same
+        # variate, >> n
         for c in range(1, 9):
             c = c % (1 << n) or 1
             state = sampling_state(make_oracle(n, c, rng_seed=100 * n + c))
@@ -354,11 +355,12 @@ class TestCostAccounting:
             expected = [outcome >> low_bits for outcome in statevec.measure_all(state, c, 50)]
             with monkeypatch.context() as m:
                 m.setattr(statevec, "make_rng", VariatesBySeed(u))
-                assert list(statevec._input_draws(state, n, range(50))) == expected
+                law = statevec._input_marginal(state, n)
+                assert list(statevec._draws(law, range(50))) == expected
 
     def test_run_reads_the_state_once(self, monkeypatch):
-        # the rounds search the row ends; the state's probabilities are
-        # read in one pass however many rounds run
+        # the rounds draw from the input register's law; the state's
+        # probabilities are read in one pass however many rounds run
         passes = []
         real_blocks = statevec.probability_blocks
 

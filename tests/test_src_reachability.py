@@ -23,10 +23,11 @@ FEATURES = {"statevec.init_basis"}
 
 #: The private ``statevec`` names other modules read: the gate kernel on a
 #: handed-over buffer, the basis buffer, the period-finding builder, the
-#: amplitude of its H layer, and the two readers of a period-finding state,
-#: which keep that state's layout beside the code that builds it.
+#: amplitude of its H layer, the reader of a period-finding state's input
+#: law, which keeps that state's layout beside the code that builds it, and
+#: the sampler that draws from a handed-over law.
 STATEVEC_PRIVATE = {"_evolve", "_basis", "_period_finding", "_hadamard_amplitude",
-                    "_input_draws", "_input_marginal"}
+                    "_draws", "_input_marginal"}
 
 
 def defined_names(tree: ast.Module) -> list[str]:

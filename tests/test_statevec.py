@@ -27,6 +27,7 @@ from qdesk.statevec import (
 
 from conftest import random_state, random_unitary
 from referees import (
+    FixedVariates,
     VariatesBySeed,
     apply_xor_oracle,
     expand_live_columns,
@@ -498,17 +499,6 @@ def inverse_cdf_reference(state, rng_seed, shots):
     return [int(i) for i in np.minimum(idx, probs.size - 1)]
 
 
-class FixedVariates:
-    """A stand-in generator that hands out chosen uniform variates."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=np.float64)
-
-    def random(self, shots):
-        assert shots == self.u.size
-        return self.u.copy()
-
-
 class TestBlockedSampling:
     # 2, 8 and 32 blocks of 2^15 amplitudes
     @pytest.mark.parametrize("n", [16, 18, 20])
@@ -550,8 +540,8 @@ class TestBlockedSampling:
         assert peak < nbytes // 8
 
 
-class TestInputDraws:
-    """The CDF at row ends places a variate in the row measure_all's index falls in."""
+class TestDraws:
+    """A draw from a register's law is the register of measure_all's outcome on the same variate."""
 
     # one block (n = 8), and 2 and 32 blocks of 2^15 amplitudes
     @pytest.mark.parametrize("n", [8, 16, 20])
@@ -561,45 +551,46 @@ class TestInputDraws:
             for seed in (0, 7, 2**40 + 3):
                 u = [*statevec.make_rng(seed).random(512), np.nextafter(1.0, 0.0)]
                 expected = [i >> low_bits for i in measure_all(state, seed, 512)]
+                # the law of the top n - low_bits wires
+                law = (np.abs(state.amps) ** 2).reshape(1 << (n - low_bits), -1).sum(axis=1)
                 with monkeypatch.context() as m:
                     m.setattr(statevec, "make_rng", VariatesBySeed(u))
-                    got = list(statevec._input_draws(state, n - low_bits, range(len(u))))
+                    got = list(statevec._draws(law, range(len(u))))
                 assert got[:-1] == expected
                 # the top variate lands in the last of the 2^(n - low_bits) rows
                 assert got[-1] == (1 << (n - low_bits)) - 1
 
     def test_top_bin_guard_and_block_edges(self, monkeypatch):
-        # the state of TestBlockedSampling's guard test: rows of 2^15 end
-        # at the block edge, so variates at and next to it and past the
-        # unguarded total test the carry and the 1.0 guard on the top row
+        # the law of TestBlockedSampling's guard state: its total rounds
+        # below 1 and its last bin is empty, so variates past the unguarded
+        # total must land on the top bin; variates at and next to CDF
+        # entries, the first kernel block's last among them, test that a
+        # draw counts the entries <= u
         n = 16
-        amps = np.full(1 << n, math.sqrt((1 - 4e-11) / ((1 << n) - 1)), dtype=np.complex128)
-        amps[-1] = 0
-        state = StateVector(n, amps)
-        cdf = np.cumsum(np.abs(state.amps) ** 2)
+        law = np.full(1 << n, (1 - 4e-11) / ((1 << n) - 1))
+        law[-1] = 0
+        cdf = np.cumsum(law)
+        assert cdf[-1] < 1.0
         edge = (1 << 15) - 1
-        u = [0.0, cdf[edge - 1], cdf[edge], np.nextafter(cdf[edge], 1.0), cdf[-2],
-             np.nextafter(cdf[-1], 1.0), np.nextafter(1.0, 0.0)]
-        for low_bits in (14, 15):
-            with monkeypatch.context() as m:
-                m.setattr(statevec, "make_rng", lambda seed: FixedVariates(u))
-                expected = [i >> low_bits for i in measure_all(state, 0, len(u))]
-                m.setattr(statevec, "make_rng", VariatesBySeed(u))
-                got = list(statevec._input_draws(state, n - low_bits, range(len(u))))
-            assert got == expected
-            # past the unguarded total, both variates stay on the top row
-            assert got[-2:] == [(1 << (n - low_bits)) - 1] * 2
+        u = [0.0, cdf[edge - 1], cdf[edge], cdf[edge + 1], np.nextafter(cdf[edge], 1.0),
+             cdf[-2], np.nextafter(cdf[-1], 1.0), (1 + cdf[-1]) / 2, np.nextafter(1.0, 0.0)]
+        monkeypatch.setattr(statevec, "make_rng", VariatesBySeed(u))
+        got = list(statevec._draws(law.copy(), range(len(u))))
+        assert got == [int(i) for i in np.minimum(np.searchsorted(cdf, u, side="right"), law.size - 1)]
+        assert got[1:5] == [edge, edge + 1, edge + 2, edge + 1]
+        assert got[-3:] == [(1 << n) - 1] * 3
 
-    def test_holds_no_state_sized_float_array(self, rng):
-        # one block of the CDF at a time, and the 2^10 row ends it keeps
-        state = random_state(rng, 20)
+    def test_works_in_the_law_it_is_handed(self, rng):
+        # the CDF is built in the caller's array: no second law-sized array
+        law = np.abs(random_state(rng, 20).amps) ** 2
         tracemalloc.start()
         try:
-            next(statevec._input_draws(state, 10, [3]))
+            next(statevec._draws(law, [3]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < state.amps.nbytes // 8
+        assert law[-1] == 1.0
+        assert peak < law.nbytes // 8
 
 
 class TestExtractRegister:

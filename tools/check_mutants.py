@@ -58,7 +58,8 @@ _STRUCTURE = ("tests/test_statevec.py::TestStructuredPaths::"
 _SINE_LAW = "tests/test_grover.py::TestInPlaceLoop::test_trace_is_the_sine_squared_law"
 _FULL_STATE_LOOP = "tests/test_grover.py::TestInPlaceLoop::test_run_tracks_the_full_state_loop"
 _SAMPLING_GUARD = "tests/test_statevec.py::TestBlockedSampling::test_top_bin_guard_and_block_edges"
-_DRAWS_GUARD = "tests/test_statevec.py::TestInputDraws::test_top_bin_guard_and_block_edges"
+_DRAWS_GUARD = "tests/test_statevec.py::TestDraws::test_top_bin_guard_and_block_edges"
+_FOUND = "tests/test_grover.py::TestInPlaceLoop::test_found_is_measure_all_on_the_filled_state"
 _PHASE_FORM = ("tests/test_qft.py::TestPhaseFormFidelity::"
                "test_built_transforms_agree_with_the_circuit_referee")
 
@@ -177,18 +178,11 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_shor.py::TestCircuit::test_dump_is_the_full_state_marginal_and_the_law",),
     ),
     Mutant(
-        "the CDF kept at each row's start", _STATEVEC,
-        "cdf[(row - 1 - start) % row::row]",
-        "cdf[(row - start) % row::row]",
-        ("tests/test_statevec.py::TestInputDraws::"
-         "test_draws_are_measure_all_outcomes_shifted", _DRAWS_GUARD),
-    ),
-    Mutant(
         "the 1.0 guard on every block", _STATEVEC,
         "        if end == state.amps.size:\n"
         "            cdf[-1] = 1.0\n",
         "        cdf[-1] = 1.0\n",
-        (_SAMPLING_GUARD, _DRAWS_GUARD),
+        (_SAMPLING_GUARD, _FOUND),
     ),
     Mutant(
         "measure_all counts entries < u", _STATEVEC,
@@ -197,10 +191,29 @@ MUTANTS: tuple[Mutant, ...] = (
         (_SAMPLING_GUARD,),
     ),
     Mutant(
-        "an input draw counts row ends < u", _STATEVEC,
-        'yield int(np.searchsorted(ends, make_rng(seed).random(), side="right"))',
-        'yield int(np.searchsorted(ends, make_rng(seed).random(), side="left"))',
+        "a draw counts CDF entries < u", _STATEVEC,
+        'yield int(np.searchsorted(cdf, make_rng(seed).random(), side="right"))',
+        'yield int(np.searchsorted(cdf, make_rng(seed).random(), side="left"))',
         (_DRAWS_GUARD,),
+    ),
+    Mutant(
+        "no top bin guard on a draw", _STATEVEC,
+        "    cdf[-1] = 1.0\n"
+        "    for seed in seeds:\n",
+        "    for seed in seeds:\n",
+        (_DRAWS_GUARD,),
+    ),
+    Mutant(
+        "a law's total read from its CDF", _STATEVEC,
+        "total = float(law.sum())",
+        "total = float(np.cumsum(law)[-1])",
+        ("tests/test_grover.py::TestInPlaceLoop::test_cap_law_is_checked_on_its_sum_not_its_cdf",),
+    ),
+    Mutant(
+        "a NaN law passes the check", _STATEVEC,
+        "if not abs(total - 1.0) <= NORM_TOL:",
+        "if abs(total - 1.0) > NORM_TOL:",
+        ("tests/test_grover.py::TestInPlaceLoop::test_a_leaky_or_nan_pair_is_not_a_law",),
     ),
     Mutant(
         "renormalise instead of raising", _STATEVEC,
