@@ -13,9 +13,14 @@ generator state.
 The front end (argument parsing, the checks of ``config_from_args``, error
 reports) runs on the standard library alone: ``--version``, ``--help`` and
 every usage or argument error are answered without loading numpy.  Only an
-accepted request loads what its command runs (``statevec``, ``gates``,
-numpy and the command's own modules), and the process entry freezes the
-collector after that load.
+accepted request loads what its command runs, and the process entry freezes
+the collector after that load.  ``qft`` loads ``gates`` and ``qft``, which
+build, count and write out a circuit without numpy; it loads numpy only to
+compute a fidelity that is not exactly 1 (a cutoff that drops a coupling,
+or no swaps), after the freeze.  Every other command loads ``statevec``,
+``gates`` and numpy with its own modules.  A capacity error is told from a
+domain error by the package's ``CapacityError``, so either is reported
+whatever the request has loaded.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import time
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from . import __version__
+from . import CapacityError, __version__
 
 if TYPE_CHECKING:
     from types import ModuleType
@@ -76,9 +81,10 @@ class RunReport(NamedTuple):
         result (only the config echo, before it, holds user text).  The
         outcome law goes in between, one block at a time.
         """
-        from . import statevec
+        # a StateVector can only exist once statevec is loaded
+        statevec = sys.modules.get(f"{__package__}.statevec")
         state = self.result.get("distribution")
-        streamed = isinstance(state, statevec.StateVector)
+        streamed = statevec is not None and isinstance(state, statevec.StateVector)
         text = _dumps({
             "command": self.command,
             "config": self.config,
@@ -157,17 +163,6 @@ def _distribution_chunks(blocks: Iterable[np.ndarray], width: int, indent: str) 
 # circuit text format
 # ---------------------------------------------------------------------------
 
-def _gates() -> dict[str, tuple[int, Callable[..., GateOp]]]:
-    """The format's gates: name -> (wire count, builder).
-
-    CPHASE's builder takes j and k before the wires.  Built per call, so
-    that ``gates`` (and numpy) load only once a circuit is read or written.
-    """
-    from .gates import cnot_op, cphase_op, h_op, swap_op, toffoli_op
-    return {"H": (1, h_op), "CNOT": (2, cnot_op), "SWAP": (2, swap_op),
-            "TOFFOLI": (3, toffoli_op), "CPHASE": (2, cphase_op)}
-
-
 def _is_integer(text: str) -> bool:
     """One optional minus sign, then ASCII digits: what ``int`` should read here.
 
@@ -229,8 +224,7 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
     that token, and so is a wire above ``n_wires`` when it is given.  When
     ``n_wires`` is omitted it defaults to the largest wire mentioned.
     """
-    from .gates import Circuit
-    known = _gates()
+    from .gates import NAMED_GATES, Circuit
     ops: list[GateOp] = []
     max_wire = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,14 +234,14 @@ def parse_circuit_text(text: str, n_wires: int | None = None) -> Circuit:
         if not tokens:
             continue
         (column, name), *rest = tokens
-        if name not in known:
+        if name not in NAMED_GATES:
             raise CircuitSyntaxError(
                 lineno, column,
-                f"unknown gate {_echo(name)}; valid names: {', '.join(sorted(known))}",
+                f"unknown gate {_echo(name)}; valid names: {', '.join(sorted(NAMED_GATES))}",
             )
         if not rest:
             raise CircuitSyntaxError(lineno, column + len(name), f"{name} needs wire indices")
-        arity, build = known[name]
+        arity, build, _ = NAMED_GATES[name]
         (wire_col, wire_token), *param_tokens = rest
         wire_texts = wire_token.split(",")
         if not all(_is_integer(w) for w in wire_texts):
@@ -297,10 +291,10 @@ def parse_circuit_file(path: str, n_wires: int | None = None) -> Circuit:
 
 def circuit_to_text(circuit: Circuit) -> str:
     """Emit a circuit in the line-oriented text format."""
-    known = _gates()
+    from .gates import NAMED_GATES
     lines = []
     for op in circuit.ops:
-        if op.name not in known:
+        if op.name not in NAMED_GATES:
             raise ValueError(f"gate {op.name!r} has no text form")
         params = "".join(f" {key}={value}" for key, value in zip("jk", op.params))
         lines.append(f"{op.name} {','.join(map(str, op.wires))}{params}")
@@ -424,8 +418,8 @@ def _run_circuit_file(statevec: ModuleType, seed: int, params: dict[str, Any]) -
 
 
 # command -> (the module its handler runs, handler); :func:`_load` imports
-# the module, and with it numpy, statevec and gates, and :func:`run` hands
-# it to the handler.
+# the module, and with it gates (and, but for qft, statevec and numpy), and
+# :func:`run` hands it to the handler.
 _HANDLERS: dict[str, tuple[str, Callable[[ModuleType, int, dict[str, Any]], dict[str, Any]]]] = {
     "factor": ("shor", _run_factor),
     "grover": ("grover", _run_grover),
@@ -643,9 +637,7 @@ def _run(config: RunConfig, start: float) -> int:
 
 def _fail(exc: ValueError | OSError, output_path: str | None) -> int:
     """Write the error report for ``exc``; the exit status, 3 for capacity, else 1."""
-    # a CapacityError can only have been raised once statevec is loaded
-    statevec = sys.modules.get(f"{__package__}.statevec")
-    resource = statevec is not None and isinstance(exc, statevec.CapacityError)
+    resource = isinstance(exc, CapacityError)
     message = _LONG_DIGITS.sub(lambda digits: _echo(digits.group(), str), str(exc))
     text = _dumps({"error": {"type": "resource" if resource else "domain",
                              "message": message}})

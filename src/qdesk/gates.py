@@ -4,6 +4,13 @@ Matrices are plain complex numpy arrays.  A ``GateOp`` binds a small unitary
 (1 to 3 qubits) to an ordered list of distinct wires; the first wire in the
 list is the most significant bit of the gate's own matrix index.  Wires are
 numbered from 1 and wire 1 is the most significant bit of a basis index.
+
+The named gates (H, CNOT, SWAP, TOFFOLI, CPHASE) are one table,
+:data:`NAMED_GATES`, which the circuit text format reads too.  An op a
+builder makes (``h_op`` and its kin) holds its name, wires and params and
+builds its matrix from that table the first time the matrix is read, so
+numpy is imported only where a matrix is built: a circuit can be built,
+counted and written out without it.
 """
 
 from __future__ import annotations
@@ -11,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 UNITARY_TOL = 1e-10
 
@@ -22,6 +30,8 @@ EXPAND_MAX_WIRES = 10
 
 
 def _as_unitary(matrix: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"gate matrix must be square, got shape {m.shape}")
@@ -45,24 +55,35 @@ def _slice_index(row: int, k: int) -> tuple:
 class GateOp:
     """A small unitary bound to an ordered tuple of distinct wires.
 
-    :attr:`changed_rows` is read from the matrix once, on the op's first
-    run; the state-vector kernel routes on it.
+    A given matrix is checked at construction and kept as a read-only
+    copy.  A builder passes ``matrix=None`` with the name of a gate in
+    :data:`NAMED_GATES`: the op then holds its name, wires and params, and
+    its read-only matrix is built from the table on its first read (see
+    :meth:`__getattr__`).  :attr:`changed_rows` is read from the matrix
+    once, on the op's first run; the state-vector kernel routes on it.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     wires: tuple[int, ...]
     name: str = "U"
     params: tuple = ()
 
     def __post_init__(self):
-        m = _as_unitary(self.matrix)
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        if self.matrix is None:
+            if self.name not in NAMED_GATES:
+                raise ValueError(f"no named gate {self.name!r}; valid names: "
+                                 f"{', '.join(sorted(NAMED_GATES))}")
+            arity = NAMED_GATES[self.name].wires
+            object.__delattr__(self, "matrix")  # until __getattr__ builds it
+        else:
+            m = _as_unitary(self.matrix).copy()
+            m.setflags(write=False)
+            object.__setattr__(self, "matrix", m)
+            arity = m.shape[0].bit_length() - 1
         wires = tuple(int(w) for w in self.wires)
-        if len(wires) != self.arity:
+        if len(wires) != arity:
             raise ValueError(
-                f"gate acts on {self.arity} qubits but {len(wires)} wires given"
+                f"gate acts on {arity} qubits but {len(wires)} wires given"
             )
         if len(set(wires)) != len(wires):
             raise ValueError(f"repeated wire index in {wires}")
@@ -70,9 +91,18 @@ class GateOp:
             raise ValueError(f"wires are numbered from 1, got {wires}")
         object.__setattr__(self, "wires", wires)
 
+    def __getattr__(self, attr: str):
+        """Reached only for an attribute the op lacks: a named op's matrix, on its first read."""
+        if attr != "matrix":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        m = NAMED_GATES[self.name].matrix(*self.params)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        return m
+
     @property
     def arity(self) -> int:
-        return self.matrix.shape[0].bit_length() - 1
+        return len(self.wires)
 
     @cached_property
     def changed_rows(self) -> tuple | None:
@@ -84,6 +114,8 @@ class GateOp:
         :func:`_slice_index` gives them, the entry a read-only 1x1 matrix or
         None for 1.  The identity changes no rows, ``()``.
         """
+        import numpy as np
+
         m = self.matrix
         dim = m.shape[0]
         # a unitary has a nonzero in every row and every column, so dim
@@ -132,11 +164,15 @@ class Circuit:
 
 def hadamard() -> np.ndarray:
     """The 2x2 transform with entries +-1/sqrt(2)."""
+    import numpy as np
+
     return np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
 
 def cnot() -> np.ndarray:
     """Controlled NOT: flips the second (target) bit iff the first is 1."""
+    import numpy as np
+
     return np.array(
         [[1, 0, 0, 0],
          [0, 1, 0, 0],
@@ -148,6 +184,8 @@ def cnot() -> np.ndarray:
 
 def toffoli() -> np.ndarray:
     """Doubly controlled NOT: identity except the last two rows swapped."""
+    import numpy as np
+
     m = np.eye(8, dtype=np.complex128)
     m[[6, 7]] = m[[7, 6]]
     return m
@@ -155,6 +193,8 @@ def toffoli() -> np.ndarray:
 
 def swap_gate() -> np.ndarray:
     """Exchange two qubits (permutation of the middle basis states)."""
+    import numpy as np
+
     return np.array(
         [[1, 0, 0, 0],
          [0, 0, 1, 0],
@@ -170,38 +210,64 @@ def controlled_phase(j: int, k: int) -> np.ndarray:
     Applies the phase exactly when both qubits are 1.  Requires 0 <= j < k;
     the phase shrinks exponentially as k - j grows.
     """
+    import numpy as np
+
+    phase = np.exp(1j * _phase_angle(j, k))
+    return np.diag([1, 1, 1, phase]).astype(np.complex128)
+
+
+def _phase_angle(j: int, k: int) -> float:
+    """The angle 2*pi / 2^(k+1-j) of ``controlled_phase(j, k)``, once 0 <= j < k is checked."""
     if j < 0:
         raise ValueError(f"j must be non-negative, got {j}")
     if j >= k:
         raise ValueError(f"need j < k, got j={j}, k={k}")
     # ldexp scales 2*pi by 2^(j-k-1) exactly and underflows to 0 for any
     # k; dividing by the int 2^(k+1-j) overflows once it passes 2^1023
-    phase = np.exp(1j * math.ldexp(2 * math.pi, j - k - 1))
-    return np.diag([1, 1, 1, phase]).astype(np.complex128)
+    return math.ldexp(2 * math.pi, j - k - 1)
 
 
 # ---------------------------------------------------------------------------
-# op builders
+# op builders and the named-gate table
 # ---------------------------------------------------------------------------
 
 def h_op(wire: int) -> GateOp:
-    return GateOp(hadamard(), (wire,), "H")
+    return GateOp(None, (wire,), "H")
 
 
 def cnot_op(control: int, target: int) -> GateOp:
-    return GateOp(cnot(), (control, target), "CNOT")
+    return GateOp(None, (control, target), "CNOT")
 
 
 def toffoli_op(control_a: int, control_b: int, target: int) -> GateOp:
-    return GateOp(toffoli(), (control_a, control_b, target), "TOFFOLI")
+    return GateOp(None, (control_a, control_b, target), "TOFFOLI")
 
 
 def swap_op(wire_a: int, wire_b: int) -> GateOp:
-    return GateOp(swap_gate(), (wire_a, wire_b), "SWAP")
+    return GateOp(None, (wire_a, wire_b), "SWAP")
 
 
 def cphase_op(j: int, k: int, wire_a: int, wire_b: int) -> GateOp:
-    return GateOp(controlled_phase(j, k), (wire_a, wire_b), "CPHASE", params=(j, k))
+    _phase_angle(j, k)  # j and k are checked now, the matrix built on its first read
+    return GateOp(None, (wire_a, wire_b), "CPHASE", params=(j, k))
+
+
+class NamedGate(NamedTuple):
+    """A gate the builders make by name."""
+
+    wires: int
+    op: Callable[..., GateOp]  # its builder: the params, then the wires
+    matrix: Callable[..., np.ndarray]  # its matrix, from an op's params
+
+
+#: The named gates, which are the circuit text format's gates.
+NAMED_GATES: dict[str, NamedGate] = {
+    "H": NamedGate(1, h_op, hadamard),
+    "CNOT": NamedGate(2, cnot_op, cnot),
+    "SWAP": NamedGate(2, swap_op, swap_gate),
+    "TOFFOLI": NamedGate(3, toffoli_op, toffoli),
+    "CPHASE": NamedGate(2, cphase_op, controlled_phase),
+}
 
 
 def hadamard_layer(n_wires: int) -> Circuit:
@@ -219,6 +285,8 @@ def embed_in_full_matrix(matrix: np.ndarray, wires: Sequence[int], n: int) -> np
     Built entry by entry from index arithmetic so it can serve as an
     independent oracle for the state-vector kernel.
     """
+    import numpy as np
+
     m = np.asarray(matrix, dtype=np.complex128)
     k = m.shape[0].bit_length() - 1
     positions = [n - w for w in wires]
@@ -247,6 +315,8 @@ def expand_to_matrix(circuit: Circuit) -> np.ndarray:
             f"expand_to_matrix refuses n_wires={circuit.n_wires} "
             f"(> {EXPAND_MAX_WIRES}; dense matrix would not fit)"
         )
+    import numpy as np
+
     total = np.eye(1 << circuit.n_wires, dtype=np.complex128)
     for op in circuit.ops:
         total = embed_in_full_matrix(op.matrix, op.wires, circuit.n_wires) @ total

@@ -22,10 +22,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import statevec
+from . import require_qubits
 from .gates import Circuit, cphase_op, h_op, swap_op
+
 
 @dataclass(frozen=True)
 class QftSpec:
@@ -36,7 +35,7 @@ class QftSpec:
     include_bit_reversal_swaps: bool = True
 
     def __post_init__(self):
-        statevec.require_qubits(self.k, f"the Fourier transform on k={self.k}")
+        require_qubits(self.k, f"the Fourier transform on k={self.k}")
         if self.approx_cutoff is not None and not 1 <= self.approx_cutoff <= self.k:
             raise ValueError(
                 f"approx_cutoff must lie in [1, {self.k}], got {self.approx_cutoff}"
@@ -71,43 +70,68 @@ def gate_counts(circuit: Circuit) -> dict[str, int]:
     return dict(Counter(op.name for op in circuit.ops))
 
 
-def _bit_sums(part: np.ndarray) -> np.ndarray:
-    """Column i: the rows of part summed over the set bits of i, msb first."""
-    return part @ np.indices((2,) * part.shape[1]).reshape(-1, 1 << part.shape[1])
-
-
 def phase_form_fidelity(circuit: Circuit) -> float:
     """Worst-case overlap of an H, CPHASE and SWAP circuit with the exact transform.
 
     On basis input a, wire w ends in (|0> + e^{i phi_w}|1>)/sqrt(2), phi_w an
     integer form over the input bits in units of 2*pi / 2^(k+1).  The overlap
     is the product of (1 + cos(phi_w - 2*pi*a / 2^w)) / 2 (Coppersmith,
-    arXiv:quant-ph/0201067), minimised over all 2^k inputs 2^14 at a time.
-    Any op outside that form raises ValueError.
+    arXiv:quant-ph/0201067), minimised over all 2^k inputs by
+    :func:`_worst_overlap`.  When every difference form is 0 mod 2^(k+1),
+    as for the exact transform, each factor is (1 + cos 0) / 2 = 1.0 and so
+    is the overlap, with no numpy loaded.  Any op outside that form raises
+    ValueError.
     """
+    delta = _phase_delta(circuit)
+    if all(d == 0 for row in delta for d in row):
+        return 1.0
+    return _worst_overlap(delta)
+
+
+def _phase_delta(circuit: Circuit) -> list[list[int]]:
+    """Row w: the form phi_w - 2*pi*a / 2^w over the input bits of a, msb first, mod 2^(k+1)."""
     k = circuit.n_wires
     modulus = 1 << (k + 1)
     holds = list(range(k))  # the input wire whose qubit each wire now carries
-    form = np.zeros((k, k), dtype=np.int64)  # row c: qubit c's phase form
+    form = [[0] * k for _ in range(k)]  # row c: qubit c's phase form
     for op in circuit.ops:
         carried = [holds[w - 1] for w in op.wires]
-        after = [form[c, c] != 0 for c in carried]  # past its H: its own bit is in
+        after = [form[c][c] != 0 for c in carried]  # past its H: its own bit is in
         if op.name == "H" and not after[0]:  # pi times the bit it holds
-            form[carried[0], carried[0]] = modulus >> 1
+            form[carried[0]][carried[0]] = modulus >> 1
         elif op.name == "SWAP":
             holds[op.wires[0] - 1], holds[op.wires[1] - 1] = carried[::-1]
         elif op.name == "CPHASE" and not all(after) and op.params[1] - op.params[0] <= k:
             if any(after):  # its angle times the other's bit; else a global phase
                 target, bit = carried if after[0] else carried[::-1]
-                form[target, bit] += modulus >> (op.params[1] + 1 - op.params[0])
+                form[target][bit] += modulus >> (op.params[1] + 1 - op.params[0])
         else:
             raise ValueError(f"{op.name} on wires {op.wires} leaves the phase form")
-    if not form.diagonal().all():
-        raise ValueError(f"wire {holds.index(form.diagonal().argmin()) + 1} never gets an H")
-    weights = 1 << np.arange(k - 1, -1, -1)  # of the input bits in a
-    delta = (form[holds] - np.outer(2 * weights, weights)) % modulus  # minus 2*pi*a / 2^w
+    diagonal = [form[c][c] for c in range(k)]
+    if not all(diagonal):
+        raise ValueError(f"wire {holds.index(diagonal.index(0)) + 1} never gets an H")
+    weights = [1 << (k - 1 - i) for i in range(k)]  # of the input bits in a
+    return [[(phase - 2 * weights[w] * weights[i]) % modulus  # minus 2*pi*a / 2^w
+             for i, phase in enumerate(form[c])] for w, c in enumerate(holds)]
+
+
+def _worst_overlap(delta: list[list[int]]) -> float:
+    """The minimum over all 2^k inputs of the product of (1 + cos(delta_w . a)) / 2.
+
+    ``delta`` is :func:`_phase_delta`'s k forms in units of 2*pi / 2^(k+1);
+    the inputs are taken 2^14 at a time, so memory does not grow with 2^k.
+    """
+    import numpy as np
+
+    k = len(delta)
+    modulus = 1 << (k + 1)
+    delta = np.array(delta, dtype=np.int64)
     split = max(0, k - 14)
-    low, high = _bit_sums(delta[:, split:]), _bit_sums(delta[:, :split])
+
+    def bit_sums(part):  # column i: the rows of part summed over the set bits of i, msb first
+        return part @ np.indices((2,) * part.shape[1]).reshape(-1, 1 << part.shape[1])
+
+    low, high = bit_sums(delta[:, split:]), bit_sums(delta[:, :split])
     mixed = high.any(axis=1)  # the wires whose delta reads a high bit
 
     def factors(sums):

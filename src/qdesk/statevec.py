@@ -25,11 +25,9 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+# the qubit budget lives in the package, which loads no numpy; these are its objects
+from . import MAX_QUBITS, CapacityError, require_qubits
 from .gates import Circuit, GateOp, hadamard
-
-#: Hard cap on the simulated register: 2^24 complex doubles is 256 MB; one
-#: such state, 1-2 MB of scratch and ~35 MB of interpreter peak near 295 MB.
-MAX_QUBITS = 24
 
 #: Tolerance on sum |amp|^2 = 1.
 NORM_TOL = 1e-10
@@ -40,22 +38,6 @@ NORM_TOL = 1e-10
 # Python overhead (1.5x the QFT time at 2^12), larger ones spill out of
 # the cache.
 _BLOCK_BITS = 15
-
-
-class CapacityError(ValueError):
-    """Raised when a request would exceed the qubit budget."""
-
-
-def require_qubits(needed: int, what: str) -> None:
-    """Check a register size before anything is allocated for it.
-
-    Below one qubit is a ValueError; above MAX_QUBITS is a CapacityError
-    that reads "<what> needs N qubits (cap 24)".
-    """
-    if needed < 1:
-        raise ValueError(f"{what} must use at least one qubit, got {needed}")
-    if needed > MAX_QUBITS:
-        raise CapacityError(f"{what} needs {needed} qubits (cap {MAX_QUBITS})")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -351,7 +333,10 @@ def _input_marginal(state: StateVector, m: int) -> np.ndarray:
     """The marginal on the top m wires of a period-finding state: each row's probabilities summed.
 
     The row of an input value holds its live columns and zero pad columns,
-    so its sum is the full register's marginal at that value.
+    so its sum is the full register's marginal at that value.  A row wider
+    than a block is summed block by block, and its blocks' sums in turn.
     """
     row = 1 << (state.n_qubits - m)
-    return np.concatenate([p.reshape(-1, row).sum(axis=1) for p in probability_blocks(state)])
+    sums = np.concatenate([p.reshape(-1, min(row, p.size)).sum(axis=1)
+                           for p in probability_blocks(state)])
+    return sums.reshape(-1, max(row >> _BLOCK_BITS, 1)).sum(axis=1)

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from qdesk.gates import (
+    NAMED_GATES,
     Circuit,
     GateOp,
     cnot,
     cnot_op,
     controlled_phase,
+    cphase_op,
     expand_to_matrix,
     h_op,
     hadamard,
     hadamard_layer,
     swap_gate,
+    swap_op,
     toffoli,
+    toffoli_op,
 )
 
 from qdesk import shor, simon, statevec
@@ -121,6 +125,61 @@ class TestGateOpAndCircuit:
         op = h_op(1)
         with pytest.raises((ValueError, RuntimeError)):
             op.matrix[0, 0] = 5.0
+
+
+# (op from its builder, the constructor's matrix)
+NAMED_CASES = [
+    (lambda: h_op(2), hadamard),
+    (lambda: cnot_op(3, 1), cnot),
+    (lambda: swap_op(1, 2), swap_gate),
+    (lambda: toffoli_op(2, 3, 1), toffoli),
+    *[(lambda j=j, k=k: cphase_op(j, k, 1, 2), lambda j=j, k=k: controlled_phase(j, k))
+      for j, k in ((0, 1), (0, 2), (1, 4), (2, 9), (0, 60), (3, 2000))],
+]
+NAMED_IDS = ["H", "CNOT", "SWAP", "TOFFOLI", "CPHASE0,1", "CPHASE0,2", "CPHASE1,4", "CPHASE2,9",
+             "CPHASE0,60", "CPHASE3,2000"]
+
+
+class TestNamedOps:
+    @pytest.mark.parametrize("build, constructor", NAMED_CASES, ids=NAMED_IDS)
+    def test_the_matrix_is_the_constructors_bit_for_bit(self, build, constructor):
+        op, expected = build(), constructor()
+        assert op.matrix.dtype == expected.dtype == np.complex128
+        assert op.matrix.shape == expected.shape
+        assert op.matrix.tobytes() == expected.tobytes()
+        assert op.matrix is op.matrix  # built once, then kept
+
+    @pytest.mark.parametrize("build, constructor", NAMED_CASES, ids=NAMED_IDS)
+    def test_the_matrix_is_read_only(self, build, constructor):
+        op = build()
+        with pytest.raises(ValueError, match="read-only"):
+            op.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("build, constructor", NAMED_CASES, ids=NAMED_IDS)
+    def test_the_arity_is_the_tables_and_the_matrix_agrees(self, build, constructor):
+        op = build()
+        assert "matrix" not in vars(op)  # the arity is known before the matrix is built
+        assert op.arity == len(op.wires) == NAMED_GATES[op.name].wires
+        assert op.matrix.shape == (1 << op.arity,) * 2
+
+    def test_the_table_holds_the_builders_the_text_format_names(self):
+        assert {name: (gate.wires, gate.op) for name, gate in NAMED_GATES.items()} == {
+            "H": (1, h_op), "CNOT": (2, cnot_op), "SWAP": (2, swap_op),
+            "TOFFOLI": (3, toffoli_op), "CPHASE": (2, cphase_op)}
+
+    def test_a_builder_checks_its_arguments_before_any_matrix_exists(self):
+        with pytest.raises(ValueError, match="^need j < k, got j=2, k=2$"):
+            cphase_op(2, 2, 1, 2)
+        with pytest.raises(ValueError, match="repeated wire index"):
+            cnot_op(2, 2)
+        with pytest.raises(ValueError, match="gate acts on 3 qubits but 2 wires given"):
+            GateOp(None, (1, 2), "TOFFOLI")
+        with pytest.raises(ValueError, match="^no named gate 'U'; valid names: CNOT, CPHASE"):
+            GateOp(None, (1,))
+
+    def test_an_unread_attribute_is_still_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'matrices'"):
+            h_op(1).matrices
 
 
 class TestExpandToMatrix:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdesk import statevec
+from qdesk import qft, statevec
 from qdesk.gates import Circuit, GateOp, cnot_op, cphase_op, expand_to_matrix, h_op, swap_op
 from qdesk.qft import (
     QftSpec,
@@ -140,6 +140,25 @@ class TestPhaseFormFidelity:
     def test_built_transforms_agree_with_the_circuit_referee(self, k, cutoff):
         circ = build_qft_circuit(QftSpec(k, cutoff))
         assert report_digits(phase_form_fidelity(circ)) == report_digits(qft_fidelity(circ))
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_the_exact_shortcut_never_changes_a_value(self, k):
+        # the shortcut answers 1.0 without numpy where every delta is 0 mod
+        # 2^(k+1); the numeric minimum must give that same value, and be
+        # what every other circuit gets
+        exact = 0
+        for cutoff in (None, *range(1, k + 1)):
+            for swaps in (True, False):
+                circ = build_qft_circuit(QftSpec(k, cutoff, swaps))
+                delta = qft._phase_delta(circ)
+                fidelity = phase_form_fidelity(circ)
+                assert fidelity == qft._worst_overlap(delta), (cutoff, swaps)
+                if not any(map(any, delta)):
+                    assert fidelity == 1.0
+                    exact += 1
+        # with swaps, no cutoff and the cutoffs k - 1 and k drop no coupling;
+        # at k = 1 there is no swap to leave out and no coupling to drop
+        assert exact == (3 if k > 1 else 4)
 
     @pytest.mark.parametrize("k", [*range(2, 9), 16, 24])
     def test_without_swaps_the_minimum_is_exactly_zero(self, k):

@@ -51,9 +51,11 @@ def references(module: str, tree: ast.Module, defined: set[str],
     """(module, name) pairs a package module's code refers to, outside their own definitions.
 
     A bare name is one of the module's own top-level names or a name it
-    imported from a sibling module; ``mod.name`` reads a name off a
-    sibling module it imported, or off a function parameter named after
-    a sibling (the CLI hands each command handler the module it runs).
+    imported from a sibling module or from the package (``from . import
+    name``, where name is no sibling, is ``__init__``'s); ``mod.name``
+    reads a name off a sibling module it imported, or off a function
+    parameter named after a sibling (the CLI hands each command handler
+    the module it runs).
     Docstrings and comments are not code.
     """
     modules: dict[str, str] = {}  # local name -> sibling module
@@ -63,8 +65,10 @@ def references(module: str, tree: ast.Module, defined: set[str],
             modules[node.arg] = node.arg
         elif isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
-                if node.module is None:
+                if node.module is None and alias.name in siblings:
                     modules[alias.asname or alias.name] = alias.name
+                elif node.module is None:
+                    imported[alias.asname or alias.name] = ("__init__", alias.name)
                 else:
                     imported[alias.asname or alias.name] = (node.module, alias.name)
     refs = set()
@@ -158,6 +162,15 @@ def test_a_name_the_benchmark_reads_off_a_module_is_reached(tmp_path):
     allowed = benchmark_names(sorted(qdesk_references(bench)))
     assert allowed == {("a", "read")}
     assert unreached(tmp_path, allowed) == ["a.mentioned"]
+
+
+def test_a_name_imported_from_the_package_is_reached(tmp_path):
+    (tmp_path / "__init__.py").write_text("LIMIT = 3\ndef check():\n    pass\n"
+                                          "def unused():\n    pass\n")
+    (tmp_path / "a.py").write_text("from . import LIMIT, b, check\n"
+                                   "def run():\n    return check() + b.read() + LIMIT\n")
+    (tmp_path / "b.py").write_text("def read():\n    pass\n")
+    assert unreached(tmp_path, {("a", "run")}) == ["__init__.unused"]
 
 
 def test_a_name_read_off_a_parameter_named_after_its_module_is_reached(tmp_path):

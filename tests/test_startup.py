@@ -3,10 +3,14 @@
 The front end (argument parsing, the checks of ``config_from_args``, error
 reports) runs on the standard library: ``--version``, ``--help``, usage
 errors and the errors it finds itself load no numpy and no qdesk module
-but ``cli``.  An accepted request loads ``cli``, ``gates``, ``statevec``
-and the command's modules.  The process entry freezes what the imports
-made (``gc.freeze``) after that load; an in-process ``cli.main`` never
-does, so callers that run it many times keep normal collection.
+but ``cli``.  An accepted request loads ``cli``, ``gates`` and the
+command's modules.  A ``qft`` request loads ``qft`` and no ``statevec``;
+it loads numpy only when the transform is not exact (a cutoff that drops
+a coupling, or no swaps), to compute the fidelity after the freeze.
+Every other command loads ``statevec`` and with it numpy.  An over-cap
+``qft`` exits 3 without numpy.  The process entry freezes what the
+imports made (``gc.freeze``) after that load; an in-process ``cli.main``
+never does, so callers that run it many times keep normal collection.
 """
 
 import gc
@@ -48,10 +52,11 @@ runpy.run_module(module, run_name="__main__", alter_sys=True)
 """
 
 BASE = {"cli", "gates", "statevec"}
+QFT = {"cli", "gates", "qft"}
 
 COMMANDS = [
     (["circuit-run", "--file", "{circuit}"], BASE),
-    (["qft", "--qubits", "3"], BASE | {"qft"}),
+    (["qft", "--qubits", "3"], QFT),
     (["factor", "--n", "15", "--max-attempts", "1"], BASE | {"qft", "shor"}),
     (["grover", "--qubits", "3", "--target", "5"], BASE | {"grover"}),
     (["simon", "--n", "3", "--c", "101"], BASE | {"simon"}),
@@ -59,6 +64,18 @@ COMMANDS = [
 ]
 
 COMMAND_IDS = [argv[0] for argv, _ in COMMANDS]
+
+# qft requests: (argv, whether numpy loads)
+TRANSFORMS = [
+    (["qft", "--qubits", "3"], False),
+    (["qft", "--qubits", "9"], False),
+    (["qft", "--qubits", "9", "--cutoff", "9"], False),
+    (["qft", "--qubits", "3", "--cutoff", "2"], False),  # drops no coupling at k = 3
+    (["qft", "--qubits", "3", "--cutoff", "1"], True),
+    (["qft", "--qubits", "9", "--cutoff", "2"], True),
+    (["qft", "--qubits", "3", "--no-swaps"], True),
+    (["qft", "--qubits", "9", "--no-swaps"], True),
+]
 
 # requests the front end answers: (argv, exit status)
 FRONT_END = [
@@ -118,6 +135,26 @@ def test_a_command_loads_only_its_own_modules(argv, modules, circuit, tmp_path):
     assert qdesk_modules(record["modules"]) == modules
 
 
+@pytest.mark.parametrize("argv, numpy", TRANSFORMS,
+                         ids=[case_id(argv[1:]) for argv, _ in TRANSFORMS])
+def test_only_an_inexact_transform_loads_numpy(argv, numpy, tmp_path):
+    code, _, record = launch("qdesk", argv, tmp_path)
+    assert code == 0
+    assert qdesk_modules(record["modules"]) == QFT
+    assert ("numpy" in record["modules"]) == numpy
+    assert "numpy" not in record["frozen_with"]  # the fidelity loads it, after the freeze
+
+
+@pytest.mark.parametrize("module", ["qdesk", "qdesk.cli"])
+def test_an_over_cap_transform_exits_3_without_numpy(module, tmp_path):
+    code, stdout, record = launch(module, ["qft", "--qubits", "25"], tmp_path)
+    assert code == 3
+    assert json.loads(stdout)["error"] == {
+        "type": "resource", "message": "the Fourier transform on k=25 needs 25 qubits (cap 24)"}
+    assert "numpy" not in record["modules"]
+    assert qdesk_modules(record["modules"]) | {"cli"} == QFT  # cli may run as __main__
+
+
 @pytest.mark.parametrize("module", ["qdesk", "qdesk.cli"])
 @pytest.mark.parametrize("argv, status", FRONT_END, ids=FRONT_END_IDS)
 def test_the_front_end_loads_no_numpy(module, argv, status, circuit, tmp_path):
@@ -148,7 +185,8 @@ def test_the_entry_freezes_once_the_command_is_loaded(module, argv, modules, cir
                                                      tmp_path):
     code, _, record = launch(module, fill(argv, circuit, tmp_path), tmp_path)
     assert code == 0
-    assert "numpy" in record["frozen_with"]
+    # numpy comes with statevec; an exact qft loads neither
+    assert ("numpy" in record["frozen_with"]) == ("statevec" in modules)
     assert qdesk_modules(record["frozen_with"]) >= modules - {"cli"}
     assert record["frozen"] > 0
 

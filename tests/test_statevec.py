@@ -70,6 +70,12 @@ class TestInitBasis:
         with pytest.raises(CapacityError, match=r"^a wide job needs 25 qubits \(cap 24\)$"):
             require_qubits(25, "a wide job")
 
+    def test_the_budget_is_the_packages(self):
+        # the package holds it, so a request is checked without numpy
+        assert statevec.MAX_QUBITS == qdesk.MAX_QUBITS == 24
+        assert statevec.CapacityError is qdesk.CapacityError
+        assert statevec.require_qubits is qdesk.require_qubits
+
 
 class TestStateVectorInvariants:
     def test_rejects_unnormalized(self):
@@ -768,6 +774,19 @@ class TestPeriodFinding:
             apply_xor_oracle(init_basis(2 + out_bits, 0), np.array(table), out_bits)
         with pytest.raises(ValueError, match=f"^{re.escape(str(oracle_error.value))}$"):
             statevec._period_finding(gates.hadamard_layer(2), np.array(table), out_bits)
+
+
+class TestInputMarginal:
+    # at 17 qubits a row of the top wire's marginal is 2^16 amplitudes, two
+    # kernel blocks; the top two wires' rows are one block each
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rows_of_a_block_or_wider_are_the_full_state_marginal(self, m, rng):
+        state = random_state(rng, 17)
+        assert np.allclose(statevec._input_marginal(state, m), marginal(state, m),
+                           rtol=0, atol=1e-15)
+        expected = np.zeros(1 << m)
+        expected[5 >> (17 - m)] = 1.0
+        assert np.array_equal(statevec._input_marginal(init_basis(17, 5), m), expected)
 
 
 class TestSeeding:

@@ -62,6 +62,8 @@ _DRAWS_GUARD = "tests/test_statevec.py::TestDraws::test_top_bin_guard_and_block_
 _FOUND = "tests/test_grover.py::TestInPlaceLoop::test_found_is_measure_all_on_the_filled_state"
 _PHASE_FORM = ("tests/test_qft.py::TestPhaseFormFidelity::"
                "test_built_transforms_agree_with_the_circuit_referee")
+_SHORTCUT = ("tests/test_qft.py::TestPhaseFormFidelity::"
+             "test_the_exact_shortcut_never_changes_a_value")
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -175,7 +177,9 @@ MUTANTS: tuple[Mutant, ...] = (
         "the marginal summed on half rows", _STATEVEC,
         "row = 1 << (state.n_qubits - m)\n",
         "row = 1 << (state.n_qubits - m - 1)\n",
-        ("tests/test_shor.py::TestCircuit::test_dump_is_the_full_state_marginal_and_the_law",),
+        ("tests/test_shor.py::TestCircuit::test_dump_is_the_full_state_marginal_and_the_law",
+         "tests/test_statevec.py::TestInputMarginal::"
+         "test_rows_of_a_block_or_wider_are_the_full_state_marginal"),
     ),
     Mutant(
         "the 1.0 guard on every block", _STATEVEC,
@@ -243,15 +247,27 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "an H adds pi/2, not pi", _QFT,
-        "form[carried[0], carried[0]] = modulus >> 1",
-        "form[carried[0], carried[0]] = modulus >> 2",
+        "form[carried[0]][carried[0]] = modulus >> 1",
+        "form[carried[0]][carried[0]] = modulus >> 2",
         (_PHASE_FORM,),
     ),
     Mutant(
         "a CPHASE angle doubled", _QFT,
-        "form[target, bit] += modulus >> (op.params[1] + 1 - op.params[0])",
-        "form[target, bit] += modulus >> (op.params[1] - op.params[0])",
+        "form[target][bit] += modulus >> (op.params[1] + 1 - op.params[0])",
+        "form[target][bit] += modulus >> (op.params[1] - op.params[0])",
         (_PHASE_FORM,),
+    ),
+    Mutant(
+        "the exact shortcut on any zero delta", _QFT,
+        "if all(d == 0 for row in delta for d in row):",
+        "if any(d == 0 for row in delta for d in row):",
+        (_SHORTCUT, _PHASE_FORM),
+    ),
+    Mutant(
+        "a named op's params reversed", _GATES,
+        "m = NAMED_GATES[self.name].matrix(*self.params)",
+        "m = NAMED_GATES[self.name].matrix(*self.params[::-1])",
+        ("tests/test_gates.py::TestNamedOps::test_the_matrix_is_the_constructors_bit_for_bit",),
     ),
 )
 
